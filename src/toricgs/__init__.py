@@ -11,7 +11,7 @@ suite and its comparison inequalities.
 __version__ = "0.1.0"
 
 from .polytope import LabelledPolytope, builtin, builtin_names, from_facets, from_vertices
-from .quadrature import WeightFunction, integrate, moment
+from .quadrature import WeightFunction, integrate, moment, moments
 from .invariants import (
     SolitonSolution,
     dh_marginal,
@@ -59,6 +59,7 @@ __all__ = [
     "WeightFunction",
     "integrate",
     "moment",
+    "moments",
     "SolitonSolution",
     "weighted_volume",
     "weighted_barycenter",

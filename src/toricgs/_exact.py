@@ -30,59 +30,19 @@ def dot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 
 
-def solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve a square rational system by Gaussian elimination.
+def _rref(rows: list[list[Fraction]], ncols: int):
+    """Reduced row echelon form over the first ``ncols`` columns.
 
-    Returns None when the matrix is singular.
+    Returns (reduced rows, pivot columns); columns past ``ncols`` (an
+    augmented right-hand side) are carried along but never pivoted on.
     """
-    n = len(rows)
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
-
-
-def rank(rows: list[list[Fraction]]) -> int:
-    if not rows:
-        return 0
-    m, n = len(rows), len(rows[0])
     a = [list(r) for r in rows]
-    rk = 0
-    for col in range(n):
-        piv = next((r for r in range(rk, m) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[rk], a[piv] = a[piv], a[rk]
-        inv = Fraction(1) / a[rk][col]
-        a[rk] = [x * inv for x in a[rk]]
-        for r in range(m):
-            if r != rk and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rk])]
-        rk += 1
+    m = len(a)
+    pivots: list[int] = []
+    for col in range(ncols):
+        rk = len(pivots)
         if rk == m:
             break
-    return rk
-
-
-def nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
-    """Basis of the nullspace of an m x n rational matrix (m may be 0)."""
-    if not rows:
-        return [[Fraction(i == j) for j in range(n)] for i in range(n)]
-    m = len(rows)
-    a = [list(r) for r in rows]
-    pivots: list[int] = []
-    rk = 0
-    for col in range(n):
         piv = next((r for r in range(rk, m) if a[r][col] != 0), None)
         if piv is None:
             continue
@@ -94,9 +54,30 @@ def nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[rk])]
         pivots.append(col)
-        rk += 1
-        if rk == m:
-            break
+    return a, pivots
+
+
+def solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """Solve a square rational system by Gauss-Jordan elimination.
+
+    Returns None when the matrix is singular.
+    """
+    n = len(rows)
+    a, pivots = _rref([list(r) + [rhs[i]] for i, r in enumerate(rows)], n)
+    if len(pivots) < n:
+        return None
+    return [a[i][n] for i in range(n)]
+
+
+def rank(rows: list[list[Fraction]]) -> int:
+    if not rows:
+        return 0
+    return len(_rref(rows, len(rows[0]))[1])
+
+
+def nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
+    """Basis of the nullspace of an m x n rational matrix (m may be 0)."""
+    a, pivots = _rref(rows, n)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:

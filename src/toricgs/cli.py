@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -23,6 +24,7 @@ import numpy as np
 from . import __version__, invariants, mafunc, polytope, stability
 from .errors import (
     NumericalFailure,
+    PolytopeError,
     SchemaViolation,
     ToricGSError,
     UnknownCommand,
@@ -47,15 +49,6 @@ _COMMANDS = (
 )
 
 
-def thread_cap() -> int:
-    """Parallelism cap from TORIC_GS_THREADS (never recorded in reports)."""
-    raw = os.environ.get("TORIC_GS_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # input parsing
 # ---------------------------------------------------------------------------
@@ -76,7 +69,7 @@ def parse_polytope(spec: str) -> LabelledPolytope:
         name = spec.split(":", 1)[1]
         try:
             return polytope.builtin(name)
-        except KeyError:
+        except PolytopeError:
             raise SchemaViolation(
                 f"unknown builtin polytope {name!r}; choices: "
                 f"{', '.join(polytope.builtin_names())}",
@@ -155,9 +148,20 @@ def _parse_number(text: str, pointer: str):
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         try:
-            return float(text)
+            x = float(text)
         except ValueError:
             raise SchemaViolation(f"cannot parse number {text!r}", pointer)
+        if not math.isfinite(x):
+            raise SchemaViolation(f"expected a finite number, got {text!r}", pointer)
+        return x
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: finite values only."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(text)
+    return x
 
 
 def parse_direction(text: str):
@@ -189,7 +193,13 @@ def _json_default(o):
 
 
 def render_report(report: dict, fmt: str) -> str:
-    payload = json.dumps(report, sort_keys=True, indent=2, default=_json_default)
+    """Canonical JSON (or Markdown around it); RFC 8259 has no NaN or Infinity."""
+    try:
+        payload = json.dumps(
+            report, sort_keys=True, indent=2, default=_json_default, allow_nan=False
+        )
+    except ValueError as exc:
+        raise NumericalFailure(f"report holds a non-finite number: {exc}")
     if fmt == "json":
         return payload + "\n"
     lines = [
@@ -235,8 +245,18 @@ def _decode_weight(inputs: dict) -> WeightFunction:
     return WeightFunction.from_dict(inputs["g"])
 
 
-def _decode_direction(inputs: dict):
-    return tuple(decode_number(x, "/a") for x in inputs["a"])
+def _decode_direction(inputs: dict, P: LabelledPolytope):
+    a = tuple(decode_number(x, "/a") for x in inputs["a"])
+    if len(a) != P.dim:
+        raise SchemaViolation(f"direction needs {P.dim} entries, got {len(a)}", "/a")
+    return a
+
+
+def _positive_int(inputs: dict, key: str, default: int) -> int:
+    value = int(inputs.get(key, default))
+    if value < 1:
+        raise SchemaViolation(f"{key} must be >= 1, got {value}", f"/{key}")
+    return value
 
 
 def _run_check_futaki(inputs: dict):
@@ -287,13 +307,13 @@ def _run_solve_soliton(inputs: dict):
 def _run_sg(inputs: dict):
     P = _decode_polytope(inputs)
     g = _decode_weight(inputs)
-    a = _decode_direction(inputs)
+    a = _decode_direction(inputs, P)
     A = stability.log_discrepancy(P, a)
     S = stability.s_g(P, g, a)
     results = {"A": A, "S_g": S, "ratio": A / S, "ding": A - S}
     diagnostics = {}
     if "m" in inputs:
-        m = int(inputs["m"])
+        m = _positive_int(inputs, "m", 1)
         lat = stability.s_g_lattice(P, g, a, m)
         results["S_g_lattice"] = lat
         diagnostics["lattice_m"] = m
@@ -318,7 +338,7 @@ def _run_delta(inputs: dict):
 def _run_ding_na(inputs: dict):
     P = _decode_polytope(inputs)
     g = _decode_weight(inputs)
-    a = _decode_direction(inputs)
+    a = _decode_direction(inputs, P)
     A = stability.log_discrepancy(P, a)
     S = stability.s_g(P, g, a)
     return {"A": A, "S_g": S, "ding": A - S}, {}
@@ -334,11 +354,15 @@ def _decode_pl(inputs: dict, P: LabelledPolytope) -> PLConvexFunction:
             if not isinstance(p, dict) or "a" not in p:
                 raise SchemaViolation("each piece needs 'a'", f"/pl/pieces/{i}")
             a = tuple(decode_number(x, f"/pl/pieces/{i}/a") for x in p["a"])
+            if len(a) != P.dim:
+                raise SchemaViolation(
+                    f"piece slope needs {P.dim} entries, got {len(a)}", f"/pl/pieces/{i}/a"
+                )
             c = decode_number(p.get("c", 0), f"/pl/pieces/{i}/c")
             pieces.append((a, c))
         return PLConvexFunction(P, tuple(pieces))
     if "a" in inputs:
-        return PLConvexFunction.valuation_type(P, _decode_direction(inputs))
+        return PLConvexFunction.valuation_type(P, _decode_direction(inputs, P))
     raise SchemaViolation("dh needs --pl-file or --a", "/pl")
 
 
@@ -346,7 +370,7 @@ def _run_dh(inputs: dict):
     P = _decode_polytope(inputs)
     g = _decode_weight(inputs)
     f = _decode_pl(inputs, P)
-    m = int(inputs.get("m", 20))
+    m = _positive_int(inputs, "m", 20)
     sample = stability.dh_g_filtration(P, g, f, m)
     positions, masses = sample.nu_atoms
     atoms_full = len(positions)
@@ -419,7 +443,7 @@ def _run_functionals(inputs: dict):
 def _run_inequalities(inputs: dict):
     P = _decode_polytope(inputs)
     g = _decode_weight(inputs)
-    samples = int(inputs.get("samples", 100))
+    samples = _positive_int(inputs, "samples", 100)
     seed = int(inputs.get("seed", 0))
     grid = _grid_from_inputs(inputs)
     rep = mafunc.inequality_suite(P, g, samples=samples, seed=seed, grid=grid)
@@ -485,7 +509,7 @@ def _build_parser() -> _Parser:
 
     p = add("check-futaki")
     add_pg(p)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=_finite_float)
 
     p = add("solve-soliton")
     p.add_argument("--polytope", required=True)
@@ -498,7 +522,7 @@ def _build_parser() -> _Parser:
 
     p = add("delta")
     add_pg(p)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=_finite_float)
 
     p = add("ding-na")
     add_pg(p)
@@ -512,8 +536,8 @@ def _build_parser() -> _Parser:
 
     p = add("solve-ma")
     add_pg(p, weight_default="constant:1")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--grid-r", type=float, default=12.0)
+    p.add_argument("--tol", type=_finite_float)
+    p.add_argument("--grid-r", type=_finite_float, default=12.0)
     p.add_argument("--grid-n", type=int, default=2001)
     p.add_argument("--ding-ray", action="store_true")
     p.add_argument("--out")
@@ -526,7 +550,7 @@ def _build_parser() -> _Parser:
     add_pg(p, weight_default="constant:1")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid-r", type=float, default=12.0)
+    p.add_argument("--grid-r", type=_finite_float, default=12.0)
     p.add_argument("--grid-n", type=int, default=2001)
 
     p = add("report")
@@ -602,7 +626,6 @@ def main(argv=None) -> int:
             raise UnknownCommand(
                 "missing command; choose one of: " + ", ".join(_COMMANDS)
             )
-        thread_cap()  # validated, capped, and deliberately not recorded
         if args.command == "report":
             report, fmt = _run_report_command(args)
             sys.stdout.write(render_report(report, fmt))

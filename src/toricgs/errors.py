@@ -30,10 +30,6 @@ class Unbounded(PolytopeError):
     """The facet system has a nontrivial recession cone."""
 
 
-class EmptyPolytope(PolytopeError):
-    """The facet system has no feasible points."""
-
-
 class OriginNotInterior(PolytopeError):
     """The origin is not strictly interior to the polytope."""
 
@@ -118,7 +114,3 @@ class NewtonDiverged(NumericalFailure):
 
 class WindowTooSmall(NumericalFailure):
     """The solver window does not let the gradient reach the polytope ends."""
-
-
-class NumericalUnderflow(NumericalFailure):
-    """An integrand underflowed beyond the audited clamp."""

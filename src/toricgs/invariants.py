@@ -19,6 +19,7 @@ from . import _exact, quadrature
 from .errors import MaxIterations, SingularMomentMatrix
 from .polytope import LabelledPolytope
 from .quadrature import WeightFunction, encode_number
+from .stability import _direction
 
 # ---------------------------------------------------------------------------
 # volumes, marginals, barycenters, Futaki
@@ -28,13 +29,18 @@ from .quadrature import WeightFunction, encode_number
 def weighted_volume(P: LabelledPolytope, g: WeightFunction) -> float:
     """V_g = n! * integral_P g dx."""
     g.check_positive(P)
-    return math.factorial(P.dim) * quadrature.integrate(P, g)[0]
+    return math.factorial(P.dim) * float(quadrature.moments(P, g, 0)[(0,) * P.dim])
+
+
+def _exact_moments(P: LabelledPolytope, g: WeightFunction, degree: int) -> dict:
+    if not g.is_polynomial_kind:
+        raise ValueError("exponential-affine weight has no exact moments")
+    return quadrature.moments(P, g, degree)
 
 
 def weighted_volume_exact(P: LabelledPolytope, g: WeightFunction) -> Fraction:
     """Exact rational V_g for polynomial-kind weights with rational data."""
-    poly = g.as_poly(P.dim)
-    return math.factorial(P.dim) * quadrature.integrate_exact_poly(P, poly)
+    return math.factorial(P.dim) * _exact_moments(P, g, 0)[(0,) * P.dim]
 
 
 def dh_marginal(P: LabelledPolytope, a, t: float) -> float:
@@ -46,9 +52,7 @@ def dh_marginal(P: LabelledPolytope, a, t: float) -> float:
     P intersect {<a,x> = t}.  Computed as a sum of normalized B-splines,
     one per triangulation simplex, with exact tie detection at the knots.
     """
-    a = tuple(_coerce_direction(a))
-    if all(x == 0 for x in a):
-        raise ValueError("direction must be nonzero")
+    a = tuple(_exact.frac(x) for x in _direction(a)[0])
     n = P.dim
     t = float(t)
     total = 0.0
@@ -60,20 +64,6 @@ def dh_marginal(P: LabelledPolytope, a, t: float) -> float:
             continue
         total += float(vol) * _mspline(nodes, t, n)
     return total
-
-
-def _coerce_direction(a):
-    if np.isscalar(a):
-        a = (a,)
-    out = []
-    for x in a:
-        if isinstance(x, (int, Fraction)):
-            out.append(Fraction(x))
-        elif isinstance(x, str):
-            out.append(Fraction(x))
-        else:
-            out.append(Fraction(float(x)).limit_denominator(10**12))
-    return out
 
 
 def _plus_power(x: float, e: int) -> float:
@@ -110,26 +100,16 @@ def _mspline(nodes, t: float, n: int) -> float:
 def weighted_barycenter(P: LabelledPolytope, g: WeightFunction) -> np.ndarray:
     """b_g with components integral(x_i g) / integral(g) over P."""
     g.check_positive(P)
-    mass, _ = quadrature.integrate(P, g)
-    out = np.empty(P.dim)
-    for i in range(P.dim):
-        alpha = tuple(int(i == j) for j in range(P.dim))
-        out[i] = quadrature.integrate(P, g, alpha)[0] / mass
-    return out
+    M = quadrature.moments(P, g, 1)
+    mass = float(M[(0,) * P.dim])
+    return np.array([float(M[e]) / mass for e in quadrature._units(P.dim)])
 
 
 def weighted_barycenter_exact(P: LabelledPolytope, g: WeightFunction):
     """Exact rational weighted barycenter for polynomial-kind weights."""
-    poly = g.as_poly(P.dim)
-    mass = quadrature.integrate_exact_poly(P, poly)
-    out = []
-    for i in range(P.dim):
-        alpha = tuple(int(i == j) for j in range(P.dim))
-        num = quadrature.integrate_exact_poly(
-            P, quadrature._poly_mul(poly, quadrature._monomial(alpha))
-        )
-        out.append(num / mass)
-    return tuple(out)
+    M = _exact_moments(P, g, 1)
+    mass = M[(0,) * P.dim]
+    return tuple(M[e] / mass for e in quadrature._units(P.dim))
 
 
 def futaki(P: LabelledPolytope, g: WeightFunction, xi) -> float:
@@ -141,14 +121,12 @@ def futaki(P: LabelledPolytope, g: WeightFunction, xi) -> float:
     """
     g.check_positive(P)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    mass, _ = quadrature.integrate(P, g)
+    M = quadrature.moments(P, g, 1)
     acc = 0.0
-    for i in range(P.dim):
-        if xi[i] == 0:
-            continue
-        alpha = tuple(int(i == j) for j in range(P.dim))
-        acc += xi[i] * quadrature.integrate(P, g, alpha)[0]
-    return -acc / mass
+    for xi_i, e in zip(xi, quadrature._units(P.dim)):
+        if xi_i != 0:
+            acc += xi_i * float(M[e])
+    return -acc / float(M[(0,) * P.dim])
 
 
 # ---------------------------------------------------------------------------
@@ -190,21 +168,20 @@ class SolitonSolution:
         return d
 
 
+def _first_and_second(M: dict, n: int):
+    """First moments and the second moment matrix from a degree-2 moments dict."""
+    units = quadrature._units(n)
+    first = [M[e] for e in units]
+    second = [[M[tuple(a + b for a, b in zip(ei, ej))] for ej in units] for ei in units]
+    return first, second
+
+
 def _exp_moments(P: LabelledPolytope, xi: np.ndarray):
     """W, grad W, Hess W for W(xi) = integral_P e^{<xi,x>} dx."""
-    n = P.dim
     g = WeightFunction.exp_affine(0.0, tuple(float(x) for x in xi))
-    W = quadrature.integrate(P, g)[0]
-    grad = np.empty(n)
-    hess = np.empty((n, n))
-    for i in range(n):
-        ei = tuple(int(i == j) for j in range(n))
-        grad[i] = quadrature.integrate(P, g, ei)[0]
-    for i in range(n):
-        for j in range(i, n):
-            a = tuple(int(i == k) + int(j == k) for k in range(n))
-            hess[i, j] = hess[j, i] = quadrature.integrate(P, g, a)[0]
-    return W, grad, hess
+    M = quadrature.moments(P, g, 2)
+    grad, hess = _first_and_second(M, P.dim)
+    return M[(0,) * P.dim], np.array(grad), np.array(hess)
 
 
 def solve_kr_soliton(
@@ -266,17 +243,7 @@ def solve_mabuchi_soliton(P: LabelledPolytope) -> SolitonSolution:
     exactly at the vertices.
     """
     n = P.dim
-    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    beta = [quadrature.moment_exact(P, e) for e in basis]
-    M = [
-        [
-            quadrature.moment_exact(
-                P, tuple(ei[k] + ej[k] for k in range(n))
-            )
-            for ej in basis
-        ]
-        for ei in basis
-    ]
+    beta, M = _first_and_second(quadrature.moments(P, WeightFunction.constant(1), 2), n)
     b = _exact.solve(M, [-x for x in beta])
     if b is None:
         raise SingularMomentMatrix("second moment matrix is singular")

@@ -300,8 +300,8 @@ def _antiderivative_inverse(g: WeightFunction, pmin: float, pmax: float):
 
         return inv_exp
     Gfun = _antiderivative(g)
-    glo = float(g.value(np.array([[pmin]], dtype=float)))
-    ghi = float(g.value(np.array([[pmax]], dtype=float)))
+    glo = float(g.value(np.array([[pmin]], dtype=float))[0])
+    ghi = float(g.value(np.array([[pmax]], dtype=float))[0])
     Glo = float(Gfun(pmin))
     Ghi = float(Gfun(pmax))
 
@@ -628,6 +628,7 @@ def pushforward_moments(
     cell_mass = u.c * np.exp(-u.values) * h
     gm = g.value(mids[:, None])
     dgm = g.grad(mids[:, None])[:, 0]
+    exact = quadrature.moments(P, g, max(orders))
     out = {}
     for j in orders:
         disc = float(np.sum(mids**j * cell_mass))
@@ -639,7 +640,7 @@ def pushforward_moments(
             if j >= 2:
                 term = term + (j * (j - 1) / 2.0) * mids ** (j - 2) * gm
             disc += float(np.sum(term * widths**3 / 12.0))
-        cont = quadrature.moment(P, g, (j,))
+        cont = float(exact[(j,)])
         out[j] = {"discrete": disc, "continuous": cont, "abs_diff": abs(disc - cont)}
     return out
 

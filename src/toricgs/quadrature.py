@@ -1,9 +1,11 @@
 """Weight functions on a polytope and their exact/adaptive integration.
 
 Supported weight kinds: constant, affine a0 + <b,x>, exponential-affine
-exp(a0 + <b,x>), and polynomial.  Polynomial integrands are integrated
-exactly per triangulation simplex through the Dirichlet moment formula in
-barycentric coordinates; exponential-affine integrands use the closed-form
+exp(a0 + <b,x>), and polynomial.  Every integral over a polytope is a
+moment of g, and all of them go through one kernel (``moments``, built on
+``simplex_moments``): per triangulation simplex, polynomial integrands are
+integrated exactly through the Dirichlet moment formula in barycentric
+coordinates; exponential-affine integrands use the closed-form
 divided-difference representation of the simplex exponential integral, with
 a Grundmann-Moller quadrature fallback when the exponent geometry makes the
 closed form cancellation-prone.
@@ -44,6 +46,8 @@ def decode_number(x, pointer: str = ""):
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise SchemaViolation(f"expected a finite number, got {x!r}", pointer)
         return x
     if isinstance(x, str):
         try:
@@ -191,7 +195,7 @@ class WeightFunction:
             c = float(self.a0)
             return c, c
         if self.kind in ("affine", "exp_affine"):
-            vals = [self.a0 + _exact.dot(self.b, v) for v in self.vertex_args(P)]
+            vals = [self.a0 + _exact.dot(self.b, v) for v in P.vertices]
             lo, hi = min(vals), max(vals)
             if self.kind == "exp_affine":
                 return math.exp(float(lo)), math.exp(float(hi))
@@ -199,10 +203,6 @@ class WeightFunction:
         samples = _positivity_samples(P)
         vals = self.value(samples)
         return float(np.min(vals)), float(np.max(vals))
-
-    def vertex_args(self, P: LabelledPolytope):
-        """Exact affine arguments <b, v> at the polytope vertices."""
-        return [tuple(x for x in v) for v in P.vertices]
 
     def check_positive(self, P: LabelledPolytope) -> None:
         """Certify g > 0 on P; exact for affine-based kinds.
@@ -215,9 +215,10 @@ class WeightFunction:
             if self.a0 <= 0:
                 raise PositivityViolated(f"constant weight {self.a0} is not positive")
             return
-        if self.kind in ("affine", "exp_affine"):
-            vals = [self.a0 + _exact.dot(self.b, v) for v in P.vertices]
-            if self.kind == "affine" and min(vals) <= 0:
+        if self.kind == "exp_affine":
+            return
+        if self.kind == "affine":
+            if min(self.a0 + _exact.dot(self.b, v) for v in P.vertices) <= 0:
                 raise PositivityViolated(
                     "affine weight is non-positive at a vertex (exact check)"
                 )
@@ -327,16 +328,25 @@ def _monomial(alpha: tuple[int, ...]) -> dict:
     return {tuple(int(a) for a in alpha): 1}
 
 
-def _substitute_barycentric(poly_x: dict, s0, edges, n: int) -> dict:
-    """Rewrite an x-polynomial in simplex coordinates x = s0 + sum_i t_i e_i."""
+def _units(n: int) -> list[tuple[int, ...]]:
+    """The multi-indices e_1, ..., e_n of the first moments."""
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
+def _barycentric_lines(s0, edges, n: int) -> list[dict]:
+    """x_j = s0_j + sum_i t_i e_ij as t-polynomials, one per coordinate."""
     lines = []
     for j in range(n):
         line = {(0,) * n: s0[j]}
-        for i in range(n):
+        for i, key in enumerate(_units(n)):
             if edges[i][j] != 0:
-                key = tuple(int(i == k) for k in range(n))
                 line[key] = edges[i][j]
         lines.append(line)
+    return lines
+
+
+def _substitute_barycentric(poly_x: dict, lines: list[dict], n: int) -> dict:
+    """Rewrite an x-polynomial in simplex coordinates x = s0 + sum_i t_i e_i."""
     out: dict = {}
     for beta, c in poly_x.items():
         term = {(0,) * n: c}
@@ -348,43 +358,8 @@ def _substitute_barycentric(poly_x: dict, s0, edges, n: int) -> dict:
     return out
 
 
-def _dirichlet_value(tpoly: dict, n: int):
-    """Integrate a t-polynomial over the standard simplex exactly.
-
-    Uses the Dirichlet formula: the integral of t^kappa over the standard
-    simplex is (prod kappa_i!) / (n + |kappa|)!.
-    """
-    total = 0
-    for kappa, c in tpoly.items():
-        num = 1
-        for k in kappa:
-            num *= math.factorial(k)
-        total = total + c * Fraction(num, math.factorial(n + sum(kappa)))
-    return total
-
-
-def _simplex_edges(simplex):
-    s0 = simplex[0]
-    return s0, [tuple(x - y for x, y in zip(p, s0)) for p in simplex[1:]]
-
-
-def _simplex_det(edges) -> Fraction:
-    return _exact.det([list(e) for e in edges])
-
-
-def simplex_poly_integral(simplex, poly_x: dict):
-    """Exact integral of a polynomial over a rational simplex.
-
-    Stays in rational arithmetic whenever the polynomial coefficients are
-    rational; mixed float coefficients degrade gracefully to floats.
-    """
-    n = len(simplex) - 1
-    s0, edges = _simplex_edges(simplex)
-    detE = abs(_simplex_det(edges))
-    if detE == 0:
-        return Fraction(0)
-    tpoly = _substitute_barycentric(poly_x, s0, edges, n)
-    return detE * _dirichlet_value(tpoly, n)
+def _kappa_factorial(kappa) -> int:
+    return math.prod(math.factorial(k) for k in kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +386,13 @@ def exp_divided_difference(nodes) -> float:
     if N == 0:
         return math.exp(nodes[0])
     m = math.fsum(nodes) / (N + 1)
-    y = [x - m for x in nodes]
-    sigma = max(abs(v) for v in y)
-    if sigma <= _SERIES_SPREAD:
-        return math.exp(m) * _exp_dd_series(y, N)
+    if max(abs(x - m) for x in nodes) <= _SERIES_SPREAD:
+        return _exp_dd_centered(nodes, m)
     return _exp_dd_table(sorted(nodes))
+
+
+def _exp_dd_centered(nodes, m: float) -> float:
+    return math.exp(m) * _exp_dd_series([x - m for x in nodes], len(nodes) - 1)
 
 
 def _exp_dd_series(y, N: int) -> float:
@@ -444,90 +421,115 @@ def _exp_dd_series(y, N: int) -> float:
             small = 0
     return total
 
+
 def _exp_dd_table(z) -> float:
-    # confluent Newton table; ties (exact equality) use the derivative value
+    # confluent Newton table over sorted nodes.  The recurrence divides by
+    # the span z[i+j] - z[i]; a small span would amplify the rounding of the
+    # entries it differences (clustered nodes inside a wide set), so entries
+    # spanning at most _SERIES_SPREAD come from the centered series, and
+    # exact ties from the derivative value
     col = [math.exp(v) for v in z]
     n1 = len(z)
     for j in range(1, n1):
         fj = math.factorial(j)
         nxt = []
         for i in range(n1 - j):
-            if z[i + j] == z[i]:
+            span = z[i + j] - z[i]
+            if span == 0:
                 nxt.append(math.exp(z[i]) / fj)
+            elif span <= _SERIES_SPREAD:
+                sub = z[i : i + j + 1]
+                nxt.append(_exp_dd_centered(sub, math.fsum(sub) / (j + 1)))
             else:
-                nxt.append((col[i + 1] - col[i]) / (z[i + j] - z[i]))
+                nxt.append((col[i + 1] - col[i]) / span)
         col = nxt
     return col[0]
-
-
-def _simplex_exp_nodes(simplex, b):
-    s0, edges = _simplex_edges(simplex)
-    c = [float(_exact_or_float_dot(b, e)) for e in edges]
-    return s0, edges, c
 
 
 def _exact_or_float_dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def simplex_exp_integral(simplex, a0, b, alpha=None, tol_simplex: float = 1e-10):
-    """Integral of x^alpha * exp(a0 + <b,x>) over a rational simplex.
+# ---------------------------------------------------------------------------
+# the moment kernel on one simplex
+# ---------------------------------------------------------------------------
 
-    Closed form: after mapping to the standard simplex the integral becomes
-    a sum of confluent divided differences of exp (one node per simplex
-    vertex, repeated once more per monomial power).  When the exponent
-    geometry is genuinely cancellation-prone -- some edge pairing nearly
-    degenerate while the overall spread is large -- the routine falls back
-    to Grundmann-Moller quadrature with one refinement.
 
-    Returns (value, error_estimate).
+def simplex_moments(simplex, g: WeightFunction, alphas):
+    """Integrals of x^alpha * g(x) over a rational simplex, one per alpha.
+
+    The determinant and the substitution x = s0 + sum_i t_i e_i are done
+    once; each integrand becomes a t-polynomial whose monomials t^kappa are
+    integrated once each (the basis integrals) and then recombined
+    (Baldoni, Berline, De Loera, Koppe and Vergne, Math. Comp. 80, 2011).
+
+    Polynomial kinds fold g into the integrand, and the basis integral over
+    the standard simplex is the Dirichlet value kappa! / (n + |kappa|)!, so
+    rational data gives exact Fractions.  For g = exp(a0 + <b,x>) the basis
+    integral of t^kappa e^{<c,t>} is kappa! times the confluent divided
+    difference of exp at 0 and each c_i repeated kappa_i + 1 times.  When
+    that closed form is cancellation-prone -- two exponent nodes nearly
+    coincide while the overall spread is large -- every moment comes from
+    one Grundmann-Moller pass instead, which raises QuadratureNotConverged
+    when any estimate exceeds 1e-10.
+
+    Returns (values, error_estimate); the estimate bounds every value.
     """
     n = len(simplex) - 1
-    s0, edges, c = _simplex_exp_nodes(simplex, b)
-    detE = abs(_simplex_det(edges))
+    s0 = simplex[0]
+    edges = [tuple(x - y for x, y in zip(p, s0)) for p in simplex[1:]]
+    detE = abs(_exact.det([list(e) for e in edges]))
     if detE == 0:
-        return 0.0, 0.0
+        return [Fraction(0) if g.is_polynomial_kind else 0.0] * len(alphas), 0.0
+    lines = _barycentric_lines(s0, edges, n)
+    basis: dict = {}
+    values = []
+    if g.is_polynomial_kind:
+        gx = g.as_poly(n)
+        for alpha in alphas:
+            tpoly = _substitute_barycentric(_poly_mul(gx, _monomial(alpha)), lines, n)
+            total = 0
+            for kappa, coeff in tpoly.items():
+                if kappa not in basis:
+                    basis[kappa] = Fraction(
+                        _kappa_factorial(kappa), math.factorial(n + sum(kappa))
+                    )
+                total = total + coeff * basis[kappa]
+            values.append(detE * total)
+        if all(isinstance(v, Fraction) for v in values):
+            return values, 0.0
+        return values, 1e-15 * max(abs(float(v)) for v in values)
+
+    c = [float(_exact_or_float_dot(g.b, e)) for e in edges]
     base_nodes = [0.0] + c
-    gaps = [
-        abs(u - v) for u, v in itertools.combinations(base_nodes, 2)
-    ]
-    min_gap = min(gaps) if gaps else math.inf
+    gaps = [abs(u - v) for u, v in itertools.combinations(base_nodes, 2)]
     mean = math.fsum(base_nodes) / len(base_nodes)
     sigma = max(abs(v - mean) for v in base_nodes)
-    if min_gap < 1e-8 and sigma > _SERIES_SPREAD:
-        f = _exp_monomial_evaluator(a0, b, alpha)
-        return gm_integrate(simplex, f, tol_simplex=tol_simplex)
-
-    pref = float(detE) * math.exp(float(a0) + float(_exact_or_float_dot(b, s0)))
-    if alpha is None or not any(alpha):
-        val = pref * exp_divided_difference(base_nodes)
-        return val, abs(val) * 1e-14
-    tpoly = _substitute_barycentric(_monomial(alpha), s0, edges, n)
-    total = 0.0
-    for kappa, coeff in tpoly.items():
-        if coeff == 0:
-            continue
-        nodes = [0.0]
-        kfact = 1
-        for i, k in enumerate(kappa):
-            nodes.extend([c[i]] * (k + 1))
-            kfact *= math.factorial(k)
-        total += float(coeff) * kfact * exp_divided_difference(nodes)
-    val = pref * total
-    return val, abs(val) * 1e-13
+    if min(gaps) < 1e-8 and sigma > _SERIES_SPREAD:
+        vals, est = gm_integrate(simplex, _exp_monomials(g, alphas))
+        return [float(v) for v in vals], float(np.max(est))
+    pref = float(detE) * math.exp(float(g.a0) + float(_exact_or_float_dot(g.b, s0)))
+    for alpha in alphas:
+        total = 0.0
+        for kappa, coeff in _substitute_barycentric(_monomial(alpha), lines, n).items():
+            if coeff == 0:
+                continue
+            if kappa not in basis:
+                nodes = [0.0] + [ci for ci, k in zip(c, kappa) for _ in range(k + 1)]
+                basis[kappa] = exp_divided_difference(nodes)
+            total += float(coeff) * _kappa_factorial(kappa) * basis[kappa]
+        values.append(pref * total)
+    return values, 1e-13 * max(abs(v) for v in values)
 
 
-def _exp_monomial_evaluator(a0, b, alpha):
-    a0f = float(a0)
-    bf = np.array([float(x) for x in b], dtype=float)
+def _exp_monomials(g: WeightFunction, alphas):
+    """x -> exp(a0 + <b,x>) x^alpha for every alpha, shape (points, alphas)."""
+    a0f = float(g.a0)
+    powers = np.array(alphas, dtype=float)
 
     def f(x: np.ndarray) -> np.ndarray:
-        out = np.exp(a0f + x @ bf)
-        if alpha is not None:
-            for j, p in enumerate(alpha):
-                if p:
-                    out = out * x[:, j] ** p
-        return out
+        mono = np.prod(x[:, None, :] ** powers[None, :, :], axis=2)
+        return np.exp(a0f + x @ g._bf)[:, None] * mono
 
     return f
 
@@ -598,36 +600,38 @@ def _split_simplex(verts: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _gm_apply(verts: np.ndarray, f, s: int) -> float:
+def _gm_apply(verts: np.ndarray, f, s: int):
     n = verts.shape[1]
     bary, w = _gm_rule(n, s)
     pts = bary @ verts
     detE = abs(np.linalg.det((verts[1:] - verts[0]).T))
-    return float(detE * np.dot(w, f(pts)))
+    return detE * (w @ f(pts))
 
 
 def gm_integrate(simplex, f, s: int = GM_ORDER, tol_simplex: float = 1e-10):
     """Grundmann-Moller integral of f over a simplex with one refinement.
 
-    Returns (value, error_estimate); the estimate is Richardson-style for
-    the regularly refined dimensions (n <= 2) and the conservative
-    coarse/fine difference otherwise.  Raises QuadratureNotConverged when
-    the estimate exceeds ``tol_simplex`` (pass a larger tolerance for
-    integrands that are only piecewise smooth).
+    ``f`` maps points of shape (k, n) to values of shape (k,), or to (k, m)
+    for m integrands at once, which then share the nodes.  Returns (value,
+    error_estimate), each a scalar or a length-m array; the estimate is
+    Richardson-style for the regularly refined dimensions (n <= 2) and the
+    conservative coarse/fine difference otherwise.  Raises
+    QuadratureNotConverged when any estimate exceeds ``tol_simplex`` (pass a
+    larger tolerance for integrands that are only piecewise smooth).
     """
     verts = np.array([[float(x) for x in p] for p in simplex], dtype=float)
     n = verts.shape[1]
     coarse = _gm_apply(verts, f, s)
     fine = sum(_gm_apply(child, f, s) for child in _split_simplex(verts))
-    diff = abs(fine - coarse)
+    diff = np.abs(fine - coarse)
     if n <= 2:
         est = diff / (2 ** (2 * s + 2) - 1)
     else:
         est = diff
-    est = max(est, abs(fine) * 1e-15)
-    if tol_simplex is not None and est > tol_simplex:
+    est = np.maximum(est, np.abs(fine) * 1e-15)
+    if tol_simplex is not None and np.max(est) > tol_simplex:
         raise QuadratureNotConverged(
-            f"simplex quadrature error estimate {est:.3e} exceeds {tol_simplex:.3e}"
+            f"simplex quadrature error estimate {np.max(est):.3e} exceeds {tol_simplex:.3e}"
         )
     return fine, est
 
@@ -637,76 +641,48 @@ def gm_integrate(simplex, f, s: int = GM_ORDER, tol_simplex: float = 1e-10):
 # ---------------------------------------------------------------------------
 
 
-def integrate(
-    P: LabelledPolytope,
-    g: WeightFunction,
-    alpha: tuple[int, ...] | None = None,
-    tol: float | None = None,
-    gm_tol_simplex: float = 1e-10,
-):
+def moments(P: LabelledPolytope, g: WeightFunction, degree: int) -> dict:
+    """Every moment integral_P x^alpha g dx with |alpha| <= degree.
+
+    Returns {alpha: value}.  Polynomial-kind weights with rational data give
+    exact Fractions; other data gives floats.
+    """
+    alphas = [a for d in range(degree + 1) for a in _compositions(d, P.dim)]
+    return dict(zip(alphas, _moments(P, g, alphas)[0]))
+
+
+def _moments(P: LabelledPolytope, g: WeightFunction, alphas):
+    """Sum the simplex kernel over the triangulation: (values, error)."""
+    if g.dim is not None and g.dim != P.dim:
+        raise SchemaViolation(
+            f"weight dimension {g.dim} does not match polytope dimension {P.dim}"
+        )
+    totals = [0] * len(alphas)
+    err = 0.0
+    for simplex in P.triangulation:
+        vals, e = simplex_moments(simplex, g, alphas)
+        totals = [t + v for t, v in zip(totals, vals)]
+        err += e
+    return totals, err
+
+
+def integrate(P: LabelledPolytope, g: WeightFunction, alpha: tuple[int, ...] | None = None):
     """Integral of x^alpha * g(x) over P with an error estimate.
 
     Polynomial-kind weights (constant/affine/polynomial) integrate exactly
     (zero reported error when all data is rational); the exponential-affine
     kind uses the closed form per simplex with the quadrature fallback.
-    Returns (value, error_estimate).
+    Returns (value, error_estimate) with a float value.
     """
-    _check_dims(P, g, alpha)
-    if g.is_polynomial_kind:
-        poly = g.as_poly(P.dim)
-        if alpha is not None and any(alpha):
-            poly = _poly_mul(poly, _monomial(alpha))
-        total = 0
-        for simplex in P.triangulation:
-            total = total + simplex_poly_integral(simplex, poly)
-        exact = isinstance(total, Fraction)
-        value = float(total)
-        err = 0.0 if exact else abs(value) * 1e-15
-    else:
-        value = 0.0
-        err = 0.0
-        for simplex in P.triangulation:
-            v, e = simplex_exp_integral(
-                simplex, g.a0, g.b, alpha, tol_simplex=gm_tol_simplex
-            )
-            value += v
-            err += e
-    if tol is not None and err > tol:
-        raise QuadratureNotConverged(
-            f"integration error estimate {err:.3e} exceeds tolerance {tol:.3e}"
+    alpha = (0,) * P.dim if alpha is None else tuple(int(a) for a in alpha)
+    if len(alpha) != P.dim:
+        raise SchemaViolation(
+            f"moment multi-index length {len(alpha)} does not match dimension {P.dim}"
         )
-    return value, err
+    (value,), err = _moments(P, g, [alpha])
+    return float(value), err
 
 
 def moment(P: LabelledPolytope, g: WeightFunction, alpha) -> float:
     """The moment integral of x^alpha against g over P."""
-    alpha = tuple(int(a) for a in alpha)
     return integrate(P, g, alpha)[0]
-
-
-def moment_exact(P: LabelledPolytope, alpha) -> Fraction:
-    """Exact rational moment of a monomial over P (weight 1)."""
-    alpha = tuple(int(a) for a in alpha)
-    total = Fraction(0)
-    for simplex in P.triangulation:
-        total += simplex_poly_integral(simplex, _monomial(alpha))
-    return total
-
-
-def integrate_exact_poly(P: LabelledPolytope, poly: dict) -> Fraction:
-    """Exact rational integral of a sparse rational polynomial over P."""
-    total = Fraction(0)
-    for simplex in P.triangulation:
-        total += simplex_poly_integral(simplex, poly)
-    return total
-
-
-def _check_dims(P: LabelledPolytope, g: WeightFunction, alpha) -> None:
-    if g.dim is not None and g.dim != P.dim:
-        raise SchemaViolation(
-            f"weight dimension {g.dim} does not match polytope dimension {P.dim}"
-        )
-    if alpha is not None and len(alpha) != P.dim:
-        raise SchemaViolation(
-            f"moment multi-index length {len(alpha)} does not match dimension {P.dim}"
-        )

@@ -66,29 +66,14 @@ def log_discrepancy(P: LabelledPolytope, a) -> float:
 
 
 def s_g(P: LabelledPolytope, g: WeightFunction, a) -> float:
-    """S_g(a) = integral_P (<a,x> - min_P <a,.>) g dx / integral_P g dx."""
-    av, exact = _direction(a)
-    n = P.dim
-    if exact and g.is_polynomial_kind:
-        poly = g.as_poly(n)
-        mass = quadrature.integrate_exact_poly(P, poly)
-        acc = Fraction(0)
-        for i, ai in enumerate(av):
-            if ai == 0:
-                continue
-            alpha = tuple(int(i == j) for j in range(n))
-            acc += ai * quadrature.integrate_exact_poly(
-                P, quadrature._poly_mul(poly, quadrature._monomial(alpha))
-            )
-        return float(acc / mass - P.support_min(av))
-    mass = quadrature.integrate(P, g)[0]
-    acc = 0.0
-    for i, ai in enumerate(av):
-        if ai == 0:
-            continue
-        alpha = tuple(int(i == j) for j in range(n))
-        acc += float(ai) * quadrature.integrate(P, g, alpha)[0]
-    return acc / mass - float(P.support_min(av))
+    """S_g(a) = integral_P (<a,x> - min_P <a,.>) g dx / integral_P g dx.
+
+    Exact until the final conversion when a and the weight data are rational.
+    """
+    av, _ = _direction(a)
+    M = quadrature.moments(P, g, 1)
+    acc = sum(ai * M[e] for ai, e in zip(av, quadrature._units(P.dim)) if ai != 0)
+    return float(acc / M[(0,) * P.dim] - P.support_min(av))
 
 
 def s_g_lattice(P: LabelledPolytope, g: WeightFunction, a, m: int) -> float:
@@ -217,27 +202,13 @@ class PLConvexFunction:
 
 def twist(f: PLConvexFunction, xi) -> PLConvexFunction:
     """Shift every piece slope by xi and renormalize to min zero."""
-    xv, exact = _direction_or_zero(xi)
+    xv, exact = _direction(xi, allow_zero=True)
     if not exact:
         raise ValueError("twist direction must be rational")
     pieces = tuple(
         (tuple(ai + xi_i for ai, xi_i in zip(a, xv)), c) for a, c in f.pieces
     )
     return PLConvexFunction(f.domain, pieces)
-
-
-def _direction_or_zero(a):
-    if np.isscalar(a):
-        a = (a,)
-    out = []
-    exact = True
-    for x in a:
-        if isinstance(x, (int, Fraction, str)):
-            out.append(Fraction(x))
-        else:
-            out.append(float(x))
-            exact = False
-    return tuple(out), exact
 
 
 # -- exact PL minimum -------------------------------------------------------
@@ -560,26 +531,16 @@ def _integral_affine_times_g(cell, a, c, g: WeightFunction, n: int) -> float:
         simplices = [
             (cell[0], cell[i], cell[i + 1]) for i in range(1, len(cell) - 1)
         ]
-    affine = {tuple([0] * n): c}
-    for i, ai in enumerate(a):
-        if ai != 0:
-            affine[tuple(int(i == j) for j in range(n))] = ai
-    total = 0.0
-    if g.is_polynomial_kind:
-        poly = quadrature._poly_mul(affine, g.as_poly(n))
-        acc = Fraction(0)
-        for s in simplices:
-            acc += quadrature.simplex_poly_integral(s, poly)
-        return float(acc)
+    alphas = [(0,) * n] + quadrature._units(n)
+    total = 0
     for s in simplices:
-        val = float(c) * quadrature.simplex_exp_integral(s, g.a0, g.b)[0]
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            alpha = tuple(int(i == j) for j in range(n))
-            val += float(ai) * quadrature.simplex_exp_integral(s, g.a0, g.b, alpha)[0]
+        vals, _ = quadrature.simplex_moments(s, g, alphas)
+        val = c * vals[0]
+        for ai, v in zip(a, vals[1:]):
+            if ai != 0:
+                val += ai * v
         total += val
-    return total
+    return float(total)
 
 
 def _adaptive_gm(verts: np.ndarray, fn, tol: float, depth: int = 0) -> float:

@@ -99,11 +99,12 @@ def norm_inf(v):
 
 
 def run_cli(argv, threads=None):
-    """Run the CLI in a subprocess with a controlled thread cap."""
+    """Run the CLI in a subprocess, pinning the BLAS thread count if given."""
     env = dict(os.environ)
-    env.pop("TORIC_GS_THREADS", None)
-    if threads is not None:
-        env["TORIC_GS_THREADS"] = str(threads)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(var, None)
+        if threads is not None:
+            env[var] = str(threads)
     return subprocess.run(
         [sys.executable, "-m", "toricgs.cli", *argv],
         capture_output=True,

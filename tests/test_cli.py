@@ -223,7 +223,8 @@ def test_unknown_builtin_is_a_validation_error():
     cp = run_cli(["check-futaki", "--polytope", "builtin:nope", "--g", "constant:1"])
     assert cp.returncode == 2
     body = _error_body(cp)
-    assert body["error"] == "PolytopeError"
+    assert body["error"] == "SchemaViolation"
+    assert body["pointer"] == "/polytope"
     assert "nope" in body["message"]
 
 
@@ -233,6 +234,50 @@ def test_bad_direction_reports_json_pointer():
     body = _error_body(cp)
     assert body["error"] == "SchemaViolation"
     assert body["pointer"] == "/a"
+
+
+_P1 = ["--polytope", "builtin:p1"]
+
+
+@pytest.mark.parametrize(
+    "argv, pointer",
+    [
+        (["dh", *_P1, "--g", "constant:1", "--a", "1", "--m", "0"], "/m"),
+        (["sg", *_P1, "--g", "constant:1", "--a", "1", "--m", "0"], "/m"),
+        (["sg", *_P1, "--g", "constant:1", "--a", "1,0"], "/a"),
+        (["sg", *_P1, "--g", "constant:1", "--a", "nan"], "/a"),
+        (["sg", *_P1, "--g", "exp_affine:0,inf", "--a", "1"], "/g"),
+        (["inequalities", *_P1, "--samples", "0"], "/samples"),
+        (["check-futaki", *_P1, "--g", "constant:1", "--tol", "nan"], "/argv"),
+    ],
+    ids=["dh_m0", "sg_m0", "sg_a_length", "sg_a_nan", "g_inf", "samples0", "tol_nan"],
+)
+def test_input_errors_report_json_pointer(argv, pointer):
+    cp = run_cli(argv)
+    assert cp.returncode == 2, cp.stderr.decode()
+    body = _error_body(cp)
+    assert body["error"] == "SchemaViolation"
+    assert body["pointer"] == pointer
+
+
+def test_pl_slope_of_wrong_length_reports_json_pointer(tmp_path):
+    pl = tmp_path / "pl.json"
+    pl.write_text(json.dumps({"pieces": [{"a": [1, 0], "c": 0}]}))
+    cp = run_cli(["dh", *_P1, "--g", "constant:1", "--pl-file", str(pl)])
+    assert cp.returncode == 2
+    body = _error_body(cp)
+    assert body["error"] == "SchemaViolation"
+    assert body["pointer"] == "/pl/pieces/0/a"
+
+
+def test_non_finite_report_is_never_rendered():
+    from toricgs import cli, errors
+
+    with pytest.raises(errors.NumericalFailure):
+        cli.render_report({"results": {"x": math.nan}}, "json")
+    assert cli.render_report({"results": {"x": 1.5}}, "json") == (
+        '{\n  "results": {\n    "x": 1.5\n  }\n}\n'
+    )
 
 
 def test_numerical_failure_exits_one():

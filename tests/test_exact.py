@@ -1,0 +1,59 @@
+"""Exact rational row reduction (solve, rank, nullspace) against sympy."""
+
+from fractions import Fraction
+
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toricgs import _exact
+
+# zeros and repeated small values make singular and rank-deficient matrices common
+_entries = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2)]),
+    st.fractions(-3, 3, max_denominator=5),
+)
+
+
+@st.composite
+def _matrices(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    return rows, n
+
+
+def _sym(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+
+
+def _frac(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
+_settings = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@_settings
+@given(_matrices())
+def test_rank_and_nullspace_match_sympy(data):
+    rows, n = data
+    A = _sym(rows)
+    assert _exact.rank(rows) == A.rank()
+    got = _exact.nullspace(rows, n)
+    want = [[_frac(x) for x in v] for v in A.nullspace()]
+    assert got == want
+
+
+@_settings
+@given(_matrices(), st.lists(_entries, min_size=4, max_size=4))
+def test_solve_matches_sympy(data, rhs):
+    rows, n = data
+    k = min(len(rows), n)
+    square = [r[:k] for r in rows[:k]]
+    got = _exact.solve(square, rhs[:k])
+    A = _sym(square)
+    if A.det() == 0:
+        assert got is None
+    else:
+        b = sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in rhs[:k]])
+        assert got == [_frac(x) for x in A.LUsolve(b)]

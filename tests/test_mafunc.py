@@ -1,11 +1,13 @@
 """Monge-Ampère solver and Archimedean functional suite."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import toricgs as t
+from toricgs import quadrature
 from toricgs.errors import (
     NonConvexInput,
     SchemaViolation,
@@ -191,6 +193,17 @@ def test_pushforward_moments_match_weight_moments(p1, ma_solution_p1):
             assert_close(
                 entry["continuous"], t.moment(p1, g, (j,)), 1e-12, f"moment {j}"
             )
+
+
+def test_solver_polynomial_weight_pushforward_matches_exact_moments(p1):
+    g = t.WeightFunction.polynomial(
+        [((0,), 1), ((1,), Fraction(1, 4)), ((2,), Fraction(1, 8))]
+    )
+    u = t.solve_ma(p1, g, grid=t.Grid1D(N=1001))
+    assert u.residual < 1e-10
+    exact = quadrature.moments(p1, g, 2)
+    for j, entry in t.pushforward_moments(u, g).items():
+        assert_close(entry["discrete"], exact[(j,)], 1e-5, f"moment {j}")
 
 
 def test_pushforward_requires_solver_output(p1):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricgs as t
 from toricgs import errors, quadrature
@@ -113,24 +115,27 @@ def test_number_codec_roundtrip():
 
 
 def test_interval_monomials_match_closed_form(p1):
+    got = quadrature.moments(p1, t.WeightFunction.constant(1), 7)
     for k in range(8):
-        got = quadrature.moment_exact(p1, (k,))
-        assert got == interval_monomial_integral(-1, 1, k), k
+        assert isinstance(got[(k,)], Fraction)
+        assert got[(k,)] == interval_monomial_integral(-1, 1, k), k
 
 
 def test_polygon_monomials_match_shoelace_oracle():
     for name in ("p2", "p1xp1", "bl1p2", "bl3p2"):
         P = t.builtin(name)
-        for i in range(4):
-            for j in range(4 - i):
-                got = quadrature.moment_exact(P, (i, j))
-                want = polygon_monomial_integral(P.vertices, i, j)
-                assert got == want, (name, i, j)
+        got = quadrature.moments(P, t.WeightFunction.constant(1), 3)
+        assert len(got) == 10
+        for (i, j), value in got.items():
+            want = polygon_monomial_integral(P.vertices, i, j)
+            assert value == want, (name, i, j)
 
 
 def test_simplex_monomial_example():
-    val = quadrature.simplex_poly_integral(((0, 0), (1, 0), (0, 1)), {(1, 0): 1})
-    assert val == Fraction(1, 6)
+    vals, err = quadrature.simplex_moments(
+        ((0, 0), (1, 0), (0, 1)), t.WeightFunction.constant(1), [(1, 0)]
+    )
+    assert vals == [Fraction(1, 6)] and err == 0.0
 
 
 def test_integrate_polynomial_is_exact(p1):
@@ -138,9 +143,7 @@ def test_integrate_polynomial_is_exact(p1):
     val, err = quadrature.integrate(p1, w)
     assert err == 0.0
     assert val == pytest.approx(float(Fraction(7, 3)), abs=1e-15)
-    assert quadrature.integrate_exact_poly(
-        p1, {(0,): Fraction(1), (2,): Fraction(1, 2)}
-    ) == Fraction(7, 3)
+    assert quadrature.moments(p1, w, 0) == {(0,): Fraction(7, 3)}
 
 
 def test_moment_with_affine_weight_is_exact(p2):
@@ -198,7 +201,9 @@ def test_exp_integral_matches_midpoint_grid(bl1p2):
 
 def test_simplex_exp_integral_2d_closed_form():
     # int over conv{(0,0),(1,0),(0,1)} of e^x dx = e - 2
-    val, err = quadrature.simplex_exp_integral(((0, 0), (1, 0), (0, 1)), 0.0, (1.0, 0.0))
+    (val,), err = quadrature.simplex_moments(
+        ((0, 0), (1, 0), (0, 1)), t.WeightFunction.exp_affine(0.0, (1.0, 0.0)), [(0, 0)]
+    )
     assert val == pytest.approx(math.e - 2, rel=1e-12)
     assert err <= 1e-12
 
@@ -233,6 +238,7 @@ def test_exp_dd_two_points():
         (-3, 0, 0, 0, 3),         # mixed multiplicity, moderate spread
         (2, 2, 2, 2, 2, 2),       # pure confluent block
         (Fraction(-5), Fraction(-5), Fraction(4), Fraction(9, 2)),
+        (Fraction(-9, 2), 0, Fraction(1, 128), Fraction(1, 128), Fraction(1, 64)),  # cluster in a wide set
     ],
 )
 def test_exp_dd_matches_rational_series_oracle(nodes):
@@ -290,3 +296,73 @@ def test_integrate_error_estimate_is_small_for_exp(p2):
     g = t.WeightFunction.exp_affine(0, [1, 1])
     val, err = quadrature.integrate(p2, g)
     assert err <= 1e-10 * abs(val)
+
+
+# ---------------------------------------------------------------------------
+# moment kernel properties
+# ---------------------------------------------------------------------------
+
+_lattice_polygons = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=5
+).map(lambda extra: t.from_vertices([(-1, -1), (1, -1), (0, 1), *extra]))
+_small_rationals = st.fractions(-2, 2, max_denominator=7)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_lattice_polygons, _small_rationals, _small_rationals, _small_rationals)
+def test_polygon_moments_are_exact_for_random_lattice_polygons(P, a0, b0, b1):
+    one = quadrature.moments(P, t.WeightFunction.constant(1), 2)
+    affine = quadrature.moments(P, t.WeightFunction.affine(a0, (b0, b1)), 2)
+    assert len(one) == len(affine) == 6
+    for (i, j), value in one.items():
+        assert isinstance(value, Fraction)
+        assert value == polygon_monomial_integral(P.vertices, i, j)
+        want = (
+            a0 * value
+            + b0 * polygon_monomial_integral(P.vertices, i + 1, j)
+            + b1 * polygon_monomial_integral(P.vertices, i, j + 1)
+        )
+        assert affine[(i, j)] == want
+
+
+def _brute_gm(P, f, levels=2, s=6):
+    """Grundmann-Moller at degree 2s+1 on each simplex split 4**levels ways."""
+    total = 0.0
+    for simplex in P.triangulation:
+        pieces = [np.array([[float(x) for x in p] for p in simplex])]
+        for _ in range(levels):
+            pieces = [c for piece in pieces for c in quadrature._split_simplex(piece)]
+        total += sum(quadrature.gm_integrate(c, f, s=s, tol_simplex=None)[0] for c in pieces)
+    return total
+
+
+_exponents = st.floats(-1.5, 1.5, allow_nan=False)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_lattice_polygons, _exponents, _exponents, _exponents)
+def test_exp_moments_match_brute_force_gm(P, a0, b0, b1):
+    g = t.WeightFunction.exp_affine(a0, (b0, b1))
+    for alpha, value in quadrature.moments(P, g, 2).items():
+        powers = np.array(alpha, dtype=float)
+        mono = lambda x: g.value(x) * np.prod(x**powers, axis=1)  # noqa: E731
+        scale = _brute_gm(P, lambda x: np.abs(mono(x)))
+        assert abs(value - _brute_gm(P, mono)) <= 1e-10 * scale, alpha
+
+
+def test_exp_fallback_shares_nodes_and_raises_past_tolerance():
+    # exponent nodes 0, 5, 5 + 1e-9: nearly coincident with spread > 3, so
+    # every moment comes from one Grundmann-Moller pass
+    S = ((0, 0), (1, 0), (0, 1))
+    alphas = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    near = t.WeightFunction.exp_affine(-15, (5.0, 5.0 + 1e-9))
+    vals, err = quadrature.simplex_moments(S, near, alphas)
+    for alpha, v in zip(alphas, vals):
+        f = lambda x: near.value(x) * x[:, 0] ** alpha[0] * x[:, 1] ** alpha[1]  # noqa: E731
+        assert v == pytest.approx(quadrature.gm_integrate(S, f)[0], rel=1e-14)
+    # the exact tie takes the closed form; the 1e-9 shift moves values ~1e-9
+    tie, _ = quadrature.simplex_moments(S, t.WeightFunction.exp_affine(-15, (5.0, 5.0)), alphas)
+    assert err < 1e-10
+    assert vals == pytest.approx(tie, rel=1e-8)
+    with pytest.raises(errors.QuadratureNotConverged):
+        quadrature.simplex_moments(S, t.WeightFunction.exp_affine(-6, (5.0, 5.0 + 1e-9)), alphas)
