@@ -109,6 +109,32 @@ def det(rows: list[list[Fraction]]) -> Fraction:
     return d
 
 
+def int_solve(rows, rhs) -> tuple[list[int], int] | None:
+    """Solve a square integer system in ints: (numerators, denominator).
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): every division is
+    exact, and at the end each diagonal entry equals the last pivot, so
+    x_i = numerators[i] / denominator with denominator > 0.  Much faster
+    than ``solve`` on Fractions.  Returns None when the matrix is singular.
+    """
+    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return None
+        a[k], a[piv] = a[piv], a[k]
+        p = a[k][k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], a[k])]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return [sign * a[i][n] for i in range(n)], sign * prev
+
+
 def primitive(v: Vec) -> tuple[Fraction, ...]:
     """Scale a nonzero rational vector to a primitive integer vector.
 

@@ -2,8 +2,8 @@
 
 Every failure mode raised by the library derives from :class:`ToricGSError`,
 so callers (including the CLI dispatcher) can distinguish validation problems
-(bad input data) from numerical failures (a solver or quadrature that did not
-reach its tolerance).
+(bad input data) from numerical failures (a solver that did not reach its
+tolerance).
 """
 
 from __future__ import annotations
@@ -87,10 +87,6 @@ class OverflowGuard(ValidationError):
 
 class NumericalFailure(ToricGSError):
     """A numerical routine failed to meet its contract."""
-
-
-class QuadratureNotConverged(NumericalFailure):
-    """The quadrature error estimate exceeds the requested tolerance."""
 
 
 class MaxIterations(NumericalFailure):

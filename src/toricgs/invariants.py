@@ -210,7 +210,9 @@ def solve_kr_soliton(
             W_new = quadrature.integrate(
                 P, WeightFunction.exp_affine(0.0, tuple(xi + t * step))
             )[0]
-            if W_new <= W + 1e-4 * t * slope or t < 1e-18:
+            # W is known only to rounding, so near the minimum a decrease
+            # below that level is accepted instead of being halved away
+            if W_new <= W + 1e-4 * t * slope + 1e-14 * W or t < 1e-18:
                 break
             t *= 0.5
         xi = xi + t * step

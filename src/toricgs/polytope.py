@@ -83,39 +83,70 @@ def _hull_facets(points: list[Point], dim: int):
     return [facets[k] for k in sorted(facets)]
 
 
-def _project_out(points: list[Point], normal) -> list[Point]:
-    """Drop one coordinate (the first with a nonzero normal entry).
+def solve_vertices(constraints, combos) -> set[Point]:
+    """Vertices of {x : <a, x> <= b for every (a, b) in constraints}.
 
-    On the hyperplane <normal, x> = const this is an affine bijection, so
-    convex-position combinatorics are preserved exactly.
+    Solve-and-filter: each index subset in ``combos`` (of size n) whose
+    constraints hold with equality at exactly one point contributes that
+    point when it satisfies every constraint.  Rows are scaled to integers,
+    so the solve and the filter run in exact int arithmetic.
     """
-    j = next(i for i, x in enumerate(normal) if x != 0)
-    return [tuple(x for i, x in enumerate(p) if i != j) for p in points]
-
-
-def _triangulate_hull(points: list[Point], dim: int) -> list[tuple[int, ...]]:
-    """Index simplices of a fan triangulation of conv(points) in R^dim.
-
-    Deterministic given the point order: the apex is the lexicographically
-    smallest point, coned over recursively triangulated facets that miss it.
-    """
-    if dim == 0:
-        return [(0,)]
-    if dim == 1:
-        vals = [p[0] for p in points]
-        i_min = min(range(len(points)), key=lambda i: vals[i])
-        i_max = max(range(len(points)), key=lambda i: vals[i])
-        return [(i_min, i_max)]
-    apex = min(range(len(points)), key=lambda i: points[i])
-    simplices: list[tuple[int, ...]] = []
-    for normal, offset, on in _hull_facets(points, dim):
-        if apex in on:
+    rows = [_integral_row(a, b) for a, b in constraints]
+    verts: set[Point] = set()
+    for combo in combos:
+        sol = _exact.int_solve([rows[i][0] for i in combo], [rows[i][1] for i in combo])
+        if sol is None:
             continue
-        sub = sorted(on)
-        sub_points = _project_out([points[i] for i in sub], normal)
-        for tri in _triangulate_hull(sub_points, dim - 1):
-            simplices.append((apex,) + tuple(sub[i] for i in tri))
-    return simplices
+        num, den = sol
+        if all(sum(x * y for x, y in zip(a, num)) <= b * den for a, b in rows):
+            verts.add(tuple(Fraction(x, den) for x in num))
+    return verts
+
+
+def _integral_row(a, b) -> tuple[tuple[int, ...], int]:
+    """The constraint <a, x> <= b scaled by a positive integer to int entries."""
+    scale = lcm(*(x.denominator for x in (*a, b)))
+    return tuple(int(x * scale) for x in a), int(b * scale)
+
+
+def fan_triangulation(vertices, constraints, apex=None) -> list[tuple[Point, ...]]:
+    """Pulling triangulation of the polytope conv(vertices) = {<a, x> <= b}.
+
+    The apex (the first vertex, or a given interior point) is coned over
+    every facet that misses it, and each facet is triangulated the same way
+    from its own first vertex.  The facets of a face are its maximal proper
+    intersections with the tight sets of the constraints, so they come from
+    the vertex sets alone and redundant constraints are harmless.  Returns
+    tuples of n + 1 points.
+    """
+    verts = list(vertices)
+    tight = [
+        frozenset(i for i, v in enumerate(verts) if _exact.dot(a, v) == b)
+        for a, b in constraints
+    ]
+    pts = verts if apex is None else verts + [apex]
+    top = None if apex is None else len(verts)
+    simplices = _pull(frozenset(range(len(verts))), len(verts[0]), tight, top)
+    return [tuple(pts[i] for i in s) for s in simplices]
+
+
+def _pull(face, dim: int, tight, apex=None) -> list[tuple[int, ...]]:
+    """Index simplices of the pulling triangulation of a dim-dimensional face."""
+    if apex is None:
+        if len(face) == dim + 1:
+            return [tuple(sorted(face))]
+        apex = min(face)
+    subfaces: list[frozenset] = []
+    for T in tight:
+        F = face & T
+        if F and F != face and F not in subfaces:
+            subfaces.append(F)
+    return [
+        (apex,) + s
+        for F in subfaces
+        if apex not in F and not any(F < G for G in subfaces)
+        for s in _pull(F, dim - 1, tight)
+    ]
 
 
 class LabelledPolytope:
@@ -174,15 +205,8 @@ class LabelledPolytope:
         sum to vol(P) exactly.
         """
         origin = tuple(Fraction(0) for _ in range(self.dim))
-        if self.dim == 1:
-            return tuple((origin, v) for v in self.vertices)
-        simplices: list[tuple[Point, ...]] = []
-        for i, nu in enumerate(self.normals):
-            pts = sorted(self.facet_vertices(i))
-            sub = _project_out(pts, nu)
-            for tri in _triangulate_hull(sub, self.dim - 1):
-                simplices.append((origin,) + tuple(pts[j] for j in tri))
-        return tuple(simplices)
+        facets = [(nu, 1) for nu in self.normals]
+        return tuple(fan_triangulation(self.vertices, facets, apex=origin))
 
     @cached_property
     def volume(self) -> Fraction:
@@ -305,14 +329,8 @@ def from_facets(normals, labels) -> LabelledPolytope:
             if all(_exact.dot(nu, cand) <= 0 for nu in nus):
                 raise Unbounded("facet system has a recession direction")
 
-    verts: set[Point] = set()
-    one = [Fraction(1)] * n
-    for combo in itertools.combinations(range(len(nus)), n):
-        sol = _exact.solve([list(nus[i]) for i in combo], one)
-        if sol is None:
-            continue
-        if all(_exact.dot(nu, sol) <= 1 for nu in nus):
-            verts.add(tuple(sol))
+    facets = [(nu, 1) for nu in nus]
+    verts = solve_vertices(facets, itertools.combinations(range(len(nus)), n))
     vertices = tuple(sorted(verts))
     if len(vertices) < n + 1 or _affine_rank(list(vertices)) < n:
         raise LowerDimensional("vertex set does not span the ambient space")

@@ -1,4 +1,4 @@
-"""Weight functions on a polytope and their exact/adaptive integration.
+"""Weight functions on a polytope and their exact/closed-form integration.
 
 Supported weight kinds: constant, affine a0 + <b,x>, exponential-affine
 exp(a0 + <b,x>), and polynomial.  Every integral over a polytope is a
@@ -6,23 +6,21 @@ moment of g, and all of them go through one kernel (``moments``, built on
 ``simplex_moments``): per triangulation simplex, polynomial integrands are
 integrated exactly through the Dirichlet moment formula in barycentric
 coordinates; exponential-affine integrands use the closed-form
-divided-difference representation of the simplex exponential integral, with
-a Grundmann-Moller quadrature fallback when the exponent geometry makes the
-closed form cancellation-prone.
+divided-difference representation of the simplex exponential integral.
+There is no quadrature rule: every value is a closed form.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from . import _exact
-from .errors import PositivityViolated, QuadratureNotConverged, SchemaViolation
+from .errors import OverflowGuard, PositivityViolated, SchemaViolation
 from .polytope import LabelledPolytope
 
 # ---------------------------------------------------------------------------
@@ -298,7 +296,7 @@ def _positivity_samples(P: LabelledPolytope) -> np.ndarray:
     m = 24
     try:
         pieces.append(P.lattice_points(m).astype(float) / m)
-    except Exception:
+    except OverflowGuard:
         pass
     return np.concatenate(pieces, axis=0)
 
@@ -317,45 +315,38 @@ def _poly_mul(p: dict, q: dict) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
-def _poly_pow(p: dict, k: int, n: int) -> dict:
-    out = {(0,) * n: 1}
-    for _ in range(k):
-        out = _poly_mul(out, p)
-    return out
-
-
-def _monomial(alpha: tuple[int, ...]) -> dict:
-    return {tuple(int(a) for a in alpha): 1}
-
-
 def _units(n: int) -> list[tuple[int, ...]]:
     """The multi-indices e_1, ..., e_n of the first moments."""
     return [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
 
 def _barycentric_lines(s0, edges, n: int) -> list[dict]:
-    """x_j = s0_j + sum_i t_i e_ij as t-polynomials, one per coordinate."""
+    """x_j = s0_j + sum_i t_i e_ij as t-polynomials, one per coordinate.
+
+    Integral coefficients are stored as ints, which multiply much faster
+    than Fractions.
+    """
     lines = []
     for j in range(n):
-        line = {(0,) * n: s0[j]}
+        line = {(0,) * n: _int_if_integral(s0[j])}
         for i, key in enumerate(_units(n)):
             if edges[i][j] != 0:
-                line[key] = edges[i][j]
+                line[key] = _int_if_integral(edges[i][j])
         lines.append(line)
     return lines
 
 
-def _substitute_barycentric(poly_x: dict, lines: list[dict], n: int) -> dict:
-    """Rewrite an x-polynomial in simplex coordinates x = s0 + sum_i t_i e_i."""
-    out: dict = {}
-    for beta, c in poly_x.items():
-        term = {(0,) * n: c}
-        for j, bj in enumerate(beta):
-            if bj:
-                term = _poly_mul(term, _poly_pow(lines[j], bj, n))
-        for k, v in term.items():
-            out[k] = out.get(k, 0) + v
-    return out
+def _int_if_integral(x):
+    return int(x) if isinstance(x, Fraction) and x.denominator == 1 else x
+
+
+def _x_power(beta, lines, cache: dict) -> dict:
+    """x^beta as a t-polynomial, built as x^(beta - e_j) * line_j and cached."""
+    if beta not in cache:
+        j = max(i for i, b in enumerate(beta) if b)
+        prev = beta[:j] + (beta[j] - 1,) + beta[j + 1 :]
+        cache[beta] = _poly_mul(_x_power(prev, lines, cache), lines[j])
+    return cache[beta]
 
 
 def _kappa_factorial(kappa) -> int:
@@ -459,19 +450,17 @@ def simplex_moments(simplex, g: WeightFunction, alphas):
     """Integrals of x^alpha * g(x) over a rational simplex, one per alpha.
 
     The determinant and the substitution x = s0 + sum_i t_i e_i are done
-    once; each integrand becomes a t-polynomial whose monomials t^kappa are
-    integrated once each (the basis integrals) and then recombined
-    (Baldoni, Berline, De Loera, Koppe and Vergne, Math. Comp. 80, 2011).
+    once; each power x^gamma becomes a t-polynomial (built once per simplex)
+    whose monomials t^kappa are integrated once each (the basis integrals)
+    and then recombined (Baldoni, Berline, De Loera, Koppe and Vergne,
+    Math. Comp. 80, 2011).
 
-    Polynomial kinds fold g into the integrand, and the basis integral over
-    the standard simplex is the Dirichlet value kappa! / (n + |kappa|)!, so
-    rational data gives exact Fractions.  For g = exp(a0 + <b,x>) the basis
-    integral of t^kappa e^{<c,t>} is kappa! times the confluent divided
-    difference of exp at 0 and each c_i repeated kappa_i + 1 times.  When
-    that closed form is cancellation-prone -- two exponent nodes nearly
-    coincide while the overall spread is large -- every moment comes from
-    one Grundmann-Moller pass instead, which raises QuadratureNotConverged
-    when any estimate exceeds 1e-10.
+    Polynomial kinds expand g into its monomials, and the basis integral
+    over the standard simplex is the Dirichlet value kappa! / (n + |kappa|)!,
+    so rational data gives exact Fractions.  For g = exp(a0 + <b,x>) the
+    basis integral of t^kappa e^{<c,t>} is kappa! times the confluent
+    divided difference of exp at 0 and each c_i repeated kappa_i + 1 times,
+    which ``exp_divided_difference`` evaluates stably for any node geometry.
 
     Returns (values, error_estimate); the estimate bounds every value.
     """
@@ -482,38 +471,31 @@ def simplex_moments(simplex, g: WeightFunction, alphas):
     if detE == 0:
         return [Fraction(0) if g.is_polynomial_kind else 0.0] * len(alphas), 0.0
     lines = _barycentric_lines(s0, edges, n)
-    basis: dict = {}
-    values = []
+    powers: dict = {(0,) * n: {(0,) * n: 1}}
     if g.is_polynomial_kind:
         gx = g.as_poly(n)
+        integrals: dict = {}  # x^gamma -> its integral over the standard simplex
+        values = []
         for alpha in alphas:
-            tpoly = _substitute_barycentric(_poly_mul(gx, _monomial(alpha)), lines, n)
             total = 0
-            for kappa, coeff in tpoly.items():
-                if kappa not in basis:
-                    basis[kappa] = Fraction(
-                        _kappa_factorial(kappa), math.factorial(n + sum(kappa))
-                    )
-                total = total + coeff * basis[kappa]
+            for beta, coeff in gx.items():
+                gamma = tuple(x + y for x, y in zip(alpha, beta))
+                if gamma not in integrals:
+                    tpoly = _x_power(gamma, lines, powers)
+                    integrals[gamma] = _dirichlet_integral(tpoly, n, sum(gamma))
+                total = total + coeff * integrals[gamma]
             values.append(detE * total)
         if all(isinstance(v, Fraction) for v in values):
             return values, 0.0
         return values, 1e-15 * max(abs(float(v)) for v in values)
 
     c = [float(_exact_or_float_dot(g.b, e)) for e in edges]
-    base_nodes = [0.0] + c
-    gaps = [abs(u - v) for u, v in itertools.combinations(base_nodes, 2)]
-    mean = math.fsum(base_nodes) / len(base_nodes)
-    sigma = max(abs(v - mean) for v in base_nodes)
-    if min(gaps) < 1e-8 and sigma > _SERIES_SPREAD:
-        vals, est = gm_integrate(simplex, _exp_monomials(g, alphas))
-        return [float(v) for v in vals], float(np.max(est))
     pref = float(detE) * math.exp(float(g.a0) + float(_exact_or_float_dot(g.b, s0)))
+    basis: dict = {}  # t^kappa -> its divided difference of exp
+    values = []
     for alpha in alphas:
         total = 0.0
-        for kappa, coeff in _substitute_barycentric(_monomial(alpha), lines, n).items():
-            if coeff == 0:
-                continue
+        for kappa, coeff in _x_power(tuple(alpha), lines, powers).items():
             if kappa not in basis:
                 nodes = [0.0] + [ci for ci, k in zip(c, kappa) for _ in range(k + 1)]
                 basis[kappa] = exp_divided_difference(nodes)
@@ -522,23 +504,18 @@ def simplex_moments(simplex, g: WeightFunction, alphas):
     return values, 1e-13 * max(abs(v) for v in values)
 
 
-def _exp_monomials(g: WeightFunction, alphas):
-    """x -> exp(a0 + <b,x>) x^alpha for every alpha, shape (points, alphas)."""
-    a0f = float(g.a0)
-    powers = np.array(alphas, dtype=float)
+def _dirichlet_integral(tpoly: dict, n: int, degree: int) -> Fraction:
+    """Integral of a t-polynomial of the given degree over the standard simplex.
 
-    def f(x: np.ndarray) -> np.ndarray:
-        mono = np.prod(x[:, None, :] ** powers[None, :, :], axis=2)
-        return np.exp(a0f + x @ g._bf)[:, None] * mono
-
-    return f
-
-
-# ---------------------------------------------------------------------------
-# Grundmann-Moller quadrature on simplices
-# ---------------------------------------------------------------------------
-
-GM_ORDER = 3  # polynomial degree 2s+1 = 7
+    Each t^kappa contributes kappa! / (n + |kappa|)!; the sum is taken over
+    the common denominator (n + degree)!, in ints when the coefficients are.
+    """
+    top = math.factorial(n + degree)
+    acc = sum(
+        coeff * (_kappa_factorial(kappa) * (top // math.factorial(n + sum(kappa))))
+        for kappa, coeff in tpoly.items()
+    )
+    return Fraction(acc) / top
 
 
 def _compositions(total: int, parts: int):
@@ -548,92 +525,6 @@ def _compositions(total: int, parts: int):
     for head in range(total + 1):
         for rest in _compositions(total - head, parts - 1):
             yield (head,) + rest
-
-
-@lru_cache(maxsize=None)
-def _gm_rule(n: int, s: int):
-    """Grundmann-Moller rule of degree 2s+1 on the standard n-simplex.
-
-    Returns (barycentric point matrix, weight vector); the weighted sum of
-    f at the barycentric points approximates the integral over a unit-volume
-    reference scaled so that sum(weights) = 1/n!.
-    """
-    d = 2 * s + 1
-    pts = []
-    wts = []
-    for i in range(s + 1):
-        denom = d + n - 2 * i
-        w = Fraction((-1) ** i * denom**d, 4**s * math.factorial(i) * math.factorial(d + n - i))
-        for part in _compositions(s - i, n + 1):
-            pts.append([Fraction(2 * k + 1, denom) for k in part])
-            wts.append(w)
-    P = np.array([[float(x) for x in row] for row in pts], dtype=float)
-    W = np.array([float(w) for w in wts], dtype=float)
-    return P, W
-
-
-def _split_simplex(verts: np.ndarray) -> list[np.ndarray]:
-    """Partition a simplex for the refinement pass.
-
-    1D: halves; 2D: the four midpoint triangles; higher dimensions cone the
-    centroid over the facets (a valid partition, used only for error
-    estimation).
-    """
-    n = verts.shape[1]
-    if n == 1:
-        m = (verts[0] + verts[1]) / 2
-        return [np.array([verts[0], m]), np.array([m, verts[1]])]
-    if n == 2:
-        v0, v1, v2 = verts
-        m01, m02, m12 = (v0 + v1) / 2, (v0 + v2) / 2, (v1 + v2) / 2
-        return [
-            np.array([v0, m01, m02]),
-            np.array([v1, m01, m12]),
-            np.array([v2, m02, m12]),
-            np.array([m01, m12, m02]),
-        ]
-    c = verts.mean(axis=0)
-    out = []
-    for i in range(len(verts)):
-        child = np.vstack([c[None, :], np.delete(verts, i, axis=0)])
-        out.append(child)
-    return out
-
-
-def _gm_apply(verts: np.ndarray, f, s: int):
-    n = verts.shape[1]
-    bary, w = _gm_rule(n, s)
-    pts = bary @ verts
-    detE = abs(np.linalg.det((verts[1:] - verts[0]).T))
-    return detE * (w @ f(pts))
-
-
-def gm_integrate(simplex, f, s: int = GM_ORDER, tol_simplex: float = 1e-10):
-    """Grundmann-Moller integral of f over a simplex with one refinement.
-
-    ``f`` maps points of shape (k, n) to values of shape (k,), or to (k, m)
-    for m integrands at once, which then share the nodes.  Returns (value,
-    error_estimate), each a scalar or a length-m array; the estimate is
-    Richardson-style for the regularly refined dimensions (n <= 2) and the
-    conservative coarse/fine difference otherwise.  Raises
-    QuadratureNotConverged when any estimate exceeds ``tol_simplex`` (pass a
-    larger tolerance for integrands that are only piecewise smooth).
-    """
-    verts = np.array([[float(x) for x in p] for p in simplex], dtype=float)
-    n = verts.shape[1]
-    coarse = _gm_apply(verts, f, s)
-    fine = sum(_gm_apply(child, f, s) for child in _split_simplex(verts))
-    diff = np.abs(fine - coarse)
-    if n <= 2:
-        est = diff / (2 ** (2 * s + 2) - 1)
-    else:
-        est = diff
-    est = np.maximum(est, np.abs(fine) * 1e-15)
-    if tol_simplex is not None and np.max(est) > tol_simplex:
-        raise QuadratureNotConverged(
-            f"simplex quadrature error estimate {np.max(est):.3e} exceeds {tol_simplex:.3e}"
-        )
-    return fine, est
 
 
 # ---------------------------------------------------------------------------
@@ -653,10 +544,7 @@ def moments(P: LabelledPolytope, g: WeightFunction, degree: int) -> dict:
 
 def _moments(P: LabelledPolytope, g: WeightFunction, alphas):
     """Sum the simplex kernel over the triangulation: (values, error)."""
-    if g.dim is not None and g.dim != P.dim:
-        raise SchemaViolation(
-            f"weight dimension {g.dim} does not match polytope dimension {P.dim}"
-        )
+    _check_dim(P, g)
     totals = [0] * len(alphas)
     err = 0.0
     for simplex in P.triangulation:
@@ -666,12 +554,19 @@ def _moments(P: LabelledPolytope, g: WeightFunction, alphas):
     return totals, err
 
 
+def _check_dim(P: LabelledPolytope, g: WeightFunction) -> None:
+    if g.dim is not None and g.dim != P.dim:
+        raise SchemaViolation(
+            f"weight dimension {g.dim} does not match polytope dimension {P.dim}"
+        )
+
+
 def integrate(P: LabelledPolytope, g: WeightFunction, alpha: tuple[int, ...] | None = None):
     """Integral of x^alpha * g(x) over P with an error estimate.
 
     Polynomial-kind weights (constant/affine/polynomial) integrate exactly
     (zero reported error when all data is rational); the exponential-affine
-    kind uses the closed form per simplex with the quadrature fallback.
+    kind uses the closed form per simplex.
     Returns (value, error_estimate) with a float value.
     """
     alpha = (0,) * P.dim if alpha is None else tuple(int(a) for a in alpha)

@@ -6,15 +6,16 @@ normal has A = 1), and the weighted expected vanishing order is
 S_g(a) = integral (<a,x> - min) g / integral g.  Test configurations are
 encoded as normalized piecewise-linear convex functions on the polytope,
 with lattice-point filtration samples as the finite-m counterpart of the
-continuous functionals.
+continuous functionals.  Those functionals are exact: the pieces cut the
+polytope into linearity cells, enumerated exactly in any dimension, and
+each cell is integrated with the moment kernel.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -22,7 +23,13 @@ import numpy as np
 
 from . import _exact, quadrature
 from .errors import ZeroVector
-from .polytope import LabelledPolytope, from_facets
+from .polytope import (
+    LabelledPolytope,
+    _affine_rank,
+    fan_triangulation,
+    from_facets,
+    solve_vertices,
+)
 from .quadrature import WeightFunction, encode_number
 
 # ---------------------------------------------------------------------------
@@ -135,13 +142,16 @@ def _frac_point(p):
 class PLConvexFunction:
     """f(x) = max_j (<a_j, x> + c_j) on a polytope, normalized min_P f = 0.
 
-    Pieces are exact rationals; construction shifts the intercepts so the
-    exact minimum over the domain is zero (arrangement enumeration in
-    dimensions <= 2, linear programming above).
+    Pieces are exact rationals.  Construction cuts the domain into the
+    linearity cells of the pieces (exact vertex enumeration, any dimension)
+    and shifts the intercepts so that the exact minimum over the domain,
+    attained at a cell vertex, is zero.  The shift leaves the cells as they
+    are, so they are kept for the energies.
     """
 
     domain: LabelledPolytope
     pieces: tuple  # ((a_j, c_j), ...) with rational entries
+    _cells: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         pieces = []
@@ -153,9 +163,24 @@ class PLConvexFunction:
                 pieces.append(key)
         if not pieces:
             raise ValueError("need at least one affine piece")
-        shift = _pl_min(self.domain, tuple(pieces))
+        cells = _cells(self.domain, pieces)
+        shift = _pl_min(pieces, cells)
         pieces = tuple((a, c - shift) for a, c in pieces)
         object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "_cells", cells)
+
+    @cached_property
+    def cell_simplices(self) -> tuple:
+        """(piece index j, simplices) per linearity cell; f is piece j there.
+
+        The cells tile the domain up to measure zero.  A one-piece function
+        has the domain as its only cell and reuses its triangulation.
+        """
+        if len(self.pieces) == 1:
+            return ((0, self.domain.triangulation),)
+        return tuple(
+            (j, tuple(fan_triangulation(verts, cons))) for j, verts, cons in self._cells
+        )
 
     # -- constructors -------------------------------------------------------
 
@@ -211,102 +236,49 @@ def twist(f: PLConvexFunction, xi) -> PLConvexFunction:
     return PLConvexFunction(f.domain, pieces)
 
 
-# -- exact PL minimum -------------------------------------------------------
+# -- linearity cells and the exact PL minimum --------------------------------
 
 
-def _pl_min(P: LabelledPolytope, pieces) -> Fraction:
-    """Exact min over P of max_j (<a_j,x> + c_j).
+def _cells(P: LabelledPolytope, pieces) -> tuple:
+    """(j, vertices, constraints) for every full-dimensional linearity cell.
 
-    The minimum of a convex PL function on a polytope is attained at a cell
-    vertex of the arrangement restricted to P; for n <= 2 those are polytope
-    vertices, kink-line intersections with the boundary, and kink-kink
-    crossings, all enumerable in exact arithmetic.
+    The cell of piece j is P cut by <a_k - a_j, x> <= c_j - c_k for every
+    k != j.  Its vertices are those of P that satisfy the cuts, plus the
+    feasible points where n constraints, at least one of them a cut, are
+    tight (a zero slope difference with a negative right-hand side admits
+    no point, so that cell is empty).  Cells of affine rank < n are dropped:
+    the full-dimensional cells already cover P.
     """
     n = P.dim
-    value = lambda p: max(_exact.dot(a, p) + c for a, c in pieces)  # noqa: E731
-    best = min(value(v) for v in P.vertices)
+    facets = [(nu, 1) for nu in P.normals]
     if len(pieces) == 1:
-        return best
-    if n == 1:
-        lo, hi = P.interval()
-        for (a1, c1), (a2, c2) in itertools.combinations(pieces, 2):
-            da = a1[0] - a2[0]
-            if da == 0:
-                continue
-            x = (c2 - c1) / da
-            if lo <= x <= hi:
-                best = min(best, value((x,)))
-        return best
-    if n == 2:
-        lines = []
-        for (a1, c1), (a2, c2) in itertools.combinations(pieces, 2):
-            nvec = (a1[0] - a2[0], a1[1] - a2[1])
-            if nvec == (Fraction(0), Fraction(0)):
-                continue
-            lines.append((nvec, c2 - c1))  # <nvec, x> = rhs
-        edges = [
-            (P.facet_vertices(i)) for i in range(len(P.normals))
+        return ((0, P.vertices, facets),)
+    cells = []
+    for j, (aj, cj) in enumerate(pieces):
+        cuts = [
+            (tuple(x - y for x, y in zip(ak, aj)), cj - ck)
+            for k, (ak, ck) in enumerate(pieces)
+            if k != j
         ]
-        for nvec, rhs in lines:
-            for ev in edges:
-                if len(ev) != 2:
-                    continue
-                pt = _segment_line_intersection(ev[0], ev[1], nvec, rhs)
-                if pt is not None:
-                    best = min(best, value(pt))
-        for (n1, r1), (n2, r2) in itertools.combinations(lines, 2):
-            sol = _exact.solve([list(n1), list(n2)], [r1, r2])
-            if sol is None:
-                continue
-            pt = tuple(sol)
-            if _contains_exact(P, pt):
-                best = min(best, value(pt))
-        return best
-    return _pl_min_lp(P, pieces)
+        cons = facets + cuts
+        verts = {v for v in P.vertices if all(_exact.dot(d, v) <= r for d, r in cuts)}
+        combos = itertools.combinations(range(len(cons)), n)
+        verts |= solve_vertices(cons, (c for c in combos if c[-1] >= len(facets)))
+        verts = sorted(verts)
+        if len(verts) > n and _affine_rank(verts) == n:
+            cells.append((j, tuple(verts), cons))
+    return tuple(cells)
 
 
-def _segment_line_intersection(p, q, nvec, rhs):
-    dp = _exact.dot(nvec, p) - rhs
-    dq = _exact.dot(nvec, q) - rhs
-    if dp == dq:
-        return tuple(p) if dp == 0 else None
-    if (dp > 0 and dq > 0) or (dp < 0 and dq < 0):
-        return None
-    t = dp / (dp - dq)
-    return tuple(a + t * (b - a) for a, b in zip(p, q))
+def _pl_min(pieces, cells) -> Fraction:
+    """Exact min over P of max_j (<a_j,x> + c_j).
 
-
-def _contains_exact(P: LabelledPolytope, point) -> bool:
-    return all(_exact.dot(nu, point) <= 1 for nu in P.normals)
-
-
-def _pl_min_lp(P: LabelledPolytope, pieces) -> Fraction:
-    # minimize t subject to t >= <a_j,x> + c_j on P (float LP, then snapped
-    # by re-evaluating the active piece set exactly at the rounded optimum)
-    from scipy.optimize import linprog
-
-    n = P.dim
-    A_ub = []
-    b_ub = []
-    for a, c in pieces:
-        A_ub.append([float(x) for x in a] + [-1.0])
-        b_ub.append(-float(c))
-    for nu in P.normals:
-        A_ub.append([float(x) for x in nu] + [0.0])
-        b_ub.append(1.0)
-    cost = [0.0] * n + [1.0]
-    res = linprog(
-        cost,
-        A_ub=np.array(A_ub),
-        b_ub=np.array(b_ub),
-        bounds=[(None, None)] * (n + 1),
-        method="highs",
+    f is affine on each cell, where it equals the cell's piece, so the
+    minimum is attained at a cell vertex.
+    """
+    return min(
+        _exact.dot(pieces[j][0], v) + pieces[j][1] for j, verts, _ in cells for v in verts
     )
-    if not res.success:
-        raise RuntimeError(f"PL normalization LP failed: {res.message}")
-    x = [Fraction(v).limit_denominator(10**9) for v in res.x[:n]]
-    val = max(_exact.dot(a, x) + c for a, c in pieces)
-    return min(val, _exact.frac(float(res.fun)))
 
 
 # ---------------------------------------------------------------------------
@@ -389,26 +361,23 @@ def dh_g_filtration(
 def e_g_na(P: LabelledPolytope, g: WeightFunction, f: PLConvexFunction) -> float:
     """E^NA-type energy: integral_P f g dx / integral_P g dx.
 
-    Exact linearity-region decomposition in dimensions <= 2 (the regions
-    are clipped in rational arithmetic, then each affine piece integrates
-    in closed form); adaptive simplex quadrature above.
+    Exact linearity-cell decomposition in every dimension: on the cell of
+    piece j, f = <a_j, x> + c_j, so each simplex of the cell contributes
+    c_j M_0 + <a_j, M_1> from the moment kernel, and the mass is the sum of
+    the M_0.  Rational polynomial-kind data gives the float of an exact
+    Fraction.
     """
+    quadrature._check_dim(P, g)
     n = P.dim
-    if n <= 2:
-        num = 0.0
-        for piece_idx, cell in _linearity_cells(f):
-            a, c = f.pieces[piece_idx]
-            num += _integral_affine_times_g(cell, a, c, g, n)
-        mass = quadrature.integrate(P, g)[0]
-        return num / mass
-    fn = lambda x: f.value(x) * g.value(x)  # noqa: E731
-    num = 0.0
-    for simplex in P.triangulation:
-        num += _adaptive_gm(
-            np.array([[float(v) for v in p] for p in simplex]), fn, 1e-9
-        )
-    mass = quadrature.integrate(P, g)[0]
-    return num / mass
+    alphas = [(0,) * n] + quadrature._units(n)
+    num = mass = 0
+    for j, simplices in f.cell_simplices:
+        a, c = f.pieces[j]
+        for simplex in simplices:
+            (m0, *m1), _ = quadrature.simplex_moments(simplex, g, alphas)
+            num += c * m0 + sum(ai * v for ai, v in zip(a, m1) if ai != 0)
+            mass += m0
+    return float(num / mass)
 
 
 def lambda_na(f: PLConvexFunction) -> float:
@@ -419,141 +388,6 @@ def lambda_na(f: PLConvexFunction) -> float:
 def j_g_na(P: LabelledPolytope, g: WeightFunction, f: PLConvexFunction) -> float:
     """J_g^NA = lambda_na(f) - e_g_na(f) >= 0, zero only for constant f."""
     return lambda_na(f) - e_g_na(P, g, f)
-
-
-def _cyclic_order(points):
-    """Counterclockwise ordering of polygon vertices around the origin.
-
-    Exact comparator: split by half-plane, then by cross-product sign.
-    (The origin is interior for our polytopes, so angles are well-defined.)
-    """
-
-    def half(v):
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-    def cmp(u, v):
-        hu, hv = half(u), half(v)
-        if hu != hv:
-            return -1 if hu < hv else 1
-        cross = u[0] * v[1] - u[1] * v[0]
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    return sorted(points, key=functools.cmp_to_key(cmp))
-
-
-def _clip_polygon(poly, nvec, rhs):
-    """Keep the part of a CCW polygon with <nvec, x> >= rhs (exact)."""
-    out = []
-    k = len(poly)
-    for i in range(k):
-        s, e = poly[i], poly[(i + 1) % k]
-        ds = _exact.dot(nvec, s) - rhs
-        de = _exact.dot(nvec, e) - rhs
-        if ds >= 0:
-            out.append(s)
-        if (ds > 0 and de < 0) or (ds < 0 and de > 0):
-            t = ds / (ds - de)
-            out.append(tuple(a + t * (b - a) for a, b in zip(s, e)))
-    # dedupe consecutive equal points
-    dedup = []
-    for p in out:
-        if not dedup or p != dedup[-1]:
-            dedup.append(p)
-    if len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    return dedup
-
-
-def _polygon_area(poly) -> Fraction:
-    acc = Fraction(0)
-    k = len(poly)
-    for i in range(k):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % k]
-        acc += x1 * y2 - x2 * y1
-    return acc / 2
-
-
-def _linearity_cells(f: PLConvexFunction):
-    """Yield (piece index, region) pairs covering the domain up to measure 0.
-
-    For n=2 regions are CCW polygons (lists of exact points); for n=1 they
-    are (lo, hi) intervals.
-    """
-    P = f.domain
-    n = P.dim
-    if n == 1:
-        lo, hi = P.interval()
-        cuts = {lo, hi}
-        for (a1, c1), (a2, c2) in itertools.combinations(f.pieces, 2):
-            da = a1[0] - a2[0]
-            if da == 0:
-                continue
-            x = (c2 - c1) / da
-            if lo < x < hi:
-                cuts.add(x)
-        xs = sorted(cuts)
-        for x0, x1 in zip(xs, xs[1:]):
-            mid = ((x0 + x1) / 2,)
-            vals = [_exact.dot(a, mid) + c for a, c in f.pieces]
-            j = vals.index(max(vals))
-            yield j, (x0, x1)
-        return
-    if n != 2:
-        raise ValueError("linearity cells implemented for n <= 2")
-    base = _cyclic_order(list(P.vertices))
-    for j, (aj, cj) in enumerate(f.pieces):
-        poly = base
-        for k, (ak, ck) in enumerate(f.pieces):
-            if k == j:
-                continue
-            nvec = (aj[0] - ak[0], aj[1] - ak[1])
-            rhs = ck - cj
-            if nvec == (Fraction(0), Fraction(0)):
-                continue
-            poly = _clip_polygon(poly, nvec, rhs)
-            if len(poly) < 3:
-                break
-        if len(poly) >= 3 and _polygon_area(poly) > 0:
-            yield j, poly
-
-
-def _integral_affine_times_g(cell, a, c, g: WeightFunction, n: int) -> float:
-    """Integral over the cell of (<a,x> + c) * g(x), exact where possible."""
-    if n == 1:
-        x0, x1 = cell
-        simplices = [((x0,), (x1,))]
-    else:
-        simplices = [
-            (cell[0], cell[i], cell[i + 1]) for i in range(1, len(cell) - 1)
-        ]
-    alphas = [(0,) * n] + quadrature._units(n)
-    total = 0
-    for s in simplices:
-        vals, _ = quadrature.simplex_moments(s, g, alphas)
-        val = c * vals[0]
-        for ai, v in zip(a, vals[1:]):
-            if ai != 0:
-                val += ai * v
-        total += val
-    return float(total)
-
-
-def _adaptive_gm(verts: np.ndarray, fn, tol: float, depth: int = 0) -> float:
-    try:
-        val, _ = quadrature.gm_integrate(verts, fn, tol_simplex=tol)
-        return val
-    except quadrature.QuadratureNotConverged:
-        if depth >= 8:
-            return quadrature.gm_integrate(verts, fn, tol_simplex=None)[0]
-        return sum(
-            _adaptive_gm(child, fn, tol / 2, depth + 1)
-            for child in quadrature._split_simplex(verts)
-        )
 
 
 # ---------------------------------------------------------------------------

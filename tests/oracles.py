@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
+import mpmath
 import numpy as np
 
 
@@ -135,6 +136,127 @@ def dd_exp_series(nodes, rel_tol: Fraction = Fraction(1, 10**28)):
         h_prev = h_cur
         fact *= k + j + 1
         j += 1
+
+
+def unit_triangle_exp_moment(a0, b, i: int, j: int, dps: int = 40):
+    """Integral of x^i y^j exp(a0 + b0 x + b1 y) over the unit triangle.
+
+    mpmath tanh-sinh quadrature at ``dps`` digits over the unit square, with
+    y = (1 - x) s; floats in a0 and b are taken at their exact binary value.
+    """
+    with mpmath.workdps(dps):
+        a0, b0, b1 = (mpmath.mpf(v) for v in (a0, *b))
+
+        def f(x, s):
+            y = (1 - x) * s
+            return x**i * y**j * mpmath.exp(a0 + b0 * x + b1 * y) * (1 - x)
+
+        return mpmath.quad(f, [0, 1], [0, 1])
+
+
+# ---------------------------------------------------------------------------
+# brute-force Grundmann-Moller sums on subdivided simplices
+# ---------------------------------------------------------------------------
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def _gm_rule(n: int, s: int):
+    """Grundmann-Moller rule of degree 2s+1 on the standard n-simplex.
+
+    Returns (barycentric point matrix, weight vector); the weights sum to
+    1/n!, the volume of the standard simplex.
+    """
+    d = 2 * s + 1
+    pts = []
+    wts = []
+    for i in range(s + 1):
+        denom = d + n - 2 * i
+        w = Fraction((-1) ** i * denom**d, 4**s * math.factorial(i) * math.factorial(d + n - i))
+        for part in _compositions(s - i, n + 1):
+            pts.append([Fraction(2 * k + 1, denom) for k in part])
+            wts.append(w)
+    P = np.array([[float(x) for x in row] for row in pts], dtype=float)
+    W = np.array([float(w) for w in wts], dtype=float)
+    return P, W
+
+
+def _split_triangle(verts: np.ndarray) -> list[np.ndarray]:
+    """The four midpoint triangles of a triangle."""
+    v0, v1, v2 = verts
+    m01, m02, m12 = (v0 + v1) / 2, (v0 + v2) / 2, (v1 + v2) / 2
+    return [
+        np.array([v0, m01, m02]),
+        np.array([v1, m01, m12]),
+        np.array([v2, m02, m12]),
+        np.array([m01, m12, m02]),
+    ]
+
+
+def _gm_apply(verts: np.ndarray, f, s: int):
+    bary, w = _gm_rule(verts.shape[1], s)
+    detE = abs(np.linalg.det((verts[1:] - verts[0]).T))
+    return detE * (w @ f(bary @ verts))
+
+
+def brute_gm(P, f, levels: int = 2, s: int = 6) -> float:
+    """Grundmann-Moller at degree 2s+1 on each triangle of a polygon's
+    triangulation, split 4**levels ways; ``f`` maps (k, 2) points to (k,)."""
+    total = 0.0
+    for simplex in P.triangulation:
+        pieces = [np.array([[float(x) for x in p] for p in simplex])]
+        for _ in range(levels):
+            pieces = [c for piece in pieces for c in _split_triangle(piece)]
+        total += sum(_gm_apply(c, f, s) for c in pieces)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# exact PL minimum by vertex enumeration in (x, t)-space
+# ---------------------------------------------------------------------------
+
+
+def _solve_exact(rows, rhs):
+    """Gaussian elimination over Fractions; None when the matrix is singular."""
+    a = [[Fraction(x) for x in r] + [Fraction(y)] for r, y in zip(rows, rhs)]
+    k = len(a)
+    for col in range(k):
+        piv = next((r for r in range(col, k) if a[r][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        for r in range(k):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [a[i][k] / a[i][i] for i in range(k)]
+
+
+def pl_minimum(P, pieces) -> Fraction:
+    """Exact min over P of max_j (<a_j, x> + c_j).
+
+    The epigraph {(x, t) : t >= <a_j, x> + c_j, <nu_i, x> <= 1} is a pointed
+    polyhedron on which t is bounded below, so its minimum is attained at a
+    vertex: a feasible point where n + 1 of the constraints are tight.
+    """
+    n = P.dim
+    cons = [(tuple(frac(x) for x in a) + (Fraction(-1),), -frac(c)) for a, c in pieces]
+    cons += [(tuple(nu) + (Fraction(0),), Fraction(1)) for nu in P.normals]
+    best = None
+    for combo in combinations(cons, n + 1):
+        sol = _solve_exact([r for r, _ in combo], [b for _, b in combo])
+        if sol is None:
+            continue
+        if all(sum(x * y for x, y in zip(r, sol)) <= b for r, b in cons):
+            best = sol[n] if best is None else min(best, sol[n])
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Exact rational row reduction (solve, rank, nullspace) against sympy."""
+"""Exact rational row reduction (solve, int_solve, rank, nullspace) against sympy."""
 
+import math
 from fractions import Fraction
 
 import sympy
@@ -57,3 +58,12 @@ def test_solve_matches_sympy(data, rhs):
     else:
         b = sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in rhs[:k]])
         assert got == [_frac(x) for x in A.LUsolve(b)]
+    # the same system with each equation scaled to integers
+    scales = [math.lcm(*(x.denominator for x in (*r, y))) for r, y in zip(square, rhs)]
+    int_rows = [[int(x * m) for x in r] for r, m in zip(square, scales)]
+    sol = _exact.int_solve(int_rows, [int(y * m) for y, m in zip(rhs, scales)])
+    if got is None:
+        assert sol is None
+    else:
+        num, den = sol
+        assert den > 0 and [Fraction(x, den) for x in num] == got

@@ -183,6 +183,20 @@ def test_kr_soliton_bl1p2(solved_kr_bl1p2, bl1p2):
     assert norm_inf(b) < 1e-10
 
 
+def test_kr_soliton_converges_when_w_stops_resolving_decrease():
+    # near these minima a Newton step lowers W by less than its rounding, so
+    # an exact Armijo test halves the step until the iteration cap
+    for pts in (
+        [(-3, 1), (-2, 1), (1, 0), (3, -2)],
+        [(-2, 0), (0, -3), (1, -3), (1, 2)],
+        [(-2, 1), (0, 1), (1, -2), (1, -1)],
+    ):
+        P = t.from_vertices(pts)
+        sol = t.solve_kr_soliton(P)
+        assert sol.iterations <= 30, pts
+        assert norm_inf(t.weighted_barycenter(P, sol.weight)) < 1e-12
+
+
 def test_kr_soliton_is_local_grid_minimum(solved_kr_bl1p2, bl1p2):
     xi = np.asarray(solved_kr_bl1p2.xi, dtype=float)
 

@@ -12,10 +12,12 @@ import toricgs as t
 from toricgs import errors, quadrature
 
 from oracles import (
+    brute_gm,
     dd_exp_series,
     grid_integral,
     interval_monomial_integral,
     polygon_monomial_integral,
+    unit_triangle_exp_moment,
 )
 
 
@@ -280,18 +282,6 @@ def test_exp_dd_near_coincident_nodes_stable():
 # ---------------------------------------------------------------------------
 
 
-def test_gm_integrate_rational_function():
-    # int over conv{(0,0),(1,0),(0,1)} of 1/(2+x) = 3 ln(3/2) - 1
-    val, err = quadrature.gm_integrate(
-        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-        lambda x: 1.0 / (2.0 + x[:, 0]),
-    )
-    want = 3 * math.log(1.5) - 1
-    # the returned error estimate must cover the true error
-    assert abs(val - want) <= max(err, 1e-9)
-    assert err < 1e-8
-
-
 def test_integrate_error_estimate_is_small_for_exp(p2):
     g = t.WeightFunction.exp_affine(0, [1, 1])
     val, err = quadrature.integrate(p2, g)
@@ -325,17 +315,6 @@ def test_polygon_moments_are_exact_for_random_lattice_polygons(P, a0, b0, b1):
         assert affine[(i, j)] == want
 
 
-def _brute_gm(P, f, levels=2, s=6):
-    """Grundmann-Moller at degree 2s+1 on each simplex split 4**levels ways."""
-    total = 0.0
-    for simplex in P.triangulation:
-        pieces = [np.array([[float(x) for x in p] for p in simplex])]
-        for _ in range(levels):
-            pieces = [c for piece in pieces for c in quadrature._split_simplex(piece)]
-        total += sum(quadrature.gm_integrate(c, f, s=s, tol_simplex=None)[0] for c in pieces)
-    return total
-
-
 _exponents = st.floats(-1.5, 1.5, allow_nan=False)
 
 
@@ -346,23 +325,19 @@ def test_exp_moments_match_brute_force_gm(P, a0, b0, b1):
     for alpha, value in quadrature.moments(P, g, 2).items():
         powers = np.array(alpha, dtype=float)
         mono = lambda x: g.value(x) * np.prod(x**powers, axis=1)  # noqa: E731
-        scale = _brute_gm(P, lambda x: np.abs(mono(x)))
-        assert abs(value - _brute_gm(P, mono)) <= 1e-10 * scale, alpha
+        scale = brute_gm(P, lambda x: np.abs(mono(x)))
+        assert abs(value - brute_gm(P, mono)) <= 1e-10 * scale, alpha
 
 
-def test_exp_fallback_shares_nodes_and_raises_past_tolerance():
-    # exponent nodes 0, 5, 5 + 1e-9: nearly coincident with spread > 3, so
-    # every moment comes from one Grundmann-Moller pass
+def test_exp_moments_with_nearly_coincident_nodes_match_mpmath():
+    # exponent nodes 0, 5, 5 + 1e-9: nearly coincident amid a spread > 3,
+    # the geometry where a divided-difference table would divide by 1e-9
     S = ((0, 0), (1, 0), (0, 1))
     alphas = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-    near = t.WeightFunction.exp_affine(-15, (5.0, 5.0 + 1e-9))
-    vals, err = quadrature.simplex_moments(S, near, alphas)
-    for alpha, v in zip(alphas, vals):
-        f = lambda x: near.value(x) * x[:, 0] ** alpha[0] * x[:, 1] ** alpha[1]  # noqa: E731
-        assert v == pytest.approx(quadrature.gm_integrate(S, f)[0], rel=1e-14)
-    # the exact tie takes the closed form; the 1e-9 shift moves values ~1e-9
-    tie, _ = quadrature.simplex_moments(S, t.WeightFunction.exp_affine(-15, (5.0, 5.0)), alphas)
-    assert err < 1e-10
-    assert vals == pytest.approx(tie, rel=1e-8)
-    with pytest.raises(errors.QuadratureNotConverged):
-        quadrature.simplex_moments(S, t.WeightFunction.exp_affine(-6, (5.0, 5.0 + 1e-9)), alphas)
+    b = (5.0, 5.0 + 1e-9)
+    for a0 in (-6, -15):
+        vals, err = quadrature.simplex_moments(S, t.WeightFunction.exp_affine(a0, b), alphas)
+        for (i, j), v in zip(alphas, vals):
+            want = float(unit_triangle_exp_moment(a0, b, i, j))
+            assert abs(v - want) <= 1e-14 * abs(want), (a0, i, j)
+            assert abs(v - want) <= err

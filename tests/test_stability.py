@@ -5,14 +5,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricgs as t
 from toricgs import errors
 
 from conftest import assert_close, norm_inf
+from oracles import grid_integral, pl_minimum
 
 
 COTH1 = 1 / math.tanh(1)
+CUBE = t.from_vertices([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+SIMPLEX3 = t.from_vertices([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +252,11 @@ def test_e_g_na_valuation_type_equals_s_g(p1, p2, bl1p2, g_exp_x, g_one):
     ]
     for P, g, a in cases:
         f = t.PLConvexFunction.valuation_type(P, a)
-        assert t.e_g_na(P, g, f) == pytest.approx(t.s_g(P, g, a), abs=1e-10)
+        if g.is_polynomial_kind:
+            # both are the float of the same exact Fraction
+            assert t.e_g_na(P, g, f) == t.s_g(P, g, a)
+        else:
+            assert t.e_g_na(P, g, f) == pytest.approx(t.s_g(P, g, a), abs=1e-10)
 
 
 def test_e_g_na_two_dimensional_corner_function(p1xp1, g_one):
@@ -256,6 +265,122 @@ def test_e_g_na_two_dimensional_corner_function(p1xp1, g_one):
         p1xp1, (((1, 0), 0), ((0, 1), 0), ((0, 0), 0))
     )
     assert t.e_g_na(p1xp1, g_one, f) == pytest.approx(5 / 12, abs=1e-12)
+
+
+def test_e_g_na_is_exact_in_three_dimensions():
+    # E[max(x, y, z)] = 1/2 on the cube; the normalisation adds 1
+    f = t.PLConvexFunction(CUBE, (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)))
+    assert t.e_g_na(CUBE, t.WeightFunction.constant(1), f) == 1.5
+
+
+def test_e_g_na_three_pieces_exp_weight_matches_grid():
+    f = t.PLConvexFunction(
+        CUBE,
+        (
+            ((1, Fraction(1, 2), 0), 0),
+            ((0, -1, 0), Fraction(1, 3)),
+            ((Fraction(-1, 3), 0, Fraction(1, 2)), 0),
+        ),
+    )
+    assert len(f.cell_simplices) == 3
+    g = t.WeightFunction.exp_affine(Fraction(1, 10), [Fraction(3, 5), Fraction(-2, 5), Fraction(1, 5)])
+    e = t.e_g_na(CUBE, g, f)
+
+    def grid_mean(m):
+        num = grid_integral(CUBE, lambda X: f.value(X) * g.value(X), m)
+        return num / grid_integral(CUBE, g.value, m)
+
+    # the midpoint grid converges at O(1/m^2), kinks included
+    coarse, fine = abs(grid_mean(30) - e), abs(grid_mean(60) - e)
+    assert fine <= 2e-4 * e
+    assert fine <= coarse / 3
+
+
+def _rational(rng, top, den):
+    return Fraction(int(rng.integers(-top, top + 1)), int(rng.integers(1, den + 1)))
+
+
+def test_pl_minimum_in_3d_is_exactly_zero():
+    # four pieces with p/q data on the cube: the minima have denominators
+    # far beyond what a float solve can recover
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        pieces = [
+            (tuple(_rational(rng, 60, 40) for _ in range(3)), _rational(rng, 60, 40))
+            for _ in range(4)
+        ]
+        f = t.PLConvexFunction(CUBE, tuple(pieces))
+        low = pl_minimum(CUBE, pieces)
+        assert set(f.pieces) == {(a, c - low) for a, c in pieces}
+        assert pl_minimum(CUBE, f.pieces) == 0
+
+
+_fractions = st.fractions(-3, 3, max_denominator=5)
+
+
+def _pieces(n):
+    piece = st.tuples(st.tuples(*[_fractions] * n), _fractions)
+    return st.lists(piece, min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["p1", "p2", "bl2p2", "cube", "simplex3"]).flatmap(
+    lambda name: st.tuples(st.just(name), _pieces(1 if name == "p1" else 3 if name in ("cube", "simplex3") else 2))
+))
+def test_pl_normalisation_gives_exact_minimum_zero(case):
+    name, pieces = case
+    P = {"cube": CUBE, "simplex3": SIMPLEX3}.get(name) or t.builtin(name)
+    f = t.PLConvexFunction(P, tuple(pieces))
+    assert pl_minimum(P, f.pieces) == 0
+
+
+def _unimodular(n, ops):
+    """Product of elementary integer matrices: swaps, sign flips, shears."""
+    A = [[int(i == j) for j in range(n)] for i in range(n)]
+    for kind, i, j in ops:
+        i, j = i % n, j % n
+        if kind == "flip":
+            A[i] = [-x for x in A[i]]
+        elif kind == "swap":
+            A[i], A[j] = A[j], A[i]
+        elif i != j:
+            A[i] = [x + y for x, y in zip(A[i], A[j])]
+    return A
+
+
+def _inverse_transpose(A):
+    if len(A) == 1:
+        return [[Fraction(1, A[0][0])]]
+    (a, b), (c, d) = A
+    det = a * d - b * c
+    return [[Fraction(d, det), Fraction(-c, det)], [Fraction(-b, det), Fraction(a, det)]]
+
+
+def _apply(M, v):
+    return tuple(sum(m * x for m, x in zip(row, v)) for row in M)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["p1", "p2", "p1xp1", "bl1p2", "bl2p2", "bl3p2"]),
+    st.lists(st.tuples(st.sampled_from(["flip", "swap", "shear"]), st.integers(0, 1), st.integers(0, 1)), max_size=6),
+    st.lists(st.tuples(st.tuples(_fractions, _fractions), _fractions), min_size=1, max_size=4),
+    st.tuples(st.fractions(5, 7, max_denominator=3), *[st.fractions(-1, 1, max_denominator=5)] * 2),
+)
+def test_e_g_na_is_gl_n_z_invariant(name, ops, pieces, weight):
+    # x' = A x maps (P, g, f) to (AP, g o A^-1, f o A^-1); |det A| = 1
+    P = t.builtin(name)
+    n = P.dim
+    A = _unimodular(n, ops)
+    B = _inverse_transpose(A)
+    pieces = [(a[:n], c) for a, c in pieces]
+    a0, b = weight[0], weight[1 : n + 1]
+    g = t.WeightFunction.affine(a0, b)
+    Q = t.from_vertices([_apply(A, v) for v in P.vertices])
+    gq = t.WeightFunction.affine(a0, _apply(B, b))
+    f = t.PLConvexFunction(P, tuple(pieces))
+    fq = t.PLConvexFunction(Q, tuple((_apply(B, a), c) for a, c in pieces))
+    assert t.e_g_na(Q, gq, fq) == t.e_g_na(P, g, f)
 
 
 def test_lambda_and_j_na_examples(p1, g_one, g_exp_x, abs_x):
