@@ -21,13 +21,11 @@ not to grid resolution).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.optimize import brentq
 
 from . import quadrature
 from .errors import (
@@ -299,20 +297,155 @@ def _antiderivative_inverse(g: WeightFunction, pmin: float, pmax: float):
             return (math.log(t) - a0) / b
 
         return inv_exp
+    # g and G = int_0^p g by Horner, highest coefficient first
+    gc = [0.0] * (1 + max(int(p[0]) for p, _ in g.coeffs))
+    for p, c in g.coeffs:
+        gc[int(p[0])] += float(c)
+    Gc = [c / (k + 1) for k, c in enumerate(gc)][::-1] + [0.0]
+    gc.reverse()
+
+    def horner(cs, p):
+        acc = 0.0
+        for c in cs:
+            acc = acc * p + c
+        return acc
+
     Gfun = _antiderivative(g)
-    glo = float(g.value(np.array([[pmin]], dtype=float))[0])
-    ghi = float(g.value(np.array([[pmax]], dtype=float))[0])
-    Glo = float(Gfun(pmin))
-    Ghi = float(Gfun(pmax))
+    glo, ghi = horner(gc, pmin), horner(gc, pmax)
+    Glo, Ghi = float(Gfun(pmin)), float(Gfun(pmax))
+    last = pmin  # warm start: along a shot the slopes increase
 
     def inv_poly(y: float) -> float:
+        """Newton on G(p) - y, kept inside the shrinking sign bracket."""
+        nonlocal last
         if y <= Glo:
             return pmin + (y - Glo) / glo
         if y >= Ghi:
             return pmax + (y - Ghi) / ghi
-        return float(brentq(lambda p: float(Gfun(p)) - y, pmin, pmax, xtol=1e-15))
+        a, b = pmin, pmax
+        p = last
+        for _ in range(200):
+            f = horner(Gc, p) - y
+            if f < 0.0:
+                a = p
+            elif f > 0.0:
+                b = p
+            else:
+                break
+            q = p - f / horner(gc, p)
+            if not a < q < b:
+                q = 0.5 * (a + b)
+            done = abs(q - p) <= 1e-15 + _RTOL * abs(q)
+            p = q
+            if done:
+                break
+        last = p
+        return p
 
     return inv_poly
+
+
+_RTOL = 4.0 * sys.float_info.epsilon
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """A root of f in [xa, xb] by Brent's zeroin (Brent 1973, ch. 4).
+
+    A statement-for-statement port of the widely used C ``brentq``, with
+    ``rtol = 4 eps`` and ``maxiter = 100``: the same interpolate,
+    extrapolate and bisect tests in the same float operations, so the
+    iterates are those of that routine.  Raises NewtonDiverged on a NaN
+    value, an unbracketed interval or a missed tolerance.
+    """
+
+    def fx(x: float) -> float:
+        v = f(x)
+        if math.isnan(v):
+            raise NewtonDiverged(f"root finder met NaN at x={x!r}")
+        return v
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NewtonDiverged(f"root finder needs a sign change on [{xa!r}, {xb!r}]")
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    raise NewtonDiverged(f"root finder did not converge after 100 iterations, x={xcur!r}")
+
+
+def _solve_tridiagonal(dl, d, du, b) -> np.ndarray:
+    """Solve the tridiagonal system with sub-, main and super-diagonals dl, d, du.
+
+    A port of the one-right-hand-side path of LAPACK ``dgtsv``: elimination
+    with partial pivoting, where a row interchange fills a second
+    superdiagonal, then back substitution.  Raises ValueError on non-finite
+    entries and LinAlgError on an exactly zero pivot.
+    """
+    if not all(np.all(np.isfinite(v)) for v in (dl, d, du, b)):
+        raise ValueError("array must not contain infs or NaNs")
+    dl, d, du, b = (np.asarray(v, dtype=float).tolist() for v in (dl, d, du, b))
+    n = len(d)
+    du2 = [0.0] * n
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise np.linalg.LinAlgError("singular matrix")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+        else:  # interchange rows i and i + 1
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                du2[i] = du[i + 1]
+                du[i + 1] = -fact * du2[i]
+            du[i] = temp
+            temp = b[i]
+            b[i] = b[i + 1]
+            b[i + 1] = temp - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        raise np.linalg.LinAlgError("singular matrix")
+    b[n - 1] = b[n - 1] / d[n - 1]
+    if n > 1:
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / d[i]
+    return np.array(b)
 
 
 def _ma_flux(pot: DiscretePotential, g: WeightFunction, values=None) -> np.ndarray:
@@ -348,14 +481,18 @@ def solve_ma(
     solved first, after which the shift kappa that pins the center value to
     the reference determines c = e^{-kappa}.  The c = 1 system collapses to
     one unknown: given the base value w_0, each flux equation determines the
-    next half-slope from the running mass, and the closing defect is
+    next half-slope from the running mass (through G^{-1}: closed form, or
+    a bracketed Newton for polynomial weights), and the closing defect is
     h * sum(e^{-w_k}) minus the integral of g -- a bracketed scalar root
-    problem.  A short tridiagonal Newton polish then drives the residual to
-    the tolerance.  Summing the flux-form equations shows c * sum(e^{-u_k}) h
-    equals the integral of g over P automatically, so c carries the mass
-    normalization.  Raises WindowTooSmall if the boundary slopes end up
-    farther than ``tail_tol`` from the polytope endpoints (enlarge R for
-    tighter tails: the gap decays like e^{-R}).
+    problem, solved by Brent's method (``_brentq``).  A short Newton polish
+    on the tridiagonal Jacobian (``_solve_tridiagonal``, LAPACK's pivoted
+    ``gtsv`` elimination) then drives the residual to the tolerance.
+    Summing the flux-form equations shows c * sum(e^{-u_k}) h equals the
+    integral of g over P automatically, so c carries the mass normalization.
+    Raises WindowTooSmall if the boundary slopes end up farther than
+    ``tail_tol`` from the polytope endpoints beyond the intrinsic layer.
+    That gap is an O(h) boundary layer, so the step h = 2R/(N - 1) must
+    shrink: raise N, or raise R and N together (a larger R alone widens h).
     """
     grid = grid or Grid1D()
     g.check_positive(P)
@@ -397,7 +534,7 @@ def solve_ma(
         flo, fhi = _psi(lo), _psi(hi)
     if flo * fhi > 0.0:
         raise NewtonDiverged("shooting bracket failed for the base value")
-    w0 = float(brentq(_psi, lo, hi, xtol=1e-13))
+    w0 = _brentq(_psi, lo, hi, 1e-13)
     w = _shoot(w0)[0]
     scratch = DiscretePotential(grid=grid, P=P, values=w, ref_values=ref.values)
 
@@ -415,17 +552,14 @@ def solve_ma(
         it += 1
         gs = gval(s[:, None])  # g at half-slopes, length N+1
         ew = np.exp(-w)
-        N = grid.N
-        ab = np.zeros((3, N))
-        ab[0, 1:] = gs[1:-1] / h**2  # super: dF_k/dw_{k+1}, k=0..N-2
-        ab[2, :-1] = gs[1:-1] / h**2  # sub: dF_k/dw_{k-1}, k=1..N-1
-        ab[1, :] = -(gs[:-1] + gs[1:]) / h**2 + ew
+        off = gs[1:-1] / h**2  # dF_k/dw_{k+1} = dF_{k+1}/dw_k
+        diag = -(gs[:-1] + gs[1:]) / h**2 + ew
         # the ghost half-slopes are pinned constants, so the first and last
         # rows carry no derivative through them
-        ab[1, 0] += gs[0] / h**2
-        ab[1, -1] += gs[-1] / h**2
+        diag[0] += gs[0] / h**2
+        diag[-1] += gs[-1] / h**2
         try:
-            du = solve_banded((1, 1), ab, -F)
+            du = _solve_tridiagonal(off, diag, off, -F)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise NewtonDiverged(f"linear solve failed: {exc}", history=history)
         cap = float(np.max(np.abs(du)))
@@ -472,7 +606,7 @@ def solve_ma(
     if gap > tail_tol:
         raise WindowTooSmall(
             f"boundary slope gap {gap:.3e} exceeds {tail_tol:.1e}; "
-            f"increase the window radius R or the node count N"
+            f"the step h = 2R/(N - 1) must shrink: raise N, or raise R and N together"
         )
     out = DiscretePotential(
         grid=grid,

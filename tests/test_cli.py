@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -293,3 +295,10 @@ def test_report_of_report_is_rejected(tmp_path, golden_runs):
     cp = run_cli(["report", "--input", str(saved), "--rerun"])
     assert cp.returncode == 2
     assert _error_body(cp)["error"] == "SchemaViolation"
+
+
+def test_cli_import_loads_no_scipy():
+    probe = "import sys, toricgs.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    cp = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "[]"

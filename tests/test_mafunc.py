@@ -1,20 +1,33 @@
 """Monge-Ampère solver and Archimedean functional suite."""
 
 import math
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricgs as t
-from toricgs import quadrature
+from toricgs import _exact, quadrature
 from toricgs.errors import (
+    NewtonDiverged,
     NonConvexInput,
     SchemaViolation,
     ValidationError,
     WindowTooSmall,
 )
-from toricgs.mafunc import DiscretePotential, ding_ray_diagnostic, weight_mass
+from toricgs.mafunc import (
+    DiscretePotential,
+    _antiderivative,
+    _antiderivative_inverse,
+    _brentq,
+    _solve_tridiagonal,
+    ding_ray_diagnostic,
+    weight_mass,
+)
 
 from conftest import assert_close
 
@@ -179,6 +192,132 @@ def test_window_too_small_and_refinement_remedy(p1):
     out = t.solve_ma(p1, g, grid=t.Grid1D(R=12.0, N=4001), tol=1e-9)
     assert out.residual < 1e-8
     assert out.tail_gap < 1e-4
+
+
+def test_window_gap_is_an_o_h_layer_so_a_wider_window_needs_more_nodes(p1):
+    # R 12 -> 20 at N = 2001 widens h and the gap (1.4e-4 -> 3.9e-4);
+    # raising N with R shrinks h and passes
+    g = t.WeightFunction.exp_affine(0, (1,))
+    with pytest.raises(WindowTooSmall, match=r"h = 2R/\(N - 1\) must shrink: raise N"):
+        t.solve_ma(p1, g, grid=t.Grid1D(R=20.0, N=2001))
+    out = t.solve_ma(p1, g, grid=t.Grid1D(R=20.0, N=4001))
+    assert out.tail_gap < 1e-4
+
+
+def test_polynomial_path_matches_closed_form_affine_inverse():
+    # an affine weight written as a polynomial goes through the Newton
+    # inverse of G; the affine kind inverts G in closed form
+    for verts, b in (([(-1,), (1,)], Fraction(2, 5)), ([(Fraction(-3, 4),), (Fraction(5, 4),)], Fraction(-8, 25))):
+        P = t.from_vertices(verts)
+        affine = t.solve_ma(P, t.WeightFunction.affine(1, (b,)))
+        poly = t.solve_ma(P, t.WeightFunction.polynomial([((0,), 1), ((1,), b)]))
+        assert float(np.max(np.abs(poly.values - affine.values))) < 1e-12
+        assert abs(poly.c - affine.c) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# private numerical routines of the solver, against in-repo oracles
+# ---------------------------------------------------------------------------
+
+
+def test_solve_tridiagonal_matches_exact_rational_solve():
+    rng = random.Random(11)
+    pivoted = 0
+    for trial in range(200):
+        n = rng.randint(2, 12)
+        rand = lambda: Fraction(rng.randint(-40, 40), rng.randint(1, 9))  # noqa: E731
+        dl = [rand() for _ in range(n - 1)]
+        du = [rand() for _ in range(n - 1)]
+        d = [rand() for _ in range(n)]
+        if trial % 2:  # zero diagonal entries force row interchanges
+            for i in rng.sample(range(n - 1), k=rng.randint(1, n - 1)):
+                d[i] = Fraction(0)
+                dl[i] = dl[i] or Fraction(1)
+            pivoted += 1
+        b = [rand() for _ in range(n)]
+        rows = [[d[i] if j == i else dl[j] if j == i - 1 else du[i] if j == i + 1 else Fraction(0)
+                 for j in range(n)] for i in range(n)]
+        exact = _exact.solve(rows, b)
+        as_float = lambda v: np.array([float(x) for x in v])  # noqa: E731
+        if exact is None:
+            with pytest.raises(np.linalg.LinAlgError):
+                _solve_tridiagonal(as_float(dl), as_float(d), as_float(du), as_float(b))
+            continue
+        x = _solve_tridiagonal(as_float(dl), as_float(d), as_float(du), as_float(b))
+        want = as_float(exact)
+        assert float(np.max(np.abs(x - want))) <= 1e-12 * float(np.max(np.abs(want))), (trial, n)
+    assert pivoted == 100
+
+
+def test_solve_tridiagonal_rejects_singular_and_non_finite_systems():
+    one = np.ones(2)
+    with pytest.raises(np.linalg.LinAlgError):  # rows (1 1 0), (1 1 0), (0 1 1)
+        _solve_tridiagonal(one, np.ones(3), np.array([1.0, 0.0]), np.ones(3))
+    with pytest.raises(np.linalg.LinAlgError):  # a zero first column
+        _solve_tridiagonal(np.zeros(2), np.array([0.0, 1.0, 1.0]), one, np.ones(3))
+    with pytest.raises(ValueError):
+        _solve_tridiagonal(one, np.array([1.0, math.nan, 1.0]), one, np.ones(3))
+    with pytest.raises(ValueError):
+        _solve_tridiagonal(one, np.full(3, 3.0), one, np.array([1.0, math.inf, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, root",
+    [
+        (lambda x: x**3 - 2, 0.0, 3.0, 2.0 ** (1.0 / 3.0)),
+        (lambda x: math.cos(x) - x, 0.0, 2.0, 0.7390851332151607),
+        (lambda x: math.exp(x) - 5, -1.0, 4.0, math.log(5.0)),
+    ],
+)
+@pytest.mark.parametrize("xtol", [1e-13, 1e-8])
+def test_brentq_finds_roots_within_its_tolerance(f, lo, hi, root, xtol):
+    x = _brentq(f, lo, hi, xtol)
+    assert abs(x - root) <= xtol + 4 * sys.float_info.epsilon * abs(x)
+
+
+def test_brentq_raises_newton_diverged_without_a_root():
+    with pytest.raises(NewtonDiverged, match="sign change"):
+        _brentq(lambda x: x * x + 1, -1.0, 2.0, 1e-13)
+    with pytest.raises(NewtonDiverged, match="NaN"):
+        _brentq(lambda x: math.nan if x > 0.5 else x - 1.0, 0.0, 2.0, 1e-13)
+
+
+_coeff = st.fractions(-2, 2, max_denominator=6)
+_end = st.fractions(Fraction(1, 4), 3, max_denominator=8)
+
+
+@st.composite
+def _positive_poly(draw):
+    """Terms of q(x)^2 + r with q of degree <= 2 and r > 0."""
+    q = [draw(_coeff) for _ in range(3)]
+    c = [Fraction(0)] * 5
+    for i, qi in enumerate(q):
+        for j, qj in enumerate(q):
+            c[i + j] += qi * qj
+    c[0] += draw(st.fractions(Fraction(1, 8), 2, max_denominator=8))
+    return [((k,), ck) for k, ck in enumerate(c) if ck]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_positive_poly(), _end, _end, st.randoms(use_true_random=False))
+def test_polynomial_antiderivative_inverse_round_trips_and_is_monotone(coeffs, a, b, rnd):
+    g = t.WeightFunction.polynomial(coeffs)
+    pmin, pmax = float(-a), float(b)
+    G = _antiderivative(g)
+    Ginv = _antiderivative_inverse(g, pmin, pmax)
+    ylo, yhi = float(G(pmin)), float(G(pmax))
+    scale = max(abs(ylo), abs(yhi))
+    inside = list(np.linspace(ylo, yhi, 41))
+    ys = list(np.linspace(2 * ylo - yhi, ylo, 6))[:-1] + inside + list(np.linspace(yhi, 2 * yhi - ylo, 6))[1:]
+    order = list(range(len(ys)))
+    rnd.shuffle(order)  # any warm start
+    ps = [0.0] * len(ys)
+    for i in order:
+        ps[i] = Ginv(ys[i])
+    for y, p in zip(inside, ps[5:-5]):
+        assert pmin <= p <= pmax
+        assert abs(float(G(p)) - y) <= 1e-13 * scale, (y, p)
+    assert all(p < q for p, q in zip(ps, ps[1:]))
 
 
 def test_pushforward_moments_match_weight_moments(p1, ma_solution_p1):
