@@ -1,8 +1,9 @@
 """Exact rational linear algebra on `fractions.Fraction` matrices.
 
-Small dense routines (n <= 4 throughout the package) used for vertex
-enumeration, facet recovery, and the rational solve paths.  Matrices are
-lists of lists of Fractions; vectors are lists of Fractions.
+Small dense routines (n <= 4 throughout the package): the integer solve of
+polar vertex enumeration, determinants for its boundedness test and for
+volumes, and the rational solve paths.  Matrices are lists of lists of
+Fractions or ints; vectors are lists of Fractions.
 """
 
 from __future__ import annotations
@@ -73,20 +74,6 @@ def rank(rows: list[list[Fraction]]) -> int:
     if not rows:
         return 0
     return len(_rref(rows, len(rows[0]))[1])
-
-
-def nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
-    """Basis of the nullspace of an m x n rational matrix (m may be 0)."""
-    a, pivots = _rref(rows, n)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
-        basis.append(v)
-    return basis
 
 
 def det(rows: list[list[Fraction]]) -> Fraction:

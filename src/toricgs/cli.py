@@ -78,6 +78,16 @@ def parse_polytope(spec: str) -> LabelledPolytope:
     return polytope_from_dict(_load_json(spec, "/polytope"))
 
 
+def _list(x, pointer: str) -> list:
+    if not isinstance(x, list):
+        raise SchemaViolation(f"expected a list, got {type(x).__name__}", pointer)
+    return x
+
+
+def _numbers(x, pointer: str) -> list:
+    return [decode_number(v, pointer) for v in _list(x, pointer)]
+
+
 def polytope_from_dict(d: dict) -> LabelledPolytope:
     if not isinstance(d, dict):
         raise SchemaViolation("polytope must be an object", "/polytope")
@@ -92,24 +102,20 @@ def polytope_from_dict(d: dict) -> LabelledPolytope:
                 raise SchemaViolation(
                     "each facet needs a 'normal'", f"/polytope/facets/{i}"
                 )
-            normals.append(
-                [decode_number(x, f"/polytope/facets/{i}/normal") for x in f["normal"]]
-            )
+            normals.append(_numbers(f["normal"], f"/polytope/facets/{i}/normal"))
             labels.append(decode_number(f.get("label", 1), f"/polytope/facets/{i}/label"))
         return polytope.from_facets(normals, labels)
     if "normals" in d:
         normals = [
-            [decode_number(x, f"/polytope/normals/{i}") for x in row]
-            for i, row in enumerate(d["normals"])
+            _numbers(row, f"/polytope/normals/{i}")
+            for i, row in enumerate(_list(d["normals"], "/polytope/normals"))
         ]
-        labels = [
-            decode_number(x, "/polytope/labels") for x in d.get("labels", [1] * len(normals))
-        ]
+        labels = _numbers(d.get("labels", [1] * len(normals)), "/polytope/labels")
         return polytope.from_facets(normals, labels)
     if "vertices" in d:
         verts = [
-            [decode_number(x, f"/polytope/vertices/{i}") for x in row]
-            for i, row in enumerate(d["vertices"])
+            _numbers(row, f"/polytope/vertices/{i}")
+            for i, row in enumerate(_list(d["vertices"], "/polytope/vertices"))
         ]
         return polytope.from_vertices(verts)
     raise SchemaViolation(
@@ -263,7 +269,7 @@ def _run_check_futaki(inputs: dict):
     P = _decode_polytope(inputs)
     g = _decode_weight(inputs)
     tol = inputs.get("tol", 1e-10)
-    b = invariants.weighted_barycenter(P, g)
+    b, vanishes, rule = invariants._zero_barycenter(P, g, tol)
     norm = float(np.linalg.norm(b))
     basis = []
     for i in range(P.dim):
@@ -274,12 +280,14 @@ def _run_check_futaki(inputs: dict):
         "barycenter": [float(x) for x in b],
         "barycenter_norm": norm,
         "futaki_basis": basis,
-        "futaki_vanishes": bool(norm < tol),
+        "futaki_vanishes": vanishes,
         "V_g": invariants.weighted_volume(P, g),
     }
-    diagnostics = {"tol": tol, "identity_max_dev": max(
-        abs(basis[i] + float(b[i])) for i in range(P.dim)
-    )}
+    diagnostics = {
+        "tol": tol,
+        "decided_by": rule,
+        "identity_max_dev": max(abs(basis[i] + float(b[i])) for i in range(P.dim)),
+    }
     return results, diagnostics
 
 
@@ -332,7 +340,7 @@ def _run_delta(inputs: dict):
         "stable_modulo_torus": check["stable_modulo_torus"],
         "barycenter_norm": check["barycenter_norm"],
     }
-    return results, {"tol": inputs.get("tol", 1e-8)}
+    return results, {"tol": inputs.get("tol", 1e-8), "decided_by": check["decided_by"]}
 
 
 def _run_ding_na(inputs: dict):

@@ -99,10 +99,30 @@ def _mspline(nodes, t: float, n: int) -> float:
 
 def weighted_barycenter(P: LabelledPolytope, g: WeightFunction) -> np.ndarray:
     """b_g with components integral(x_i g) / integral(g) over P."""
+    return _barycenters(P, g)[0]
+
+
+def _barycenters(P: LabelledPolytope, g: WeightFunction):
+    """b_g as floats, and as Fractions where the moments are exact (else None)."""
     g.check_positive(P)
     M = quadrature.moments(P, g, 1)
-    mass = float(M[(0,) * P.dim])
-    return np.array([float(M[e]) / mass for e in quadrature._units(P.dim)])
+    units = quadrature._units(P.dim)
+    mass = M[(0,) * P.dim]
+    b = np.array([float(M[e]) / float(mass) for e in units])
+    if all(isinstance(M[e], Fraction) for e in [(0,) * P.dim, *units]):
+        return b, tuple(M[e] / mass for e in units)
+    return b, None
+
+
+def _zero_barycenter(P: LabelledPolytope, g: WeightFunction, tol: float):
+    """(b_g as floats, whether b_g = 0, the rule that decided it).
+
+    The rule is "exact" where the moments are, else "tol": |b_g| < tol.
+    """
+    b, exact = _barycenters(P, g)
+    if exact is not None:
+        return b, all(x == 0 for x in exact), "exact"
+    return b, bool(np.linalg.norm(b) < tol), "tol"
 
 
 def weighted_barycenter_exact(P: LabelledPolytope, g: WeightFunction):

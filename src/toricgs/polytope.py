@@ -4,10 +4,11 @@ A labelled polytope here is always written in the monotone normalization
 
     P = { x in R^n : <nu_i, x> <= 1 for every facet normal nu_i },
 
-with the origin strictly interior.  Construction, vertex enumeration, facet
-recovery, triangulation combinatorics, and lattice-point tests all run in
-exact rational arithmetic; floating point enters only downstream (quadrature,
-solvers).
+with the origin strictly interior, so P and conv(nu_i) are polar: one vertex
+enumeration, :func:`_polar`, gives the vertices from the normals and the
+normals from the vertices.  Construction, triangulation combinatorics, and
+lattice-point tests run in exact arithmetic; floating point enters only
+downstream (quadrature, solvers).
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ Point = tuple[Fraction, ...]
 #: default cap on |mP ∩ Z^n| enumeration size
 LATTICE_CAP = 10**7
 
+_INT64_MAX = 2**63 - 1
+
 
 def _as_point(p) -> Point:
     return tuple(_exact.frac(x) for x in p)
@@ -45,42 +48,6 @@ def _affine_rank(points: list[Point]) -> int:
     base = points[0]
     rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
     return _exact.rank(rows)
-
-
-def _hull_facets(points: list[Point], dim: int):
-    """Facets of conv(points) in R^dim by exhaustive hyperplane search.
-
-    Returns a list of (normal, offset, vertex_index_set) with the normal a
-    primitive integer vector oriented so that <normal, p> <= offset for all
-    points.  Points must affinely span R^dim.
-    """
-    facets: dict[tuple, tuple] = {}
-    for combo in itertools.combinations(range(len(points)), dim):
-        base = points[combo[0]]
-        rows = [[x - b for x, b in zip(points[i], base)] for i in combo[1:]]
-        ns = _exact.nullspace(rows, dim)
-        if len(ns) != 1:
-            continue  # the dim points do not span a unique hyperplane
-        normal = ns[0]
-        offset = _exact.dot(normal, base)
-        side = [(_exact.dot(normal, p) - offset) for p in points]
-        if all(s <= 0 for s in side):
-            pass
-        elif all(s >= 0 for s in side):
-            normal = [-x for x in normal]
-            offset = -offset
-            side = [-s for s in side]
-        else:
-            continue
-        prim = _exact.primitive(normal)
-        scale = prim[next(j for j in range(dim) if normal[j] != 0)] / normal[
-            next(j for j in range(dim) if normal[j] != 0)
-        ]
-        key = (prim, offset * scale)
-        if key not in facets:
-            on = frozenset(i for i, s in enumerate(side) if s == 0)
-            facets[key] = (prim, offset * scale, on)
-    return [facets[k] for k in sorted(facets)]
 
 
 def solve_vertices(constraints, combos) -> set[Point]:
@@ -107,6 +74,27 @@ def _integral_row(a, b) -> tuple[tuple[int, ...], int]:
     """The constraint <a, x> <= b scaled by a positive integer to int entries."""
     scale = lcm(*(x.denominator for x in (*a, b)))
     return tuple(int(x * scale) for x in a), int(b * scale)
+
+
+def _polar(rows) -> set[Point]:
+    """Vertices of {x : <r, x> <= 1 for every r in rows}; Unbounded unless bounded.
+
+    An extreme recession direction lies on n - 1 independent rows, so up to
+    sign it is their generalized cross product (entry j: (-1)^j times the
+    minor without column j).  Rows that do not span give no vertex.
+    """
+    n = len(rows[0])
+    ints = [_integral_row(r, 1)[0] for r in rows]
+    for sub in itertools.combinations(ints, n - 1):
+        d = [(-1) ** j * int(_exact.det([r[:j] + r[j + 1:] for r in sub])) for j in range(n)]
+        if any(d):
+            dots = [sum(x * y for x, y in zip(r, d)) for r in ints]
+            if all(t <= 0 for t in dots) or all(t >= 0 for t in dots):
+                raise Unbounded("the system has a recession direction")
+    verts = solve_vertices([(r, 1) for r in rows], itertools.combinations(range(len(rows)), n))
+    if not verts:
+        raise Unbounded("the rows do not span the ambient space")
+    return verts
 
 
 def fan_triangulation(vertices, constraints, apex=None) -> list[tuple[Point, ...]]:
@@ -221,29 +209,39 @@ class LabelledPolytope:
         return total
 
     @cached_property
-    def _int_facets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Facet system scaled to integers: A u <= m*d componentwise."""
-        rows = []
-        rhs = []
-        for nu in self.normals:
-            d = lcm(*(x.denominator for x in nu))
-            rows.append([int(x * d) for x in nu])
-            rhs.append(d)
-        return np.array(rows, dtype=np.int64), np.array(rhs, dtype=np.int64)
+    def _int_facets(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Facet rows scaled to integers: (A_i, d_i) with <A_i, u> <= m*d_i."""
+        return tuple(_integral_row(nu, 1) for nu in self.normals)
+
+    def _int64_facets(self, m: int, umax) -> tuple[np.ndarray, np.ndarray]:
+        """(A, m*d) as int64 arrays, for points with |u_j| <= umax[j].
+
+        Raises :class:`OverflowGuard` unless the entries of A, m*d and each
+        bound sum_j |A_ij| umax_j on |<A_i, u>| fit in int64.
+        """
+        rows = self._int_facets
+        worst = max(
+            max(m * d, *(abs(x) for x in a), sum(abs(x) * b for x, b in zip(a, umax)))
+            for a, d in rows
+        )
+        if worst > _INT64_MAX:
+            raise OverflowGuard(f"integer facet system reaches {worst}, beyond int64")
+        A = np.array([a for a, _ in rows], dtype=np.int64)
+        return A, np.array([m * d for _, d in rows], dtype=np.int64)
 
     # -- lattice enumeration ------------------------------------------------
 
     def contains_lattice(self, u, m: int = 1) -> bool:
         """Exact membership test of an integer point in m*P."""
-        A, d = self._int_facets
-        u = np.asarray(u, dtype=np.int64)
-        return bool(np.all(A @ u <= m * d))
+        u = [int(x) for x in u]
+        A, rhs = self._int64_facets(m, [abs(x) for x in u])
+        return bool(np.all(A @ np.array(u, dtype=np.int64) <= rhs))
 
     def lattice_points(self, m: int, cap: int = LATTICE_CAP) -> np.ndarray:
         """All integer points of m*P, lexicographically sorted, as an array.
 
         Raises :class:`OverflowGuard` when the bounding-box candidate count
-        exceeds ``cap``.
+        exceeds ``cap`` or the facet products could overflow int64.
         """
         if m < 1:
             raise PolytopeError("lattice scale m must be >= 1")
@@ -263,10 +261,10 @@ class LabelledPolytope:
             )
         if count == 0:
             return np.empty((0, self.dim), dtype=np.int64)
+        A, rhs = self._int64_facets(m, [max(-a, b) for a, b in zip(lo, hi)])
         axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
-        A, d = self._int_facets
-        mask = np.all(grid @ A.T <= m * d[None, :], axis=1)
+        mask = np.all(grid @ A.T <= rhs[None, :], axis=1)
         pts = grid[mask]
         order = np.lexsort(tuple(pts[:, j] for j in range(self.dim - 1, -1, -1)))
         return pts[order]
@@ -292,8 +290,9 @@ def from_facets(normals, labels) -> LabelledPolytope:
     """Build a polytope from facet normals and positive labels.
 
     Inputs are rescaled so every label becomes 1 (each normal is divided by
-    its label).  The system must be bounded, full-dimensional, and every
-    facet tight; the origin is then automatically strictly interior.
+    its label).  The system must be bounded (checked by :func:`_polar`),
+    which with the origin strictly inside makes it full-dimensional, and
+    every facet must be tight.
     """
     if len(normals) != len(labels):
         raise PolytopeError("normals and labels must have equal length")
@@ -314,26 +313,7 @@ def from_facets(normals, labels) -> LabelledPolytope:
             raise DegenerateFacet(f"facet {i} has zero normal", index=i)
         nus.append(tuple(x / lab for x in p))
 
-    rows = [list(nu) for nu in nus]
-    if _exact.rank(rows) < n:
-        raise Unbounded("facet normals do not span the ambient space")
-    # A nontrivial recession direction would lie on n-1 linearly independent
-    # active constraints, so scanning those subsets is an exact boundedness test.
-    for combo in itertools.combinations(range(len(nus)), n - 1):
-        sub = [list(nus[i]) for i in combo]
-        ns = _exact.nullspace(sub, n)
-        if len(ns) != 1:
-            continue
-        d = ns[0]
-        for cand in (d, [-x for x in d]):
-            if all(_exact.dot(nu, cand) <= 0 for nu in nus):
-                raise Unbounded("facet system has a recession direction")
-
-    facets = [(nu, 1) for nu in nus]
-    verts = solve_vertices(facets, itertools.combinations(range(len(nus)), n))
-    vertices = tuple(sorted(verts))
-    if len(vertices) < n + 1 or _affine_rank(list(vertices)) < n:
-        raise LowerDimensional("vertex set does not span the ambient space")
+    vertices = tuple(sorted(_polar(nus)))
     for i, nu in enumerate(nus):
         tight = [v for v in vertices if _exact.dot(nu, v) == 1]
         # a genuine facet carries n affinely independent tight vertices; fewer
@@ -346,9 +326,9 @@ def from_facets(normals, labels) -> LabelledPolytope:
 def from_vertices(points) -> LabelledPolytope:
     """Build a polytope as the convex hull of rational points.
 
-    The origin must be strictly interior; recovered facet normals are scaled
-    so every label is 1.  Round-trips with :func:`from_facets` up to facet
-    reordering.
+    The origin must be strictly interior: then the label-1 facet normals are
+    the vertices of the polar {a : <a, p> <= 1 for all points p} (Ziegler,
+    *Lectures on Polytopes*, 2.3), ordered by primitive normal.
     """
     pts = sorted({_as_point(p) for p in points})
     if not pts:
@@ -360,13 +340,10 @@ def from_vertices(points) -> LabelledPolytope:
         raise PolytopeError("points have inconsistent dimensions")
     if _affine_rank(pts) < n:
         raise LowerDimensional("points do not affinely span the ambient space")
-    normals = []
-    for normal, offset, _on in _hull_facets(pts, n):
-        if offset <= 0:
-            raise OriginNotInterior(
-                "origin is not strictly interior to the hull"
-            )
-        normals.append(tuple(x / offset for x in normal))
+    try:
+        normals = sorted(_polar(pts), key=_exact.primitive)
+    except Unbounded:
+        raise OriginNotInterior("origin is not strictly interior to the hull") from None
     return from_facets(normals, [1] * len(normals))
 
 

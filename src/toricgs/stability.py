@@ -27,7 +27,6 @@ from .polytope import (
     LabelledPolytope,
     _affine_rank,
     fan_triangulation,
-    from_facets,
     solve_vertices,
 )
 from .quadrature import WeightFunction, encode_number
@@ -403,36 +402,32 @@ def ding_na_valuation(P: LabelledPolytope, g: WeightFunction, a) -> float:
 def _dual_vertices(P: LabelledPolytope):
     """Vertices of the polytope {a : A(a) <= 1} = {a : <a, -v> <= 1 for all v}.
 
-    Bounded because the origin is interior to P (so also to -P); its
-    vertices realize every extreme ratio direction of A-homogeneous
-    objectives.
+    It is minus the polar of P, so these are the distinct -nu_i, sorted.
     """
-    Q = from_facets([tuple(-x for x in v) for v in P.vertices], [1] * len(P.vertices))
-    return Q.vertices
+    return tuple(sorted({tuple(-x for x in nu) for nu in P.normals}))
 
 
 def delta_toric(P: LabelledPolytope, g: WeightFunction, with_direction: bool = False):
     """inf over directions of A(a) / S_g(a) (degree-0 homogeneous).
 
     Using S_g(a) = A(a) + <a, b_g>, the infimum equals
-    1 / (1 + max <a, b_g> over {A(a) <= 1}), and the maximum of a linear
-    functional over that dual polytope is attained at one of its vertices,
-    which we enumerate exactly.  delta < 1 iff the weighted barycenter b_g
-    is nonzero; delta = 1 means g-Ding semistability on toric valuations.
+    1 / (1 + max <a, b_g> over {A(a) <= 1}) = 1 / (1 - min_i <nu_i, b_g>),
+    as that dual polytope is minus the polar of P.  The normals positively
+    span, so delta < 1 iff b_g is nonzero; delta = 1 means g-Ding
+    semistability on toric valuations.  Exact when b_g is.
     """
-    from .invariants import weighted_barycenter
+    from .invariants import _barycenters
 
-    b = weighted_barycenter(P, g)
-    best_pair = -math.inf
-    best_w = None
-    for w in _dual_vertices(P):
-        wf = np.array([float(x) for x in w])
-        pairing = float(np.dot(wf, b))
-        if pairing > best_pair:
-            best_pair = pairing
-            best_w = wf
+    b, exact = _barycenters(P, g)
+    duals = _dual_vertices(P)
+    if exact is not None:
+        pairings = [_exact.dot(w, exact) for w in duals]
+    else:
+        pairings = [float(np.dot([float(x) for x in w], b)) for w in duals]
+    best_pair = max(pairings)
+    best_w = np.array([float(x) for x in duals[pairings.index(best_pair)]])
     # directions with <a, b_g> <= 0 have ratio >= 1, so delta caps at 1
-    delta = 1.0 / (1.0 + best_pair) if best_pair > 0 else 1.0
+    delta = float(1 / (1 + best_pair)) if best_pair > 0 else 1.0
     if with_direction:
         direction = best_w / np.linalg.norm(best_w)
         return delta, direction
@@ -440,9 +435,12 @@ def delta_toric(P: LabelledPolytope, g: WeightFunction, with_direction: bool = F
 
 
 def g_uniform_check(P: LabelledPolytope, g: WeightFunction, tol: float = 1e-8) -> dict:
-    """Torus-equivariant uniform stability check via the barycenter norm."""
-    from .invariants import weighted_barycenter
+    """Is b_g = 0?  Decided exactly where b_g is exact, else by norm < tol."""
+    from .invariants import _zero_barycenter
 
-    b = weighted_barycenter(P, g)
-    norm = float(np.linalg.norm(b))
-    return {"stable_modulo_torus": bool(norm < tol), "barycenter_norm": norm}
+    b, stable, rule = _zero_barycenter(P, g, tol)
+    return {
+        "stable_modulo_torus": stable,
+        "barycenter_norm": float(np.linalg.norm(b)),
+        "decided_by": rule,
+    }

@@ -356,3 +356,50 @@ def exp_energy_grid_argmin(P, lo=-2.0, hi=2.0, n=4001, block=64):
             best_val = float(W[i, j])
             best_xy = (float(X[i, 0]), float(xs[j]))
     return best_xy, best_val
+
+
+# ---------------------------------------------------------------------------
+# convex hull facets by brute-force hyperplane search (sympy)
+# ---------------------------------------------------------------------------
+
+
+def _primitive_ints(v) -> tuple[int, ...]:
+    scale = math.lcm(*(x.denominator for x in v))
+    ints = [int(x * scale) for x in v]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def hull_normals(points):
+    """Label-1 facet normals of conv(points), sorted by primitive normal.
+
+    Every n points whose differences have a one-dimensional sympy nullspace
+    span a hyperplane; it is a facet when all points lie on one side.  The
+    normal nu is scaled so <nu, p> = 1 on the facet.  Returns None unless
+    the hull is full-dimensional with the origin strictly inside.
+    """
+    import sympy
+
+    pts = sorted({tuple(frac(x) for x in p) for p in points})
+    n = len(pts[0])
+    rat = lambda x: sympy.Rational(x.numerator, x.denominator)  # noqa: E731
+    diffs = [[rat(x - b) for x, b in zip(p, pts[0])] for p in pts[1:]]
+    if sympy.Matrix(len(diffs), n, sum(diffs, [])).rank() < n:
+        return None
+    normals = set()
+    for combo in combinations(pts, n):
+        rows = [rat(x - b) for p in combo[1:] for x, b in zip(p, combo[0])]
+        ns = sympy.Matrix(n - 1, n, rows).nullspace()
+        if len(ns) != 1:
+            continue
+        w = [Fraction(int(x.p), int(x.q)) for x in ns[0]]
+        sides = [sum(a * b for a, b in zip(w, p)) for p in pts]
+        c = sum(a * b for a, b in zip(w, combo[0]))
+        if all(s >= c for s in sides):
+            w, c = [-a for a in w], -c
+        elif not all(s <= c for s in sides):
+            continue
+        if c <= 0:
+            return None
+        normals.add(tuple(a / c for a in w))
+    return sorted(normals, key=_primitive_ints)

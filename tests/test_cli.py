@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricgs as t
 from conftest import assert_close, golden_payload, run_cli
@@ -270,6 +272,80 @@ def test_pl_slope_of_wrong_length_reports_json_pointer(tmp_path):
     body = _error_body(cp)
     assert body["error"] == "SchemaViolation"
     assert body["pointer"] == "/pl/pieces/0/a"
+
+
+@pytest.mark.parametrize(
+    "body, pointer",
+    [
+        ({"normals": 5}, "/polytope/normals"),
+        ({"vertices": 5}, "/polytope/vertices"),
+        ({"vertices": [1, 2]}, "/polytope/vertices/0"),
+        ({"facets": [{"normal": 5}]}, "/polytope/facets/0/normal"),
+        ({"normals": [[1], [-1]], "labels": 3}, "/polytope/labels"),
+    ],
+    ids=["normals", "vertices", "vertex_row", "facet_normal", "labels"],
+)
+def test_malformed_polytope_json_reports_json_pointer(tmp_path, body, pointer):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(body))
+    cp = run_cli(["check-futaki", "--polytope", str(path), "--g", "constant:1"])
+    assert cp.returncode == 2, cp.stderr.decode()
+    err = _error_body(cp)
+    assert err["error"] == "SchemaViolation"
+    assert err["pointer"] == pointer
+
+
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(-3, 3),
+    st.sampled_from(["1/2", "-1", "x", "1/0"]),
+)
+_json_keys = st.sampled_from(["facets", "normals", "labels", "vertices", "normal", "label"])
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_json_keys, inner, max_size=3),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_json_values)
+def test_polytope_from_dict_returns_or_raises_a_validation_error(value):
+    from toricgs import cli, errors
+
+    try:
+        P = cli.polytope_from_dict(value)
+    except errors.ValidationError:
+        return
+    assert isinstance(P, t.LabelledPolytope)
+
+
+def test_facet_system_beyond_int64_exits_two(tmp_path):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({
+        "normals": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+        "labels": ["100000000000000000000001/100000000000000000000000", 1, 1, 1],
+    }))
+    cp = run_cli(["sg", "--polytope", str(path), "--g", "constant:1", "--a", "1,0", "--m", "2"])
+    assert cp.returncode == 2, cp.stderr.decode()
+    assert _error_body(cp)["error"] == "OverflowGuard"
+
+
+def test_barycenter_verdicts_are_exact_for_rational_weights():
+    # b_g = (1/(3*10^11), 0): tiny, but not zero
+    def report(command, poly, g):
+        return json.loads(run_cli([command, "--polytope", f"builtin:{poly}", "--g", g]).stdout)
+
+    d = report("delta", "p1xp1", "affine:1,1/100000000000,0")
+    assert d["results"]["stable_modulo_torus"] is False
+    assert d["results"]["delta"] < 1
+    assert d["diagnostics"]["decided_by"] == "exact"
+    f = report("check-futaki", "p1", "affine:1,1/100000000000")
+    assert f["results"]["futaki_vanishes"] is False
+    assert f["diagnostics"]["decided_by"] == "exact"
+    assert report("check-futaki", "p1", "exp_affine:0,1")["diagnostics"]["decided_by"] == "tol"
 
 
 def test_non_finite_report_is_never_rendered():

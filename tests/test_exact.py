@@ -1,4 +1,4 @@
-"""Exact rational row reduction (solve, int_solve, rank, nullspace) against sympy."""
+"""Exact rational row reduction (solve, int_solve, rank) against sympy."""
 
 import math
 from fractions import Fraction
@@ -37,12 +37,9 @@ _settings = settings(max_examples=150, deadline=None, derandomize=True)
 @_settings
 @given(_matrices())
 def test_rank_and_nullspace_match_sympy(data):
-    rows, n = data
+    rows, _ = data
     A = _sym(rows)
     assert _exact.rank(rows) == A.rank()
-    got = _exact.nullspace(rows, n)
-    want = [[_frac(x) for x in v] for v in A.nullspace()]
-    assert got == want
 
 
 @_settings

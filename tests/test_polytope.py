@@ -4,11 +4,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricgs as t
 from toricgs import errors
+from toricgs.cli import polytope_from_dict
+from toricgs.stability import _dual_vertices
 
-from oracles import cyclic_ccw, polygon_monomial_integral, triangle_monomial_integral
+from oracles import (
+    cyclic_ccw,
+    hull_normals,
+    polygon_monomial_integral,
+    triangle_monomial_integral,
+)
 
 
 EXPECTED_VOLUMES = {
@@ -180,3 +189,62 @@ def test_normals_f_and_vertices_f_are_floats(p2):
     assert p2.normals_f.dtype == np.float64
     assert p2.vertices_f.dtype == np.float64
     assert p2.vertices_f.shape == (3, 2)
+
+
+# ---------------------------------------------------------------------------
+# facets by polarity, against a brute-force hull
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _lattice_sets(draw):
+    n = draw(st.integers(2, 3))
+    r = 3 if n == 2 else 2
+    coord = st.integers(-r, r)
+    return draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=8))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_lattice_sets())
+def test_from_vertices_matches_brute_force_hull(pts):
+    want = hull_normals(pts)
+    if want is None:
+        with pytest.raises((errors.LowerDimensional, errors.OriginNotInterior)):
+            t.from_vertices(pts)
+        return
+    P = t.from_vertices(pts)
+    assert list(P.normals) == want
+    # round trips through the facet description and the JSON form
+    for Q in (t.from_facets(P.normals, [1] * len(P.normals)), polytope_from_dict(P.to_dict())):
+        assert (Q.normals, Q.vertices) == (P.normals, P.vertices)
+    assert _dual_vertices(P) == tuple(sorted(tuple(-x for x in nu) for nu in P.normals))
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        [(0, 0), (1, 0), (0, 1)],
+        [(-1, 0), (1, 0), (0, 1)],
+        [(1, 1), (2, 1), (1, 2)],
+        [(-1, -1, 0), (1, -1, 0), (0, 1, 0), (0, 0, 1)],
+        [(1,), (2,)],
+    ],
+    ids=["vertex", "edge", "outside", "facet_3d", "outside_1d"],
+)
+def test_origin_on_or_outside_hull_is_rejected(pts):
+    with pytest.raises(errors.OriginNotInterior):
+        t.from_vertices(pts)
+
+
+_HUGE_LABEL = ["100000000000000000000001/100000000000000000000000", 1, 1, 1]
+
+
+def test_integer_facet_overflow_is_guarded(p1):
+    square = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    P = t.from_facets(square, [Fraction(x) for x in _HUGE_LABEL])
+    with pytest.raises(errors.OverflowGuard):
+        P.lattice_points(2)
+    with pytest.raises(errors.OverflowGuard):
+        P.contains_lattice((0, 0), 2)
+    with pytest.raises(errors.OverflowGuard):
+        p1.contains_lattice((2**70,))

@@ -468,3 +468,20 @@ def test_g_uniform_check(p1, bl1p2, g_one, g_exp_x, solved_kr_bl1p2):
     r = t.g_uniform_check(bl1p2, solved_kr_bl1p2.weight)
     assert r["stable_modulo_torus"] is True
     assert r["barycenter_norm"] < 1e-10
+
+
+def test_zero_barycenter_is_decided_exactly_for_rational_weights(p1xp1, bl1p2, g_one):
+    from toricgs.invariants import weighted_barycenter_exact
+
+    tiny = t.WeightFunction.affine(1, [Fraction(1, 10**11), 0])
+    r = t.g_uniform_check(p1xp1, tiny)
+    assert r["stable_modulo_torus"] is False and r["decided_by"] == "exact"
+    assert t.g_uniform_check(p1xp1, g_one)["stable_modulo_torus"] is True
+    assert t.delta_toric(p1xp1, g_one) == 1.0
+    # delta = 1 / (1 - min_i <nu_i, b_g>), computed in Fractions
+    for P, g in ((p1xp1, tiny), (bl1p2, g_one)):
+        b = weighted_barycenter_exact(P, g)
+        low = min(sum(x * y for x, y in zip(nu, b)) for nu in P.normals)
+        assert low < 0
+        assert t.delta_toric(P, g) == float(1 / (1 - low))
+    assert t.g_uniform_check(p1xp1, t.WeightFunction.exp_affine(0, [1, 0]))["decided_by"] == "tol"
