@@ -9,6 +9,7 @@ Fractions or ints; vectors are lists of Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm, prod
 from typing import Sequence
 
 Vec = Sequence[Fraction]
@@ -76,50 +77,54 @@ def rank(rows: list[list[Fraction]]) -> int:
     return len(_rref(rows, len(rows[0]))[1])
 
 
-def det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    a = [list(r) for r in rows]
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            d = -d
-        d *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return d
+def _bareiss(a: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the square int
+    block of ``a``, in place; columns past it (a right-hand side) ride along.
 
-
-def int_solve(rows, rhs) -> tuple[list[int], int] | None:
-    """Solve a square integer system in ints: (numerators, denominator).
-
-    Fraction-free Gauss-Jordan elimination (Bareiss): every division is
-    exact, and at the end each diagonal entry equals the last pivot, so
-    x_i = numerators[i] / denominator with denominator > 0.  Much faster
-    than ``solve`` on Fractions.  Returns None when the matrix is singular.
+    Every division is exact.  Returns (p, sign): p is the last pivot, which
+    every diagonal entry equals at the end, and sign that of the row swaps,
+    so the block's determinant is sign * p.  p = 0 when the block is singular.
     """
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
     n = len(a)
-    prev = 1
+    prev, sign = 1, 1
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
-            return None
-        a[k], a[piv] = a[piv], a[k]
+            return 0, sign
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
         p = a[k][k]
         for i in range(n):
             if i != k:
                 f = a[i][k]
                 a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], a[k])]
         prev = p
-    sign = 1 if prev > 0 else -1
-    return [sign * a[i][n] for i in range(n)], sign * prev
+    return prev, sign
+
+
+def det(rows) -> Fraction:
+    """Exact determinant: each row scaled to ints, then ``_bareiss``."""
+    scales = [lcm(*(x.denominator for x in r)) for r in rows]
+    a = [[int(x * m) for x in r] for r, m in zip(rows, scales)]
+    p, sign = _bareiss(a)
+    return Fraction(sign * p, prod(scales))
+
+
+def int_solve(rows, rhs) -> tuple[list[int], int] | None:
+    """Solve a square integer system in ints: (numerators, denominator).
+
+    ``_bareiss`` on the augmented rows: at the end each diagonal entry
+    equals the last pivot, so x_i = numerators[i] / denominator with
+    denominator > 0.  Much faster than ``solve`` on Fractions.  Returns None
+    when the matrix is singular.
+    """
+    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+    p, _ = _bareiss(a)
+    if p == 0:
+        return None
+    sign = 1 if p > 0 else -1
+    return [sign * r[-1] for r in a], sign * p
 
 
 def primitive(v: Vec) -> tuple[Fraction, ...]:
@@ -127,8 +132,6 @@ def primitive(v: Vec) -> tuple[Fraction, ...]:
 
     Keeps orientation (multiplies by a positive rational only).
     """
-    from math import gcd, lcm
-
     dens = [x.denominator for x in v]
     scale = lcm(*dens) if dens else 1
     ints = [int(x * scale) for x in v]

@@ -98,9 +98,9 @@ class SingularMomentMatrix(NumericalFailure):
 
 
 class NewtonDiverged(NumericalFailure):
-    """Damped Newton failed to reduce the residual.
+    """A root finder or the shooting solve missed its residual tolerance.
 
-    Carries the damping history for diagnosis.
+    Carries the residual history for diagnosis (one entry for ``solve_ma``).
     """
 
     def __init__(self, message: str, history: list | None = None):

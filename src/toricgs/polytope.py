@@ -292,7 +292,7 @@ def from_facets(normals, labels) -> LabelledPolytope:
     Inputs are rescaled so every label becomes 1 (each normal is divided by
     its label).  The system must be bounded (checked by :func:`_polar`),
     which with the origin strictly inside makes it full-dimensional, and
-    every facet must be tight.
+    every facet must be tight and appear once after the rescaling.
     """
     if len(normals) != len(labels):
         raise PolytopeError("normals and labels must have equal length")
@@ -311,7 +311,10 @@ def from_facets(normals, labels) -> LabelledPolytope:
             raise PolytopeError(f"facet {i} has wrong dimension")
         if all(x == 0 for x in p):
             raise DegenerateFacet(f"facet {i} has zero normal", index=i)
-        nus.append(tuple(x / lab for x in p))
+        nu = tuple(x / lab for x in p)
+        if nu in nus:
+            raise DegenerateFacet(f"facet {i} repeats facet {nus.index(nu)}", index=i)
+        nus.append(nu)
 
     vertices = tuple(sorted(_polar(nus)))
     for i, nu in enumerate(nus):

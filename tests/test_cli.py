@@ -322,6 +322,14 @@ def test_polytope_from_dict_returns_or_raises_a_validation_error(value):
     assert isinstance(P, t.LabelledPolytope)
 
 
+def test_repeated_facet_normal_exits_two(tmp_path):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"normals": [[2], [1], [-1]], "labels": [2, 1, 1]}))
+    cp = run_cli(["check-futaki", "--polytope", str(path), "--g", "constant:1"])
+    assert cp.returncode == 2, cp.stderr.decode()
+    assert _error_body(cp)["error"] == "DegenerateFacet"
+
+
 def test_facet_system_beyond_int64_exits_two(tmp_path):
     path = tmp_path / "poly.json"
     path.write_text(json.dumps({
@@ -363,6 +371,14 @@ def test_numerical_failure_exits_one():
     assert cp.returncode == 1
     body = _error_body(cp)
     assert body["error"] == "WindowTooSmall"
+
+
+def test_shooting_residual_failure_reports_one_history_entry():
+    cp = run_cli(["solve-ma", "--polytope", "builtin:p1", "--g", "exp_affine:0,1/2", "--grid-n", "4001"])
+    assert cp.returncode == 1
+    body = _error_body(cp)
+    assert body["error"] == "NewtonDiverged"
+    assert len(body["history_tail"]) == 1 and body["history_tail"][0] > 1e-10
 
 
 def test_report_of_report_is_rejected(tmp_path, golden_runs):

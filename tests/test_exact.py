@@ -1,4 +1,4 @@
-"""Exact rational row reduction (solve, int_solve, rank) against sympy."""
+"""Exact rational row reduction (solve, int_solve, det, rank) against sympy."""
 
 import math
 from fractions import Fraction
@@ -50,6 +50,7 @@ def test_solve_matches_sympy(data, rhs):
     square = [r[:k] for r in rows[:k]]
     got = _exact.solve(square, rhs[:k])
     A = _sym(square)
+    assert _exact.det(square) == _frac(A.det())
     if A.det() == 0:
         assert got is None
     else:

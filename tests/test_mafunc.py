@@ -1,7 +1,6 @@
 """Monge-Ampère solver and Archimedean functional suite."""
 
 import math
-import random
 import sys
 from fractions import Fraction
 
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricgs as t
-from toricgs import _exact, quadrature
+from toricgs import quadrature
 from toricgs.errors import (
     NewtonDiverged,
     NonConvexInput,
@@ -24,7 +23,6 @@ from toricgs.mafunc import (
     _antiderivative,
     _antiderivative_inverse,
     _brentq,
-    _solve_tridiagonal,
     ding_ray_diagnostic,
     weight_mass,
 )
@@ -204,6 +202,17 @@ def test_window_gap_is_an_o_h_layer_so_a_wider_window_needs_more_nodes(p1):
     assert out.tail_gap < 1e-4
 
 
+def test_residual_above_tol_is_one_shooting_residual(p1):
+    # the shooting residual floor grows like N^2 (rounding in diff(u)/h);
+    # at N = 4001 it passes 1e-10 for e^{x/2}, and the solver reports that
+    # one residual instead of iterating on it
+    g = t.WeightFunction.exp_affine(0, (Fraction(1, 2),))
+    with pytest.raises(NewtonDiverged, match="shooting residual") as info:
+        t.solve_ma(p1, g, grid=t.Grid1D(N=4001))
+    assert len(info.value.history) == 1
+    assert info.value.history[0] > 1e-10
+
+
 def test_polynomial_path_matches_closed_form_affine_inverse():
     # an affine weight written as a polynomial goes through the Newton
     # inverse of G; the affine kind inverts G in closed form
@@ -218,47 +227,6 @@ def test_polynomial_path_matches_closed_form_affine_inverse():
 # ---------------------------------------------------------------------------
 # private numerical routines of the solver, against in-repo oracles
 # ---------------------------------------------------------------------------
-
-
-def test_solve_tridiagonal_matches_exact_rational_solve():
-    rng = random.Random(11)
-    pivoted = 0
-    for trial in range(200):
-        n = rng.randint(2, 12)
-        rand = lambda: Fraction(rng.randint(-40, 40), rng.randint(1, 9))  # noqa: E731
-        dl = [rand() for _ in range(n - 1)]
-        du = [rand() for _ in range(n - 1)]
-        d = [rand() for _ in range(n)]
-        if trial % 2:  # zero diagonal entries force row interchanges
-            for i in rng.sample(range(n - 1), k=rng.randint(1, n - 1)):
-                d[i] = Fraction(0)
-                dl[i] = dl[i] or Fraction(1)
-            pivoted += 1
-        b = [rand() for _ in range(n)]
-        rows = [[d[i] if j == i else dl[j] if j == i - 1 else du[i] if j == i + 1 else Fraction(0)
-                 for j in range(n)] for i in range(n)]
-        exact = _exact.solve(rows, b)
-        as_float = lambda v: np.array([float(x) for x in v])  # noqa: E731
-        if exact is None:
-            with pytest.raises(np.linalg.LinAlgError):
-                _solve_tridiagonal(as_float(dl), as_float(d), as_float(du), as_float(b))
-            continue
-        x = _solve_tridiagonal(as_float(dl), as_float(d), as_float(du), as_float(b))
-        want = as_float(exact)
-        assert float(np.max(np.abs(x - want))) <= 1e-12 * float(np.max(np.abs(want))), (trial, n)
-    assert pivoted == 100
-
-
-def test_solve_tridiagonal_rejects_singular_and_non_finite_systems():
-    one = np.ones(2)
-    with pytest.raises(np.linalg.LinAlgError):  # rows (1 1 0), (1 1 0), (0 1 1)
-        _solve_tridiagonal(one, np.ones(3), np.array([1.0, 0.0]), np.ones(3))
-    with pytest.raises(np.linalg.LinAlgError):  # a zero first column
-        _solve_tridiagonal(np.zeros(2), np.array([0.0, 1.0, 1.0]), one, np.ones(3))
-    with pytest.raises(ValueError):
-        _solve_tridiagonal(one, np.array([1.0, math.nan, 1.0]), one, np.ones(3))
-    with pytest.raises(ValueError):
-        _solve_tridiagonal(one, np.full(3, 3.0), one, np.array([1.0, math.inf, 1.0]))
 
 
 @pytest.mark.parametrize(

@@ -68,6 +68,15 @@ def test_from_facets_negative_label_rejected():
         t.from_facets([(1,), (-1,)], [1, -1])
 
 
+def test_from_facets_repeated_normal_rejected():
+    # the second copy of x <= 1 is redundant, also when it shows only after
+    # dividing by the labels
+    for normals, labels in (([(1,), (1,), (-1,)], [1, 1, 1]), ([(2,), (1,), (-1,)], [2, 1, 1])):
+        with pytest.raises(errors.DegenerateFacet) as info:
+            t.from_facets(normals, labels)
+        assert info.value.index == 1
+
+
 def test_from_facets_unbounded_rejected():
     with pytest.raises(errors.PolytopeError):
         t.from_facets([(1, 0), (0, 1)], [1, 1])
