@@ -7,7 +7,7 @@ be re-rendered or re-executed by the ``report`` subcommand.  Output is
 deterministic: identical inputs and seed give byte-identical JSON.
 
 Exit codes: 0 success, 2 validation error (structured JSON on stderr),
-1 numerical failure.
+1 numerical failure, a float overflow or division by zero included.
 """
 
 from __future__ import annotations
@@ -247,8 +247,11 @@ def _decode_polytope(inputs: dict) -> LabelledPolytope:
     return polytope_from_dict(inputs["polytope"])
 
 
-def _decode_weight(inputs: dict) -> WeightFunction:
-    return WeightFunction.from_dict(inputs["g"])
+def _decode_weight(inputs: dict, P: LabelledPolytope) -> WeightFunction:
+    """The weight, certified positive on P (every command needs g > 0)."""
+    g = WeightFunction.from_dict(inputs["g"])
+    g.check_positive(P)
+    return g
 
 
 def _decode_direction(inputs: dict, P: LabelledPolytope):
@@ -267,7 +270,7 @@ def _positive_int(inputs: dict, key: str, default: int) -> int:
 
 def _run_check_futaki(inputs: dict):
     P = _decode_polytope(inputs)
-    g = _decode_weight(inputs)
+    g = _decode_weight(inputs, P)
     tol = inputs.get("tol", 1e-10)
     b, vanishes, rule = invariants._zero_barycenter(P, g, tol)
     norm = float(np.linalg.norm(b))
@@ -314,7 +317,7 @@ def _run_solve_soliton(inputs: dict):
 
 def _run_sg(inputs: dict):
     P = _decode_polytope(inputs)
-    g = _decode_weight(inputs)
+    g = _decode_weight(inputs, P)
     a = _decode_direction(inputs, P)
     A = stability.log_discrepancy(P, a)
     S = stability.s_g(P, g, a)
@@ -331,7 +334,7 @@ def _run_sg(inputs: dict):
 
 def _run_delta(inputs: dict):
     P = _decode_polytope(inputs)
-    g = _decode_weight(inputs)
+    g = _decode_weight(inputs, P)
     delta, direction = stability.delta_toric(P, g, with_direction=True)
     check = stability.g_uniform_check(P, g, tol=inputs.get("tol", 1e-8))
     results = {
@@ -345,7 +348,7 @@ def _run_delta(inputs: dict):
 
 def _run_ding_na(inputs: dict):
     P = _decode_polytope(inputs)
-    g = _decode_weight(inputs)
+    g = _decode_weight(inputs, P)
     a = _decode_direction(inputs, P)
     A = stability.log_discrepancy(P, a)
     S = stability.s_g(P, g, a)
@@ -376,7 +379,7 @@ def _decode_pl(inputs: dict, P: LabelledPolytope) -> PLConvexFunction:
 
 def _run_dh(inputs: dict):
     P = _decode_polytope(inputs)
-    g = _decode_weight(inputs)
+    g = _decode_weight(inputs, P)
     f = _decode_pl(inputs, P)
     m = _positive_int(inputs, "m", 20)
     sample = stability.dh_g_filtration(P, g, f, m)
@@ -389,7 +392,7 @@ def _run_dh(inputs: dict):
     ]
     results = {
         "m": m,
-        "lattice_points": len(sample.entries),
+        "lattice_points": len(sample.points),
         "total_mass": sample.total_mass,
         "mean": sample.mean,
         "atoms": atoms,
@@ -414,7 +417,7 @@ def _grid_from_inputs(inputs: dict) -> Grid1D:
 
 def _run_solve_ma(inputs: dict):
     P = _decode_polytope(inputs)
-    g = _decode_weight(inputs)
+    g = _decode_weight(inputs, P)
     grid = _grid_from_inputs(inputs)
     tol = float(inputs.get("tol", 1e-10))
     u = mafunc.solve_ma(P, g, grid=grid, tol=tol)
@@ -440,7 +443,7 @@ def _run_solve_ma(inputs: dict):
 
 def _run_functionals(inputs: dict):
     P = _decode_polytope(inputs)
-    g = _decode_weight(inputs)
+    g = _decode_weight(inputs, P)
     if "potential" not in inputs:
         raise SchemaViolation("functionals needs --u with a potential file", "/potential")
     u = DiscretePotential.from_dict(inputs["potential"], P)
@@ -450,7 +453,7 @@ def _run_functionals(inputs: dict):
 
 def _run_inequalities(inputs: dict):
     P = _decode_polytope(inputs)
-    g = _decode_weight(inputs)
+    g = _decode_weight(inputs, P)
     samples = _positive_int(inputs, "samples", 100)
     seed = int(inputs.get("seed", 0))
     grid = _grid_from_inputs(inputs)
@@ -476,7 +479,10 @@ def run_command(command: str, inputs: dict) -> dict:
     """Execute a command from its canonical inputs and build the report."""
     if command not in _RUNNERS:
         raise UnknownCommand(f"unknown command {command!r}")
-    results, diagnostics = _RUNNERS[command](inputs)
+    # numpy's float warnings would break the one-JSON-object stderr of a
+    # failure; a non-finite result still fails in render_report
+    with np.errstate(all="ignore"):
+        results, diagnostics = _RUNNERS[command](inputs)
     report = {
         "command": command,
         "inputs": inputs,
@@ -651,6 +657,10 @@ def main(argv=None) -> int:
         return 2
     except NumericalFailure as exc:
         _emit_error(exc)
+        return 1
+    except (OverflowError, ZeroDivisionError) as exc:
+        # a float that left its range: the result would not be finite
+        _emit_error(NumericalFailure(f"floating-point range exceeded: {type(exc).__name__}: {exc}"))
         return 1
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -284,72 +285,106 @@ def _pl_min(pieces, cells) -> Fraction:
 # filtration samples (finite m)
 # ---------------------------------------------------------------------------
 
+# int64 numerators and denominators up to 2^53 convert to float exactly, so a
+# float division of the two rounds once, like the Fraction it replaces
+_EXACT_INT = 2**53
 
-@dataclass
+
+def _quotient(k: np.ndarray, d: int) -> np.ndarray:
+    """k / d rounded once to float: exact int64 operands, or Python ints."""
+    return np.asarray(k / d, dtype=float)
+
+
+class _Entries(Sequence):
+    """The (u, lambda_u, g(u/m)) triples of a sample, built on access."""
+
+    def __init__(self, sample: "FiltrationSample"):
+        self._sample = sample
+
+    def __len__(self) -> int:
+        return len(self._sample.points)
+
+    def __getitem__(self, i):
+        s = self._sample
+        return tuple(int(x) for x in s.points[i]), float(s._lambdas[i]), float(s.weights[i])
+
+
+@dataclass(eq=False)
 class FiltrationSample:
     """Lattice sample of a PL filtration at level m.
 
-    ``entries`` holds (u, lambda_u, g(u/m)) per lattice point u of mP with
-    lambda_u = m f(u/m); the measure nu_m places mass (n!/m^n) g(u/m) at
-    lambda_u / m, and f_m is the complementary cumulative weight function.
+    Row i of ``points`` is a lattice point u of mP, with weight g(u/m) in
+    ``weights`` and lambda_u = m f(u/m) = m k / D exactly, for k the integer
+    ``numerators[i]`` and D the integer ``denominator``.  The measure nu_m
+    places mass (n!/m^n) g(u/m) at lambda_u / m = k / D, and f_m is the
+    complementary cumulative weight function.  ``entries`` views the rows as
+    (u, lambda_u, g(u/m)) tuples.
     """
 
     m: int
     dim: int
-    entries: list
-    _positions_exact: list  # Fraction positions lambda_u / m, same order
+    points: np.ndarray
+    numerators: np.ndarray  # int64, or Python ints (object) past 2^53
+    denominator: int
+    weights: np.ndarray
+
+    @property
+    def entries(self) -> _Entries:
+        return _Entries(self)
 
     @cached_property
     def _scale(self) -> float:
         return math.factorial(self.dim) / self.m**self.dim
 
+    @cached_property
+    def _lambdas(self) -> np.ndarray:
+        return _quotient(self.numerators, self.denominator // self.m)
+
     def f_m(self, lam: float) -> float:
-        """(n!/m^n) * sum of g(u/m) over entries with lambda_u >= m*lam."""
-        thr = self.m * lam
-        return self._scale * math.fsum(
-            w for _, l, w in self.entries if l >= thr
-        )
+        """(n!/m^n) * sum of g(u/m) over points with lambda_u >= m*lam."""
+        return self._scale * math.fsum(self.weights[self._lambdas >= self.m * lam])
 
     @cached_property
     def nu_atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted distinct atom positions of nu_m and their masses."""
-        agg: dict[Fraction, float] = {}
-        for (_, _, w), pos in zip(self.entries, self._positions_exact):
-            agg[pos] = agg.get(pos, 0.0) + w
-        pos_sorted = sorted(agg)
-        masses = np.array([self._scale * agg[p] for p in pos_sorted])
-        return np.array([float(p) for p in pos_sorted]), masses
+        atoms, inverse = np.unique(self.numerators, return_inverse=True)
+        # bincount adds the weights of an atom in lattice order
+        masses = self._scale * np.bincount(inverse, weights=self.weights)
+        return _quotient(atoms, self.denominator), masses
 
     @cached_property
     def total_mass(self) -> float:
-        return self._scale * math.fsum(w for _, _, w in self.entries)
+        return self._scale * math.fsum(self.weights)
 
     @cached_property
     def mean(self) -> float:
         """Barycenter of nu_m normalized to a probability measure."""
-        num = math.fsum(
-            float(p) * w for (_, _, w), p in zip(self.entries, self._positions_exact)
-        )
-        den = math.fsum(w for _, _, w in self.entries)
-        return num / den
+        positions = _quotient(self.numerators, self.denominator)
+        return math.fsum(positions * self.weights) / math.fsum(self.weights)
 
 
 def dh_g_filtration(
     P: LabelledPolytope, g: WeightFunction, f: PLConvexFunction, m: int
 ) -> FiltrationSample:
-    """Sample the filtration encoded by f on the lattice points of mP."""
+    """Sample the filtration encoded by f on the lattice points of mP.
+
+    With L the common denominator of the pieces, L m f(u/m) is the integer
+    max_j (<L a_j, u> + L m c_j), so every value is one row of an integer
+    matrix product over the lattice points: in int64 when an a-priori bound
+    keeps its entries and L m within 2^53, else in Python ints.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     U = P.lattice_points(m)
-    X = U.astype(float) / m
-    weights = g.value(X)
-    entries = []
-    positions = []
-    for u, w in zip(U, weights):
-        pos = f.value_exact(tuple(Fraction(int(x), m) for x in u))
-        positions.append(pos)
-        entries.append((tuple(int(x) for x in u), float(m * pos), float(w)))
-    return FiltrationSample(m=m, dim=P.dim, entries=entries, _positions_exact=positions)
+    weights = g.value(U.astype(float) / m)
+    L = math.lcm(*(x.denominator for a, c in f.pieces for x in (*a, c)))
+    A = [[x.numerator * (L // x.denominator) for x in a] for a, _ in f.pieces]
+    C = [c.numerator * (L // c.denominator) * m for _, c in f.pieces]
+    umax = np.abs(U).max(axis=0).tolist()
+    bound = max(abs(c) + sum(abs(x) * b for x, b in zip(a, umax)) for a, c in zip(A, C))
+    dtype = np.int64 if max(bound, L * m) <= _EXACT_INT else object
+    k = (U.astype(dtype) @ np.array(A, dtype=dtype).T + np.array(C, dtype=dtype)).max(axis=1)
+    return FiltrationSample(m, P.dim, U, k, L * m, weights)
 
 
 # ---------------------------------------------------------------------------

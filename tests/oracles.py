@@ -260,6 +260,54 @@ def pl_minimum(P, pieces) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# finite-m filtration, one Fraction evaluation per lattice point
+# ---------------------------------------------------------------------------
+
+
+class LoopFiltration:
+    """nu_m of a PL function f on the lattice points of mP, point by point.
+
+    Each position f(u/m) is an exact Fraction; atoms are aggregated in a
+    dict keyed by position, adding the weights in lattice order.
+    """
+
+    def __init__(self, P, g, f, m: int):
+        U = P.lattice_points(m)
+        weights = g.value(U.astype(float) / m)
+        self.m = m
+        self.scale = math.factorial(P.dim) / m**P.dim
+        self.entries = []
+        self.positions = []
+        for u, w in zip(U, weights):
+            x = [Fraction(int(v), m) for v in u]
+            pos = max(sum(a_i * x_i for a_i, x_i in zip(a, x)) + c for a, c in f.pieces)
+            self.positions.append(pos)
+            self.entries.append((tuple(int(v) for v in u), float(m * pos), float(w)))
+
+    def f_m(self, lam: float) -> float:
+        thr = self.m * lam
+        return self.scale * math.fsum(w for _, l, w in self.entries if l >= thr)
+
+    @property
+    def nu_atoms(self):
+        agg = {}
+        for (_, _, w), pos in zip(self.entries, self.positions):
+            agg[pos] = agg.get(pos, 0.0) + w
+        order = sorted(agg)
+        return (np.array([float(p) for p in order]),
+                np.array([self.scale * agg[p] for p in order]))
+
+    @property
+    def total_mass(self) -> float:
+        return self.scale * math.fsum(w for _, _, w in self.entries)
+
+    @property
+    def mean(self) -> float:
+        num = math.fsum(float(p) * w for (_, _, w), p in zip(self.entries, self.positions))
+        return num / math.fsum(w for _, _, w in self.entries)
+
+
+# ---------------------------------------------------------------------------
 # brute-force membership grids
 # ---------------------------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Command-line front end: parsing, reports, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -394,3 +396,66 @@ def test_cli_import_loads_no_scipy():
     cp = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sg", "--g", "affine:1,-2", "--a", "1", "--m", "5"],
+    ["ding-na", "--g", "affine:1,-2", "--a", "1"],
+    ["sg", "--g", "affine:0,1", "--a", "1"],
+], ids=["sg_lattice", "ding_na", "sg_zero_at_vertex"])
+def test_weight_not_positive_exits_two_in_every_command(argv):
+    cp = run_cli([argv[0], "--polytope", "builtin:p1", *argv[1:]])
+    assert cp.returncode == 2, cp.stderr.decode()
+    assert _error_body(cp)["error"] == "PositivityViolated"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-futaki", "--g", "exp_affine:0,800"],
+    ["delta", "--g", "exp_affine:0,800"],
+    ["sg", "--g", "exp_affine:0,800", "--a", "1"],
+    ["dh", "--g", "exp_affine:0,800", "--a", "1"],
+    ["sg", "--g", "exp_affine:-800,0", "--a", "1"],
+    ["dh", "--g", "exp_affine:-800,0", "--a", "1"],
+    ["delta", "--g", "exp_affine:-800,0"],
+    ["dh", "--g", "exp_affine:709,0", "--a", "1"],
+], ids=lambda argv: f"{argv[0]}:{argv[2]}")
+def test_float_range_error_is_a_numerical_failure(argv):
+    cp = run_cli([argv[0], "--polytope", "builtin:p1", *argv[1:]])
+    assert cp.returncode == 1, cp.stderr.decode()
+    assert _error_body(cp)["error"] == "NumericalFailure"
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(["check-futaki", "delta", "sg", "ding-na", "dh"]))
+    name = draw(st.sampled_from(["p1", "p2", "p1xp1", "bl1p2"]))
+    n = 1 if name == "p1" else 2
+    kind = draw(st.sampled_from(["constant", "affine", "exp_affine"]))
+    coeff = st.integers(-3, 3)
+    if kind == "exp_affine":
+        coeff |= st.integers(-900, 900)
+    coeffs = draw(st.lists(coeff, min_size=1 if kind == "constant" else n + 1,
+                           max_size=1 if kind == "constant" else n + 1))
+    argv = [command, "--polytope", f"builtin:{name}", "--g", f"{kind}:" + ",".join(map(str, coeffs))]
+    if command in ("sg", "ding-na", "dh"):
+        a = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        argv.append("--a=" + ",".join(map(str, a)))
+    if command in ("sg", "dh"):
+        argv += ["--m", str(draw(st.integers(1, 6)))]
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_fuzz_argv())
+def test_cli_argv_fuzz_exits_cleanly(argv):
+    from toricgs import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in (0, 1, 2)
+    if rc:
+        body = json.loads(err.getvalue())
+        assert isinstance(body, dict) and "error" in body
+    else:
+        assert json.loads(out.getvalue())["command"] == argv[0]

@@ -12,7 +12,7 @@ import toricgs as t
 from toricgs import errors
 
 from conftest import assert_close, norm_inf
-from oracles import grid_integral, pl_minimum
+from oracles import LoopFiltration, grid_integral, pl_minimum
 
 
 COTH1 = 1 / math.tanh(1)
@@ -226,6 +226,64 @@ def test_filtration_f_m_is_complementary_cumulative(p1, g_one, abs_x):
     assert fs.f_m(0.25) == pytest.approx(2.0, abs=1e-15)
     assert fs.f_m(0.75) == pytest.approx(1.0, abs=1e-15)
     assert fs.f_m(1.25) == 0.0
+
+
+def _assert_matches_loop(P, g, f, m):
+    fs = t.dh_g_filtration(P, g, f, m)
+    ref = LoopFiltration(P, g, f, m)
+    (pos, mass), (want_pos, want_mass) = fs.nu_atoms, ref.nu_atoms
+    assert np.array_equal(pos, want_pos) and np.array_equal(mass, want_mass)
+    assert fs.total_mass == ref.total_mass and fs.mean == ref.mean
+    assert [fs.f_m(x) for x in pos] == [ref.f_m(x) for x in pos]
+    assert len(fs.entries) == len(ref.entries) and list(fs.entries) == ref.entries
+    return fs
+
+
+@st.composite
+def _filtration_cases(draw):
+    # the cross-polytope conv(+-e_i) keeps the origin interior
+    n = draw(st.integers(1, 3))
+    r = 3 if n < 3 else 2
+    axes = [draw(st.tuples(st.integers(1, r), st.integers(1, r))) for _ in range(n)]
+    pts = [tuple(s * (i == j) for j in range(n)) for i, (hi, lo) in enumerate(axes) for s in (hi, -lo)]
+    pts += draw(st.lists(st.tuples(*[st.integers(-r, r)] * n), max_size=3))
+    pieces = draw(st.lists(st.tuples(st.tuples(*[_fractions] * n), _fractions), min_size=1, max_size=4))
+    b = draw(st.tuples(*[st.fractions(-1, 1, max_denominator=4)] * n))
+    g = draw(st.sampled_from([t.WeightFunction.constant(Fraction(3, 2)), t.WeightFunction.exp_affine(0, b)]))
+    return t.from_vertices(pts), g, tuple(pieces), draw(st.integers(1, 12))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_filtration_cases())
+def test_filtration_matches_the_per_point_fraction_loop(case):
+    P, g, pieces, m = case
+    _assert_matches_loop(P, g, t.PLConvexFunction(P, pieces), m)
+
+
+def test_filtration_numerators_past_2_53_take_python_ints(p1, p1xp1, g_one, g_exp_x):
+    # f(0) = (2^53 + 1)/7: numerator 2^53 + 1 rounds on its way to a float,
+    # so k / D in int64 arithmetic would miss the correctly rounded position
+    f = t.PLConvexFunction(p1, (((Fraction(2**53 + 1, 7),), 0),))
+    fs = _assert_matches_loop(p1, g_exp_x, f, 1)
+    assert fs.numerators.dtype == object and fs.denominator == 7
+    assert fs.nu_atoms[0][1] == (2**53 + 1) / 7 != float(2**53 + 1) / 7
+    # 10^12-scale denominators, as float pieces from the CLI give, and a mix
+    # of float and rational pieces on the square
+    pieces = (((Fraction(1, 999999999989), Fraction(-3, 7)), Fraction(1, 999999999959)),
+              ((0.1234567, -0.75), 0.3), ((-1, 1), 0))
+    fs = _assert_matches_loop(p1xp1, g_one, t.PLConvexFunction(p1xp1, pieces), 9)
+    assert fs.numerators.dtype == object
+
+
+@pytest.mark.parametrize("slope,m,dtype", [
+    (Fraction(1, 2**52), 2, np.int64),  # L m = 2^53
+    (Fraction(1, 2**52), 3, object),  # L m = 3 * 2^52
+    (Fraction(2**52), 1, np.int64),  # |C| + |A| max|u| = 2^53
+    (Fraction(2**52 + 1), 1, object),  # 2^53 + 2
+])
+def test_filtration_int64_bound_is_2_53(p1, g_exp_x, slope, m, dtype):
+    f = t.PLConvexFunction(p1, (((slope,), 0),))
+    assert _assert_matches_loop(p1, g_exp_x, f, m).numerators.dtype == dtype
 
 
 # ---------------------------------------------------------------------------
