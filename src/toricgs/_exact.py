@@ -1,9 +1,10 @@
 """Exact rational linear algebra on `fractions.Fraction` matrices.
 
-Small dense routines (n <= 4 throughout the package): the integer solve of
-polar vertex enumeration, determinants for its boundedness test and for
-volumes, and the rational solve paths.  Matrices are lists of lists of
-Fractions or ints; vectors are lists of Fractions.
+Small dense routines (n <= 4 throughout the package), all on one
+fraction-free integer elimination, ``_bareiss``: the integer solve of polar
+vertex enumeration and of the Mabuchi moment system, determinants for the
+boundedness test and for volumes, and ranks.  Matrices are lists of lists
+of Fractions or ints; vectors are lists of Fractions.
 """
 
 from __future__ import annotations
@@ -32,83 +33,55 @@ def dot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 
 
-def _rref(rows: list[list[Fraction]], ncols: int):
-    """Reduced row echelon form over the first ``ncols`` columns.
+def _int_rows(rows) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators: (int rows, the scales)."""
+    scales = [lcm(*(x.denominator for x in r)) for r in rows]
+    return [[int(x * m) for x in r] for r, m in zip(rows, scales)], scales
 
-    Returns (reduced rows, pivot columns); columns past ``ncols`` (an
-    augmented right-hand side) are carried along but never pivoted on.
+
+def _bareiss(a: list[list[int]], ncols: int) -> tuple[int, int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the int rows ``a``
+    over their first ``ncols`` columns, in place; columns past them (a
+    right-hand side) ride along.  Any shape and rank.
+
+    A column with no nonzero entry below the pivot rows is skipped, so every
+    entry stays a minor of the input and every division is exact.  Returns
+    (rank, p, sign): p is the last pivot (1 when there is none), which every
+    pivot entry equals at the end, and sign that of the row swaps, so a
+    square block of full rank has determinant sign * p.
     """
-    a = [list(r) for r in rows]
-    m = len(a)
-    pivots: list[int] = []
+    prev, sign, rk = 1, 1, 0
     for col in range(ncols):
-        rk = len(pivots)
-        if rk == m:
+        if rk == len(a):
             break
-        piv = next((r for r in range(rk, m) if a[r][col] != 0), None)
+        piv = next((i for i in range(rk, len(a)) if a[i][col]), None)
         if piv is None:
             continue
-        a[rk], a[piv] = a[piv], a[rk]
-        inv = Fraction(1) / a[rk][col]
-        a[rk] = [x * inv for x in a[rk]]
-        for r in range(m):
-            if r != rk and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rk])]
-        pivots.append(col)
-    return a, pivots
-
-
-def solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve a square rational system by Gauss-Jordan elimination.
-
-    Returns None when the matrix is singular.
-    """
-    n = len(rows)
-    a, pivots = _rref([list(r) + [rhs[i]] for i, r in enumerate(rows)], n)
-    if len(pivots) < n:
-        return None
-    return [a[i][n] for i in range(n)]
+        if piv != rk:
+            a[rk], a[piv] = a[piv], a[rk]
+            sign = -sign
+        p = a[rk][col]
+        for i in range(len(a)):
+            if i != rk:
+                f = a[i][col]
+                a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], a[rk])]
+        prev = p
+        rk += 1
+    return rk, prev, sign
 
 
 def rank(rows: list[list[Fraction]]) -> int:
+    """Exact rank of a rational matrix: its rows scaled to ints, then ``_bareiss``."""
     if not rows:
         return 0
-    return len(_rref(rows, len(rows[0]))[1])
-
-
-def _bareiss(a: list[list[int]]) -> tuple[int, int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of the square int
-    block of ``a``, in place; columns past it (a right-hand side) ride along.
-
-    Every division is exact.  Returns (p, sign): p is the last pivot, which
-    every diagonal entry equals at the end, and sign that of the row swaps,
-    so the block's determinant is sign * p.  p = 0 when the block is singular.
-    """
-    n = len(a)
-    prev, sign = 1, 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return 0, sign
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        p = a[k][k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], a[k])]
-        prev = p
-    return prev, sign
+    return _bareiss(_int_rows(rows)[0], len(rows[0]))[0]
 
 
 def det(rows) -> Fraction:
     """Exact determinant: each row scaled to ints, then ``_bareiss``."""
-    scales = [lcm(*(x.denominator for x in r)) for r in rows]
-    a = [[int(x * m) for x in r] for r, m in zip(rows, scales)]
-    p, sign = _bareiss(a)
-    return Fraction(sign * p, prod(scales))
+    a, scales = _int_rows(rows)
+    rk, p, sign = _bareiss(a, len(a))
+    return Fraction(sign * p, prod(scales)) if rk == len(a) else Fraction(0)
 
 
 def int_solve(rows, rhs) -> tuple[list[int], int] | None:
@@ -116,12 +89,11 @@ def int_solve(rows, rhs) -> tuple[list[int], int] | None:
 
     ``_bareiss`` on the augmented rows: at the end each diagonal entry
     equals the last pivot, so x_i = numerators[i] / denominator with
-    denominator > 0.  Much faster than ``solve`` on Fractions.  Returns None
-    when the matrix is singular.
+    denominator > 0.  Returns None when the matrix is singular.
     """
     a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    p, _ = _bareiss(a)
-    if p == 0:
+    rk, p, _ = _bareiss(a, len(a))
+    if rk < len(a):
         return None
     sign = 1 if p > 0 else -1
     return [sign * r[-1] for r in a], sign * p

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _exact, quadrature
 from .errors import MaxIterations, SingularMomentMatrix
-from .polytope import LabelledPolytope
+from .polytope import LabelledPolytope, _integral_row
 from .quadrature import WeightFunction, encode_number
 from .stability import _direction
 
@@ -259,16 +259,18 @@ def solve_mabuchi_soliton(P: LabelledPolytope) -> SolitonSolution:
     """Solve the affine moment system for the Mabuchi weight g = 1 + <b,x>.
 
     The linear system M b = -beta (M the second moment matrix, beta the
-    first moments) is solved in exact rational arithmetic, so the defining
-    equations integral_P x_i (1 + <b,x>) dx = 0 hold identically and the
-    reported residual is exactly zero.  Feasibility (g > 0 on P) is decided
-    exactly at the vertices.
+    first moments) is solved exactly, each equation scaled to integers, so
+    the defining equations integral_P x_i (1 + <b,x>) dx = 0 hold
+    identically and the reported residual is exactly zero.  Feasibility
+    (g > 0 on P) is decided exactly at the vertices.
     """
     n = P.dim
     beta, M = _first_and_second(quadrature.moments(P, WeightFunction.constant(1), 2), n)
-    b = _exact.solve(M, [-x for x in beta])
-    if b is None:
+    rows = [_integral_row(M[i], -beta[i]) for i in range(n)]
+    sol = _exact.int_solve([a for a, _ in rows], [r for _, r in rows])
+    if sol is None:
         raise SingularMomentMatrix("second moment matrix is singular")
+    b = [Fraction(x, sol[1]) for x in sol[0]]
     weight = WeightFunction.affine(Fraction(1), b)
     margins = [1 + _exact.dot(b, v) for v in P.vertices]
     feasible = min(margins) > 0

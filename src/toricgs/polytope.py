@@ -6,9 +6,9 @@ A labelled polytope here is always written in the monotone normalization
 
 with the origin strictly interior, so P and conv(nu_i) are polar: one vertex
 enumeration, :func:`_polar`, gives the vertices from the normals and the
-normals from the vertices.  Construction, triangulation combinatorics, and
-lattice-point tests run in exact arithmetic; floating point enters only
-downstream (quadrature, solvers).
+normals from the vertices.  Construction and triangulation combinatorics run
+in exact arithmetic, lattice enumeration in guarded int64; floating point
+enters only downstream (quadrature, solvers).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import ceil, floor, lcm, prod
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import (
 
 Point = tuple[Fraction, ...]
 
-#: default cap on |mP ∩ Z^n| enumeration size
+#: cap on the bounding-box candidates of a |mP ∩ Z^n| enumeration
 LATTICE_CAP = 10**7
 
 _INT64_MAX = 2**63 - 1
@@ -216,12 +216,12 @@ class LabelledPolytope:
     def _int64_facets(self, m: int, umax) -> tuple[np.ndarray, np.ndarray]:
         """(A, m*d) as int64 arrays, for points with |u_j| <= umax[j].
 
-        Raises :class:`OverflowGuard` unless the entries of A, m*d and each
-        bound sum_j |A_ij| umax_j on |<A_i, u>| fit in int64.
+        Raises :class:`OverflowGuard` unless the entries of A and each bound
+        m*d_i + sum_j |A_ij| umax_j on |m*d_i - <A_i, u>| fit in int64.
         """
         rows = self._int_facets
         worst = max(
-            max(m * d, *(abs(x) for x in a), sum(abs(x) * b for x, b in zip(a, umax)))
+            max(*(abs(x) for x in a), m * d + sum(abs(x) * b for x, b in zip(a, umax)))
             for a, d in rows
         )
         if worst > _INT64_MAX:
@@ -231,43 +231,43 @@ class LabelledPolytope:
 
     # -- lattice enumeration ------------------------------------------------
 
-    def contains_lattice(self, u, m: int = 1) -> bool:
-        """Exact membership test of an integer point in m*P."""
-        u = [int(x) for x in u]
-        A, rhs = self._int64_facets(m, [abs(x) for x in u])
-        return bool(np.all(A @ np.array(u, dtype=np.int64) <= rhs))
-
-    def lattice_points(self, m: int, cap: int = LATTICE_CAP) -> np.ndarray:
+    def lattice_points(self, m: int) -> np.ndarray:
         """All integer points of m*P, lexicographically sorted, as an array.
 
-        Raises :class:`OverflowGuard` when the bounding-box candidate count
-        exceeds ``cap`` or the facet products could overflow int64.
+        Column by column: each integer head (u_1..u_{n-1}) of the bounding
+        box gets the interval of u_n that the facet inequalities
+        <A_i, u> <= m*d_i leave, by exact floor division.  Raises
+        :class:`OverflowGuard` when the bounding box holds more than
+        ``LATTICE_CAP`` candidates or the facet arithmetic could overflow
+        int64.
         """
         if m < 1:
             raise PolytopeError("lattice scale m must be >= 1")
-        lo, hi = [], []
-        for j in range(self.dim):
-            coords = [v[j] for v in self.vertices]
-            lo_j = min(coords) * m
-            hi_j = max(coords) * m
-            lo.append(int(np.ceil(float(lo_j))) if lo_j.denominator != 1 else int(lo_j))
-            hi.append(int(np.floor(float(hi_j))) if hi_j.denominator != 1 else int(hi_j))
-        count = 1
-        for a, b in zip(lo, hi):
-            count *= max(0, b - a + 1)
-        if count > cap:
+        lo = [ceil(min(v[j] for v in self.vertices) * m) for j in range(self.dim)]
+        hi = [floor(max(v[j] for v in self.vertices) * m) for j in range(self.dim)]
+        count = prod(b - a + 1 for a, b in zip(lo, hi))
+        if count > LATTICE_CAP:
             raise OverflowGuard(
-                f"lattice enumeration of {count} candidates exceeds cap {cap}"
+                f"lattice enumeration of {count} candidates exceeds cap {LATTICE_CAP}"
             )
-        if count == 0:
-            return np.empty((0, self.dim), dtype=np.int64)
         A, rhs = self._int64_facets(m, [max(-a, b) for a, b in zip(lo, hi)])
-        axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
-        mask = np.all(grid @ A.T <= rhs[None, :], axis=1)
-        pts = grid[mask]
-        order = np.lexsort(tuple(pts[:, j] for j in range(self.dim - 1, -1, -1)))
-        return pts[order]
+        # P is bounded with the origin inside: the box holds the origin, and
+        # some facet has c > 0 and some c < 0
+        shape = [b - a + 1 for a, b in zip(lo[:-1], hi[:-1])]
+        heads = np.indices(shape, dtype=np.int64).reshape(len(shape), prod(shape)).T
+        heads += np.array(lo[:-1], dtype=np.int64)
+        r = rhs - heads @ A[:, :-1].T
+        c = A[:, -1]
+        pos, neg = c > 0, c < 0
+        zhi = (r[:, pos] // c[pos]).min(axis=1)
+        zlo = (-(r[:, neg] // -c[neg])).max(axis=1)
+        # the bounds of an empty column can lie far outside the box, where
+        # zhi - zlo could wrap; those of a kept column lie inside it
+        empty = (zhi < zlo) | (r[:, c == 0] < 0).any(axis=1)
+        counts = np.where(empty, 0, zhi - zlo + 1)
+        starts = np.cumsum(counts) - counts
+        last = np.arange(counts.sum(), dtype=np.int64) + np.repeat(zlo - starts, counts)
+        return np.column_stack([np.repeat(heads, counts, axis=0), last])
 
     # -- serialization ------------------------------------------------------
 

@@ -27,6 +27,7 @@ from .errors import ZeroVector
 from .polytope import (
     LabelledPolytope,
     _affine_rank,
+    _as_point,
     fan_triangulation,
     solve_vertices,
 )
@@ -134,10 +135,6 @@ class ToricValuation:
 # ---------------------------------------------------------------------------
 
 
-def _frac_point(p):
-    return tuple(_exact.frac(x) for x in p)
-
-
 @dataclass(frozen=True, eq=False)
 class PLConvexFunction:
     """f(x) = max_j (<a_j, x> + c_j) on a polytope, normalized min_P f = 0.
@@ -157,7 +154,7 @@ class PLConvexFunction:
         pieces = []
         seen = set()
         for a, c in self.pieces:
-            key = (_frac_point(a), _exact.frac(c))
+            key = (_as_point(a), _exact.frac(c))
             if key not in seen:
                 seen.add(key)
                 pieces.append(key)
@@ -211,7 +208,7 @@ class PLConvexFunction:
         return np.max(x @ self._slopes_f.T + self._intercepts_f, axis=-1)
 
     def value_exact(self, point) -> Fraction:
-        p = _frac_point(point)
+        p = _as_point(point)
         return max(_exact.dot(a, p) + c for a, c in self.pieces)
 
     # -- serialization ------------------------------------------------------

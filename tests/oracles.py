@@ -329,6 +329,21 @@ def grid_integral(P, fn, m: int) -> float:
     return float(np.sum(fn(pts)) * cell)
 
 
+def brute_lattice_points(P, m: int) -> list[tuple[int, ...]]:
+    """Integer points of mP in lexicographic order: every point of the exact
+    bounding box, kept when <nu, u> <= m holds in Fractions for every facet
+    normal nu."""
+    box = [
+        range(math.ceil(m * min(v[j] for v in P.vertices)),
+              math.floor(m * max(v[j] for v in P.vertices)) + 1)
+        for j in range(P.dim)
+    ]
+    return [
+        u for u in product(*box)
+        if all(sum(Fraction(a) * x for a, x in zip(nu, u)) <= m for nu in P.normals)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # brute-force minimization of the exponential energy W(xi) = int_P e^<xi,x>
 # ---------------------------------------------------------------------------

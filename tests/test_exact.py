@@ -1,4 +1,4 @@
-"""Exact rational row reduction (solve, int_solve, det, rank) against sympy."""
+"""Exact elimination (int_solve, det, rank) against sympy."""
 
 import math
 from fractions import Fraction
@@ -23,6 +23,17 @@ def _matrices(draw):
     return rows, n
 
 
+@st.composite
+def _deficient_int_matrices(draw):
+    """Integer products B C with an inner dimension k, so of rank at most k."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    k = draw(st.integers(0, min(m, n)))
+    ints = st.integers(-3, 3)
+    B = draw(st.lists(st.lists(ints, min_size=k, max_size=k), min_size=m, max_size=m))
+    C = draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=k, max_size=k))
+    return [[sum(B[i][t] * C[t][j] for t in range(k)) for j in range(n)] for i in range(m)], n
+
+
 def _sym(rows):
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
 
@@ -35,11 +46,13 @@ _settings = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 @_settings
-@given(_matrices())
+@given(st.one_of(_matrices(), _deficient_int_matrices()))
 def test_rank_and_nullspace_match_sympy(data):
     rows, _ = data
     A = _sym(rows)
     assert _exact.rank(rows) == A.rank()
+    if A.rows == A.cols:
+        assert _exact.det(rows) == _frac(A.det())
 
 
 @_settings
@@ -48,20 +61,15 @@ def test_solve_matches_sympy(data, rhs):
     rows, n = data
     k = min(len(rows), n)
     square = [r[:k] for r in rows[:k]]
-    got = _exact.solve(square, rhs[:k])
     A = _sym(square)
     assert _exact.det(square) == _frac(A.det())
-    if A.det() == 0:
-        assert got is None
-    else:
-        b = sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in rhs[:k]])
-        assert got == [_frac(x) for x in A.LUsolve(b)]
     # the same system with each equation scaled to integers
     scales = [math.lcm(*(x.denominator for x in (*r, y))) for r, y in zip(square, rhs)]
     int_rows = [[int(x * m) for x in r] for r, m in zip(square, scales)]
     sol = _exact.int_solve(int_rows, [int(y * m) for y, m in zip(rhs, scales)])
-    if got is None:
+    if A.det() == 0:
         assert sol is None
     else:
+        b = sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in rhs[:k]])
         num, den = sol
-        assert den > 0 and [Fraction(x, den) for x in num] == got
+        assert den > 0 and [Fraction(x, den) for x in num] == [_frac(x) for x in A.LUsolve(b)]

@@ -13,6 +13,7 @@ from toricgs.cli import polytope_from_dict
 from toricgs.stability import _dual_vertices
 
 from oracles import (
+    brute_lattice_points,
     cyclic_ccw,
     hull_normals,
     polygon_monomial_integral,
@@ -147,13 +148,6 @@ def test_lattice_scaling_count_is_ehrhart_like(p1):
         assert len(p1.lattice_points(m)) == 2 * m + 1
 
 
-def test_contains_lattice(p1, p2):
-    assert p1.contains_lattice((2,), 2)
-    assert not p1.contains_lattice((3,), 2)
-    assert p2.contains_lattice((0, 0), 1)
-    assert not p2.contains_lattice((2, 2), 1)
-
-
 def test_lattice_cap_guard(p1):
     with pytest.raises(errors.OverflowGuard):
         p1.lattice_points(10**9)
@@ -248,12 +242,80 @@ def test_origin_on_or_outside_hull_is_rejected(pts):
 _HUGE_LABEL = ["100000000000000000000001/100000000000000000000000", 1, 1, 1]
 
 
-def test_integer_facet_overflow_is_guarded(p1):
+def test_integer_facet_overflow_is_guarded():
     square = [(1, 0), (-1, 0), (0, 1), (0, -1)]
     P = t.from_facets(square, [Fraction(x) for x in _HUGE_LABEL])
     with pytest.raises(errors.OverflowGuard):
         P.lattice_points(2)
-    with pytest.raises(errors.OverflowGuard):
-        P.contains_lattice((0, 0), 2)
-    with pytest.raises(errors.OverflowGuard):
-        p1.contains_lattice((2**70,))
+
+
+# <nu, u> <= 1 for nu = (a, b, c) / d has the integer row (a, b, c) <= d; a
+# column of the enumeration subtracts <(a, b), head> from m*d, so the guard
+# bounds m*d + |a| umax_x + |b| umax_y + |c| umax_z (every umax is 1 here)
+_SIDES = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+
+
+@pytest.mark.parametrize(
+    "normals, fits",
+    [
+        # 2^62 + (2^62 - 2) + 1 = 2^63 - 1
+        ([(Fraction(2**62 - 2, 2**62), Fraction(1, 2**62)), (-1, 0), (0, 1), (0, -1)], True),
+        # 2^62 + (2^62 - 1) + 1 = 2^63
+        ([(Fraction(2**62 - 1, 2**62), Fraction(1, 2**62)), (-1, 0), (0, 1), (0, -1)], False),
+        # m*d - <A', head> = (2^62 + 1) + 2^62 at head -1 wraps; m*d and
+        # |<A, u>| alone fit
+        ([(Fraction(2**62, 2**62 + 1), Fraction(1, 2**62 + 1)), (-1, 0), (0, 1), (0, -1)], False),
+        # a = 2^62 - 2 and d = 2 fit (2 + 2a + 1 = 2^63 - 1), but at the head
+        # (1, 1), outside the projection, the column bounds are d - 2a and
+        # 2a - d, whose difference wraps
+        ([(2**61 - 1, 2**61 - 1, Fraction(1, 2)), (2**61 - 1, 2**61 - 1, Fraction(-1, 2)),
+          *_SIDES], True),
+    ],
+    ids=["2d_at_bound", "2d_past_bound", "2d_subtraction_wraps", "3d_empty_column_wraps"],
+)
+def test_lattice_points_at_the_int64_bound(normals, fits):
+    P = t.from_facets(normals, [1] * len(normals))
+    if fits:
+        assert P.lattice_points(1).tolist() == [list(u) for u in brute_lattice_points(P, 1)]
+    else:
+        with pytest.raises(errors.OverflowGuard, match="beyond int64"):
+            P.lattice_points(1)
+
+
+# ---------------------------------------------------------------------------
+# lattice enumeration against a brute-force scan of the exact box
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _rational_polytopes(draw):
+    """A rational cross-polytope (so the origin is interior) plus up to three
+    rational points (one in 4D), or in 3D and 4D also a prism over such a
+    base, whose facets parallel to the last axis cut whole columns; extents
+    keep the bounding box of mP at a few thousand points."""
+    n = draw(st.integers(1, 4))
+    r = {1: 6, 2: 3, 3: 2, 4: 1}[n]
+    k = n - 1 if n >= 3 and draw(st.booleans()) else n
+    radius = st.fractions(Fraction(1, 4), r, max_denominator=4)
+    pts = [
+        tuple(s * draw(radius) if i == j else 0 for i in range(k))
+        for j in range(k)
+        for s in (1, -1)
+    ]
+    coords = st.tuples(*[st.fractions(-r, r, max_denominator=4)] * k)
+    pts += draw(st.lists(coords, max_size=3 if n <= 3 else 1))
+    if k < n:
+        h = draw(radius)
+        pts = [(*p, s * h) for p in pts for s in (1, -1)]
+    m = draw(st.sampled_from([1, 2, 3, 7] if n <= 2 else [1, 2, 3]))
+    return t.from_vertices(pts), m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_rational_polytopes())
+def test_lattice_points_match_brute_force(data):
+    P, m = data
+    U = P.lattice_points(m)
+    want = brute_lattice_points(P, m)
+    assert U.dtype == np.int64 and U.shape == (len(want), P.dim)
+    assert [tuple(u) for u in U.tolist()] == want
