@@ -16,6 +16,14 @@ the energy 1-form sum(phi_k MA_k(u_t)) is exactly closed, so energy path
 integrals are path-independent at the discrete level (cocycle, translation
 invariance, and the monotonicity inequalities hold to quadrature rounding,
 not to grid resolution).
+
+``functionals`` evaluates the flux masses of all its energy-path nodes in
+one batch over stacked rows.  The destabilizing ray of
+``ding_ray_diagnostic`` is built from exact discrete Legendre transforms
+(max-plus conjugates of the sampled potentials, ``_conjugate``): a lower
+convex hull of the N samples in O(N), then a binary search of its edge
+slopes for each of the M slopes, O(N + M log N) in all where the dense
+maximum took O(NM).
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -106,14 +114,18 @@ class DiscretePotential:
         return _endpoint_slopes(self.P)
 
     def half_slopes(self, values: np.ndarray | None = None) -> np.ndarray:
-        """One-sided slopes s_{-1/2}, ..., s_{N-1/2} with pinned ghosts."""
+        """One-sided slopes s_{-1/2}, ..., s_{N-1/2} with pinned ghosts.
+
+        ``values`` may stack several grid functions as rows; each row gets
+        its own slopes.
+        """
         u = self.values if values is None else values
         pmin, pmax = self.slopes
         h = self.grid.h
-        s = np.empty(self.grid.N + 1)
-        s[1:-1] = np.diff(u) / h
-        s[0] = pmin
-        s[-1] = pmax
+        s = np.empty(u.shape[:-1] + (self.grid.N + 1,))
+        s[..., 1:-1] = np.diff(u, axis=-1) / h
+        s[..., 0] = pmin
+        s[..., -1] = pmax
         return s
 
     def validate(self, slope_tol: float = 1e-9, convex_tol: float = 1e-12) -> None:
@@ -253,16 +265,25 @@ def _antiderivative(g: WeightFunction):
         if b == 0.0:
             return lambda p: math.exp(a0) * np.asarray(p, float)
         return lambda p: np.exp(a0 + b * np.asarray(p, float)) / b
-    terms = [(int(p[0]), float(c)) for p, c in g.coeffs]
+    Gc = _poly_coeffs(g)[1]
+    return lambda p: _horner(Gc, np.asarray(p, dtype=float))
 
-    def G(p):
-        p = np.asarray(p, dtype=float)
-        out = np.zeros_like(p)
-        for k, c in terms:
-            out += c * p ** (k + 1) / (k + 1)
-        return out
 
-    return G
+def _poly_coeffs(g: WeightFunction) -> tuple[list[float], list[float]]:
+    """Coefficients of g and of G = int_0^p g, highest degree first."""
+    gc = [0.0] * (1 + max(int(p[0]) for p, _ in g.coeffs))
+    for p, c in g.coeffs:
+        gc[int(p[0])] += float(c)
+    Gc = [c / (k + 1) for k, c in enumerate(gc)][::-1] + [0.0]
+    return gc[::-1], Gc
+
+
+def _horner(cs, p):
+    """The polynomial with coefficients ``cs`` (highest first) at p (float or array)."""
+    acc = 0.0
+    for c in cs:
+        acc = acc * p + c
+    return acc
 
 
 def _antiderivative_inverse(g: WeightFunction, pmin: float, pmax: float):
@@ -299,22 +320,9 @@ def _antiderivative_inverse(g: WeightFunction, pmin: float, pmax: float):
             return (math.log(t) - a0) / b
 
         return inv_exp
-    # g and G = int_0^p g by Horner, highest coefficient first
-    gc = [0.0] * (1 + max(int(p[0]) for p, _ in g.coeffs))
-    for p, c in g.coeffs:
-        gc[int(p[0])] += float(c)
-    Gc = [c / (k + 1) for k, c in enumerate(gc)][::-1] + [0.0]
-    gc.reverse()
-
-    def horner(cs, p):
-        acc = 0.0
-        for c in cs:
-            acc = acc * p + c
-        return acc
-
-    Gfun = _antiderivative(g)
-    glo, ghi = horner(gc, pmin), horner(gc, pmax)
-    Glo, Ghi = float(Gfun(pmin)), float(Gfun(pmax))
+    gc, Gc = _poly_coeffs(g)
+    glo, ghi = _horner(gc, pmin), _horner(gc, pmax)
+    Glo, Ghi = _horner(Gc, pmin), _horner(Gc, pmax)
     last = pmin  # warm start: along a shot the slopes increase
 
     def inv_poly(y: float) -> float:
@@ -327,14 +335,14 @@ def _antiderivative_inverse(g: WeightFunction, pmin: float, pmax: float):
         a, b = pmin, pmax
         p = last
         for _ in range(200):
-            f = horner(Gc, p) - y
+            f = _horner(Gc, p) - y
             if f < 0.0:
                 a = p
             elif f > 0.0:
                 b = p
             else:
                 break
-            q = p - f / horner(gc, p)
+            q = p - f / _horner(gc, p)
             if not a < q < b:
                 q = 0.5 * (a + b)
             done = abs(q - p) <= 1e-15 + _RTOL * abs(q)
@@ -408,11 +416,12 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
     raise NewtonDiverged(f"root finder did not converge after 100 iterations, x={xcur!r}")
 
 
-def _ma_flux(pot: DiscretePotential, g: WeightFunction, values=None) -> np.ndarray:
-    """Flux-form Monge-Ampère cell masses MA_k = G(s_{k+1/2}) - G(s_{k-1/2})."""
-    G = _antiderivative(g)
-    Gs = G(pot.half_slopes(values))
-    return np.diff(Gs)
+def _ma_flux(g: WeightFunction, s: np.ndarray) -> np.ndarray:
+    """Flux-form Monge-Ampère cell masses MA_k = G(s_{k+1/2}) - G(s_{k-1/2}).
+
+    ``s`` holds the half-slopes, ghosts included, one row per potential.
+    """
+    return np.diff(_antiderivative(g)(s), axis=-1)
 
 
 def weight_mass(P: LabelledPolytope, g: WeightFunction) -> float:
@@ -503,7 +512,7 @@ def solve_ma(
     w = _shoot(w0)[0]
     s = DiscretePotential(grid=grid, P=P, values=w, ref_values=ref.values).half_slopes()
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(np.max(np.abs(np.diff(G(s)) / h - np.exp(-w))))
+        residual = float(np.max(np.abs(_ma_flux(g, s) / h - np.exp(-w))))
     if residual > tol:
         raise NewtonDiverged(
             f"shooting residual {residual:.3e} exceeds tol {tol:.1e}",
@@ -548,8 +557,14 @@ def solve_ma(
 _GL_NODES = 16
 
 
-def _gauss_legendre01(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
+@cache
+def _gauss_legendre01() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], made on first use.
+
+    Made lazily rather than at import: ``numpy.polynomial`` takes about 5 ms
+    to import, which every CLI call would pay.
+    """
+    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
@@ -608,14 +623,18 @@ def functionals(
 
     # E_g: Gauss-Legendre along the affine path from base to u; the 1-form
     # is exactly closed for the flux operator, so this is path-independent.
-    tq, wq = _gauss_legendre01(_GL_NODES)
+    # One flux evaluation covers the rows of the path nodes, then base and u.
+    tq, wq = _gauss_legendre01()
+    rows = np.empty((len(tq) + 2, len(phi)))
+    rows[:-2] = base + tq[:, None] * phi
+    rows[-2] = base
+    rows[-1] = u.values
+    ma = _ma_flux(g, base_pot.half_slopes(rows))
     E = 0.0
-    for t, w in zip(tq, wq):
-        ma_t = _ma_flux(base_pot, g, base + t * phi)
+    for w, ma_t in zip(wq, ma[:-2]):
         E += w * float(np.dot(phi, ma_t)) / Vg
 
-    ma0 = _ma_flux(base_pot, g, base)
-    ma1 = _ma_flux(base_pot, g, u.values)
+    ma0, ma1 = ma[-2], ma[-1]
     Lam = float(np.dot(phi, ma0)) / Vg
     Ival = float(np.dot(phi, ma0 - ma1)) / Vg
     J = Lam - E
@@ -631,7 +650,9 @@ def functionals(
     nu = ma1 / Vg
     underflow = int(np.sum((nu > 0) & (nu < 1e-300)))
     pos = nu > 0
-    H = float(np.sum(nu[pos] * (np.log(np.maximum(nu[pos], 1e-300)) - np.log(m_hat[pos]))))
+    # log m_hat in log space: e^{-u0} underflows to 0 on wide windows
+    log_m_hat = -base[pos] - _log_mean_exp(-base, 1.0)
+    H = float(np.sum(nu[pos] * (np.log(np.maximum(nu[pos], 1e-300)) - log_m_hat)))
     M = H + J - Ival
     return FunctionalValues(
         E_g=E,
@@ -802,19 +823,80 @@ def inequality_suite(
 # ---------------------------------------------------------------------------
 
 
+# vectorized pruning passes of _lower_hull before the monotone chain takes over
+_HULL_PASSES = 32
+
+
+def _lower_hull(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of the lower convex hull of the points (x_i, u_i), x increasing strictly.
+
+    Returns the vertex indices and the slopes of the hull edges between them,
+    which increase strictly.  Each vectorized pass drops every point whose
+    left slope is at least its right slope: such a point lies on or above
+    the chord of its neighbours, so it is no hull vertex.  Sampled convex
+    potentials settle in a few passes; after ``_HULL_PASSES`` the survivors
+    go through Andrew's monotone chain, which keeps the work O(N).
+    """
+    idx = np.arange(len(x))
+    for _ in range(_HULL_PASSES):
+        slopes = np.diff(u[idx]) / np.diff(x[idx])
+        drop = slopes[:-1] >= slopes[1:]
+        if not drop.any():
+            return idx, slopes
+        idx = idx[np.concatenate(([True], ~drop, [True]))]
+    chain: list[int] = []
+    for i in idx.tolist():
+        while len(chain) >= 2 and (
+            (u[chain[-1]] - u[chain[-2]]) / (x[chain[-1]] - x[chain[-2]])
+            >= (u[i] - u[chain[-1]]) / (x[i] - x[chain[-1]])
+        ):
+            chain.pop()
+        chain.append(i)
+    idx = np.array(chain)
+    return idx, np.diff(u[idx]) / np.diff(x[idx])
+
+
+def _conjugate(x: np.ndarray, u: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The discrete Legendre transform max_i (x_i p_j - u_i) for every p_j.
+
+    Exact over the samples (Lucet, "Faster than the fast Legendre
+    transform", Numer. Algorithms 16, 1997): the maximum sits on the vertex
+    of the lower convex hull of (x, u) whose edge slopes bracket p_j.  The
+    hull takes O(N) and the binary search of its slopes O(M log N).
+    Rounding can tie that vertex with a hull neighbour, so both neighbours
+    are evaluated too and the largest value is kept, as the dense maximum
+    over all i does.  ``x`` must increase strictly.
+    """
+    idx, slopes = _lower_hull(x, u)
+    k = np.searchsorted(slopes, p)
+    last = len(idx) - 1
+    best = None
+    for d in (-1, 0, 1):
+        i = idx[np.clip(k + d, 0, last)]
+        v = x[i] * p - u[i]
+        best = v if best is None else np.maximum(best, v)
+    return best
+
+
+# slope samples of the dual (Legendre) side of the ding ray
+_RAY_P_SAMPLES = 4001
+
+
 def ding_ray_diagnostic(
     P: LabelledPolytope,
     g: WeightFunction,
     s_values=(0.0, 2.0, 4.0, 8.0),
     grid: Grid1D | None = None,
-    p_samples: int = 4001,
 ) -> dict:
     """Ding energy along the dual-twisted ray of the worst toric direction.
 
     The reference potential's Legendre transform is shifted by s times the
     support gap max_P <a, .> - <a, .> of the destabilizing direction and
     transformed back, which keeps every ray potential convex with slopes in
-    P.  (For linear shifts this ray is the translation
+    P.  Both transforms are exact discrete conjugates (``_conjugate``) over
+    the N grid nodes and M = 4001 uniform slope samples of P, computed in
+    O(N + M log N) rather than the O(NM) of a dense maximum.
+    (For linear shifts this ray is the translation
     u_s(x) = u_0(x + s a) - s max_P <a, .>, whose Ding slope is exactly
     -<a, b_g>.)  The large-s slope of D along the ray matches the
     non-Archimedean invariant A(a) - S_g(a); a decreasing ray flags
@@ -829,14 +911,12 @@ def ding_ray_diagnostic(
     a = 1.0 if b > 0 else -1.0
     ref = reference_potential(P, grid)
     x = grid.nodes
-    p = np.linspace(pmin, pmax, p_samples)
-    # discrete Legendre transform of u0 on the slope grid
-    phi_star = np.max(x[None, :] * p[:, None] - ref.values[None, :], axis=1)
+    p = np.linspace(pmin, pmax, _RAY_P_SAMPLES)
+    phi_star = _conjugate(x, ref.values, p)
     fa = max(a * pmin, a * pmax) - a * p
     Ds = []
     for s in s_values:
-        dual = phi_star + s * fa
-        u_s = np.max(x[:, None] * p[None, :] - dual[None, :], axis=1)
+        u_s = _conjugate(p, phi_star + s * fa, x)
         pot = DiscretePotential(
             grid=grid, P=P, values=u_s, ref_values=ref.values
         )

@@ -466,3 +466,61 @@ def hull_normals(points):
             return None
         normals.add(tuple(a / c for a in w))
     return sorted(normals, key=_primitive_ints)
+
+
+# ---------------------------------------------------------------------------
+# 1D Monge-Ampère: the dense Legendre transform and the per-node functionals
+# ---------------------------------------------------------------------------
+
+
+def dense_conjugate(x, u, p):
+    """max_i (x_i p_j - u_i) for every p_j, over one dense (M, N) array."""
+    return np.max(x[None, :] * p[:, None] - u[None, :], axis=1)
+
+
+def _weight_antiderivative(g):
+    """A G with G' = g for a 1D weight, polynomials summed term by term."""
+    if g.kind == "constant":
+        return lambda p: float(g.a0) * p
+    if g.kind == "affine":
+        a0, b = float(g.a0), float(g.b[0])
+        return lambda p: a0 * p + 0.5 * b * p**2
+    if g.kind == "exp_affine":
+        a0, b = float(g.a0), float(g.b[0])
+        if b == 0.0:
+            return lambda p: math.exp(a0) * p
+        return lambda p: np.exp(a0 + b * p) / b
+    terms = [(int(e[0]), float(c)) for e, c in g.coeffs]
+    return lambda p: sum(c * p ** (k + 1) / (k + 1) for k, c in terms)
+
+
+def loop_functionals(u, g, u0_values=None) -> dict:
+    """E_g, Lambda_g, I_g, J_g, L, D, H_g, M with one flux evaluation per
+    Gauss-Legendre node of the energy path, as a plain loop."""
+    G = _weight_antiderivative(g)
+    pmin, pmax = (float(v) for v in u.P.interval())
+    h = u.grid.h
+
+    def flux(values):
+        s = np.concatenate(([pmin], np.diff(values) / h, [pmax]))
+        return np.diff(G(s))
+
+    base = u.ref_values if u0_values is None else np.asarray(u0_values, float)
+    phi = u.values - base
+    Vg = float(G(pmax) - G(pmin))
+    tq, wq = np.polynomial.legendre.leggauss(16)
+    E = 0.0
+    for t, w in zip(0.5 * (tq + 1.0), 0.5 * wq):
+        E += w * float(np.dot(phi, flux(base + t * phi))) / Vg
+    ma0, ma1 = flux(base), flux(u.values)
+    Lam = float(np.dot(phi, ma0)) / Vg
+    Ival = float(np.dot(phi, ma0 - ma1)) / Vg
+    J = Lam - E
+    m_hat = np.exp(-base) / float(np.sum(np.exp(-base)))
+    top = float(np.max(-phi))
+    L = -(top + math.log(float(np.sum(m_hat * np.exp(-phi - top)))))
+    nu = ma1 / Vg
+    pos = nu > 0
+    H = float(np.sum(nu[pos] * (np.log(nu[pos]) - np.log(m_hat[pos]))))
+    return {"E_g": E, "Lambda_g": Lam, "I_g": Ival, "J_g": J, "L": L,
+            "D": L - E, "H_g": H, "M": H + J - Ival}

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,6 +111,18 @@ def test_inequalities_output(golden_runs):
     assert r["samples"] == 10 and r["seed"] == 42
     assert r["violations"] == {"a": 0, "b": 0, "c": 0, "d": 0}
     assert r["first_violation"] is None
+
+
+def test_inequalities_on_a_wide_window(p1):
+    # at R = 900, e^{-u0} underflows to 0 on 346 of the 2001 nodes; the
+    # entropy term must stay finite there
+    assert np.count_nonzero(np.exp(-t.reference_potential(p1, t.Grid1D(R=900.0)).values) == 0.0) == 346
+    cp = run_cli(["inequalities", "--polytope", "builtin:p1", "--g", "constant:1",
+                  "--samples", "2", "--grid-r", "900"])
+    assert cp.returncode == 0, cp.stderr.decode()
+    r = json.loads(cp.stdout)["results"]
+    assert r["violations"] == {"a": 0, "b": 0, "c": 0, "d": 0}
+    assert r["worst_margins"]["c_margin"] > 0
 
 
 def test_functionals_from_saved_potential(golden_runs):

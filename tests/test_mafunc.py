@@ -3,6 +3,7 @@
 import math
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricgs as t
-from toricgs import quadrature
+from toricgs import mafunc, quadrature
 from toricgs.errors import (
     NewtonDiverged,
     NonConvexInput,
@@ -23,11 +24,13 @@ from toricgs.mafunc import (
     _antiderivative,
     _antiderivative_inverse,
     _brentq,
+    _conjugate,
     ding_ray_diagnostic,
     weight_mass,
 )
 
 from conftest import assert_close
+from oracles import dense_conjugate, loop_functionals
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +291,23 @@ def test_polynomial_antiderivative_inverse_round_trips_and_is_monotone(coeffs, a
     assert all(p < q for p, q in zip(ps, ps[1:]))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_positive_poly(), st.integers(0, 2**32 - 1))
+def test_polynomial_antiderivative_matches_the_exact_antiderivative(coeffs, seed):
+    # Horner's rule against the exact rational antiderivative, within the
+    # rounding bound 2 (d + 2) eps sum_k |c_k| |p|^(k+1) / (k+1)
+    g = t.WeightFunction.polynomial(coeffs)
+    G = _antiderivative(g)
+    deg = max(k for (k,), _ in coeffs)
+    ps = np.random.default_rng(seed).uniform(-3.0, 3.0, size=12)
+    for p, got in zip(ps, G(ps)):
+        q = Fraction(float(p))
+        exact = sum(Fraction(c) * q ** (k + 1) / (k + 1) for (k,), c in coeffs)
+        bound = sum(abs(Fraction(c)) * abs(q) ** (k + 1) / (k + 1) for (k,), c in coeffs)
+        assert abs(Fraction(float(got)) - exact) <= 2 * (deg + 2) * sys.float_info.epsilon * bound
+        assert float(G(float(p))) == got  # scalar and array inputs agree
+
+
 def test_pushforward_moments_match_weight_moments(p1, ma_solution_p1):
     g3 = t.WeightFunction.exp_affine(0, (0.3,))
     for g, out in ((t.WeightFunction.constant(1), ma_solution_p1), (g3, t.solve_ma(p1, g3))):
@@ -407,6 +427,30 @@ def test_ding_minimality_under_perturbations(p1, ma_solution_p1, g_one):
         assert t.functionals(blended, g_one).D >= D_star - 1e-12, i
 
 
+_WEIGHTS_1D = [
+    t.WeightFunction.constant(1),
+    t.WeightFunction.affine(1, (Fraction(1, 4),)),
+    t.WeightFunction.exp_affine(0, (0.5,)),
+    t.WeightFunction.polynomial([((0,), 1), ((1,), Fraction(1, 4)), ((2,), Fraction(1, 8))]),
+]
+
+
+@pytest.mark.parametrize("g", _WEIGHTS_1D, ids=lambda g: g.kind)
+@pytest.mark.parametrize("verts", [[(-1,), (1,)], [(Fraction(-3, 4),), (Fraction(5, 4),)]])
+def test_functionals_match_the_per_node_loop(g, verts):
+    # one batched flux evaluation against one evaluation per quadrature node;
+    # E_g, Lambda_g, I_g and J_g are means of phi = u - u0, so their rounding
+    # is relative to max |phi| even where the value itself cancels to ~0
+    P = t.from_vertices(verts)
+    for i in range(12):
+        u = t.random_potential(P, seed=[31, i])
+        base = None if i % 4 else t.random_potential(P, seed=[32, i]).values
+        phi = float(np.max(np.abs(u.values - (u.ref_values if base is None else base))))
+        got = t.functionals(u, g, u0_values=base).to_dict()
+        for name, want in loop_functionals(u, g, u0_values=base).items():
+            assert abs(got[name] - want) <= 1e-13 * max(abs(want), phi), (name, got[name], want)
+
+
 def test_functional_record_serialization(p1, ma_solution_p1, g_one):
     F = t.functionals(ma_solution_p1, g_one)
     d = F.to_dict()
@@ -493,3 +537,63 @@ def test_ding_ray_runs_below_solved_potential(p1):
     ray_values = [float(v) for v in diag["D_values"]]
     assert all(b < a for a, b in zip(ray_values, ray_values[1:]))
     assert min(ray_values) < D_star - 0.5
+
+
+# ---------------------------------------------------------------------------
+# discrete Legendre transform
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _conjugate_case(draw):
+    """Increasing x, samples u and slopes p; ``shape`` picks the samples."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 400)), draw(st.integers(1, 400))
+    x = np.cumsum(rng.uniform(0.01, 1.0, n)) - rng.uniform(0.0, 0.6 * n)
+    shape = draw(st.sampled_from(["convex", "rounding", "affine", "random", "dip"]))
+    # a convex sum of a quadratic, kinks and a softplus
+    u = rng.uniform(0.0, 2.0) * x**2
+    for _ in range(3):
+        u = u + rng.uniform(0.0, 3.0) * np.abs(x - rng.uniform(x[0], x[-1]))
+    u = u + np.logaddexp(0.0, rng.uniform(-3.0, 3.0) * x) + rng.uniform(-5.0, 5.0) * x
+    if shape == "rounding":  # non-convex at rounding level
+        u = u * (1.0 + 4e-16 * rng.standard_normal(n))
+    elif shape == "affine":  # every sample ties for the slope 1/2
+        u = 0.5 * x + 1.0
+    elif shape == "random":
+        u = rng.uniform(-10.0, 10.0, n)
+    elif shape == "dip":  # one low end point: the hull drops a point per pass
+        u[0] -= 1e3
+    span = float(np.max(np.abs(np.diff(u)) / np.diff(x))) if n > 1 else 1.0
+    p = rng.uniform(-1.5 * span - 1.0, 1.5 * span + 1.0, m)
+    return x, u, p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_conjugate_case(), st.sampled_from([mafunc._HULL_PASSES, 0]))
+def test_conjugate_matches_the_dense_transform(case, passes):
+    # passes = 0 sends every hull through the monotone chain
+    x, u, p = case
+    want = dense_conjugate(x, u, p)
+    with mock.patch.object(mafunc, "_HULL_PASSES", passes):
+        got = _conjugate(x, u, p)
+    scale = max(1.0, float(np.max(np.abs(x))) * float(np.max(np.abs(p))) + float(np.max(np.abs(u))))
+    assert got.shape == want.shape
+    assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("verts", [[(-1,), (1,)], [(-1,), (Fraction(1, 2),)]])
+def test_conjugate_is_bit_identical_on_ray_transforms(verts):
+    # the transforms of ding_ray_diagnostic for the direction +1: on p1 those
+    # of the ma_ding_ray golden; on [-1, 1/2] the s = 0 transform holds a
+    # rounding tie that the bracketing hull vertex alone gets wrong by 1 ulp
+    P = t.from_vertices(verts)
+    lo, hi = (float(v) for v in P.interval())
+    grid = t.Grid1D()
+    u0 = t.reference_potential(P, grid).values
+    x, p = grid.nodes, np.linspace(lo, hi, 4001)
+    phi_star = _conjugate(x, u0, p)
+    assert np.array_equal(phi_star, dense_conjugate(x, u0, p))
+    for s in (0.0, 2.0, 4.0, 8.0):
+        dual = phi_star + s * (hi - p)
+        assert np.array_equal(_conjugate(p, dual, x), dense_conjugate(p, dual, x)), s
