@@ -24,7 +24,6 @@ from .invariants import (
 from .stability import (
     FiltrationSample,
     PLConvexFunction,
-    ToricValuation,
     delta_toric,
     dh_g_filtration,
     ding_na_valuation,
@@ -67,7 +66,6 @@ __all__ = [
     "futaki",
     "solve_kr_soliton",
     "solve_mabuchi_soliton",
-    "ToricValuation",
     "PLConvexFunction",
     "FiltrationSample",
     "log_discrepancy",

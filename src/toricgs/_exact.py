@@ -1,4 +1,8 @@
-"""Exact rational linear algebra on `fractions.Fraction` matrices.
+"""Number coercion, and exact rational linear algebra on Fraction matrices.
+
+``num`` decides once, by type, whether a number stays exact: ints,
+Fractions and numeric strings become Fractions, any other real a float.
+Every later step keeps that type, so exact data gives exact results.
 
 Small dense routines (n <= 4 throughout the package), all on one
 fraction-free integer elimination, ``_bareiss``: the integer solve of polar
@@ -13,23 +17,49 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Sequence
 
+import numpy as np
+
+from .errors import ValidationError, ZeroVector
+
 Vec = Sequence[Fraction]
 
 
+def num(x) -> Fraction | float:
+    """A Fraction for an int, Fraction or numeric string; a float for any other real."""
+    if isinstance(x, (int, Fraction, str)):
+        return Fraction(x)
+    return float(x)
+
+
+def vector(a, dim: int) -> tuple:
+    """``a`` coerced entrywise by ``num``, a scalar as a 1-vector.
+
+    Raises ValidationError unless it has ``dim`` entries.
+    """
+    v = (num(a),) if np.isscalar(a) else tuple(num(x) for x in a)
+    if len(v) != dim:
+        raise ValidationError(
+            f"direction of length {len(v)} for a polytope of dimension {dim}"
+        )
+    return v
+
+
+def direction(a, dim: int) -> tuple:
+    """A nonzero ``vector``: the direction of a toric valuation."""
+    v = vector(a, dim)
+    if not any(v):
+        raise ZeroVector("direction must be nonzero")
+    return v
+
+
 def frac(x) -> Fraction:
-    """Coerce ints, Fractions, and numeric strings ("p/q" or decimal) exactly."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
-    raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
+    """``num(x)``, with a float snapped to the nearest Fraction of denominator <= 10^12."""
+    v = num(x)
+    return v if isinstance(v, Fraction) else Fraction(v).limit_denominator(10**12)
 
 
 def dot(a: Vec, b: Vec) -> Fraction:
+    """<a, b> of equal-length vectors; a Fraction unless an entry is a float."""
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 
 

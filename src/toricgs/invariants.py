@@ -19,7 +19,11 @@ from . import _exact, quadrature
 from .errors import MaxIterations, SingularMomentMatrix
 from .polytope import LabelledPolytope, _integral_row
 from .quadrature import WeightFunction, encode_number
-from .stability import _direction
+
+#: Newton stopping rule of ``solve_kr_soliton``: |grad W| / W below _KR_TOL
+#: within _KR_MAX_ITER steps
+_KR_TOL = 1e-12
+_KR_MAX_ITER = 200
 
 # ---------------------------------------------------------------------------
 # volumes, marginals, barycenters, Futaki
@@ -32,15 +36,12 @@ def weighted_volume(P: LabelledPolytope, g: WeightFunction) -> float:
     return math.factorial(P.dim) * float(quadrature.moments(P, g, 0)[(0,) * P.dim])
 
 
-def _exact_moments(P: LabelledPolytope, g: WeightFunction, degree: int) -> dict:
-    if not g.is_polynomial_kind:
-        raise ValueError("exponential-affine weight has no exact moments")
-    return quadrature.moments(P, g, degree)
-
-
 def weighted_volume_exact(P: LabelledPolytope, g: WeightFunction) -> Fraction:
     """Exact rational V_g for polynomial-kind weights with rational data."""
-    return math.factorial(P.dim) * _exact_moments(P, g, 0)[(0,) * P.dim]
+    mass = quadrature.moments(P, g, 0)[(0,) * P.dim]
+    if not isinstance(mass, Fraction):
+        raise ValueError("the weight data has no exact moments")
+    return math.factorial(P.dim) * mass
 
 
 def dh_marginal(P: LabelledPolytope, a, t: float) -> float:
@@ -50,68 +51,57 @@ def dh_marginal(P: LabelledPolytope, a, t: float) -> float:
     [support_min, support_max] of the direction, integrating to vol(P).
     For a unit direction this is the (n-1)-volume of the slice
     P intersect {<a,x> = t}.  Computed as a sum of normalized B-splines,
-    one per triangulation simplex, with exact tie detection at the knots.
+    one per triangulation simplex, with knots <a, v> at its vertices.
     """
-    a = tuple(_exact.frac(x) for x in _direction(a)[0])
+    a = _exact.direction(a, P.dim)
     n = P.dim
     t = float(t)
     total = 0.0
     for simplex in P.triangulation:
-        nodes = sorted(_exact.dot(a, v) for v in simplex)
+        knots = sorted(float(_exact.dot(a, v)) for v in simplex)
         edges = [tuple(x - y for x, y in zip(p, simplex[0])) for p in simplex[1:]]
         vol = abs(_exact.det([list(e) for e in edges])) / Fraction(math.factorial(n))
         if vol == 0:
             continue
-        total += float(vol) * _mspline(nodes, t, n)
+        total += float(vol) * _mspline(knots, t, n)
     return total
 
 
-def _plus_power(x: float, e: int) -> float:
-    if e == 0:
-        return 1.0 if x >= 0 else 0.0
-    return x**e if x > 0 else 0.0
+def _mspline(z, t: float, n: int) -> float:
+    """M(t | z) = n * dd[(x - t)_+^{n-1}] over the n + 1 sorted knots z.
 
-
-def _mspline(nodes, t: float, n: int) -> float:
-    """Normalized B-spline M(t | nodes) = n * dd[(x - t)_+^{n-1}].
-
-    ``nodes`` are sorted exact rationals so ties are grouped exactly; the
-    confluent entries use the derivative values of the truncated power.
+    The Cox-de Boor recurrence on the half-open spans (z_i, z_{i+1}]: its
+    weights lie in [0, 1], and a B-spline over a zero span is zero, so tied
+    or nearly tied knots need no special case.
     """
-    zf = [float(z) for z in nodes]
-    col = [_plus_power(z - t, n - 1) for z in zf]
-    m = len(nodes)
-    for j in range(1, m):
-        nxt = []
-        for i in range(m - j):
-            if nodes[i + j] == nodes[i]:
-                # j-th derivative of (x-t)_+^{n-1} at the tied node, over j!
-                if j <= n - 1:
-                    coeff = math.comb(n - 1, j)
-                    nxt.append(coeff * _plus_power(zf[i] - t, n - 1 - j))
-                else:
-                    nxt.append(0.0)
-            else:
-                nxt.append((col[i + 1] - col[i]) / (zf[i + j] - zf[i]))
-        col = nxt
-    return n * col[0]
+    b = [1.0 if z[i] < t <= z[i + 1] else 0.0 for i in range(n)]
+    for k in range(1, n):
+        b = [
+            _ramp(t - z[i], z[i + k] - z[i], b[i])
+            + _ramp(z[i + k + 1] - t, z[i + k + 1] - z[i + 1], b[i + 1])
+            for i in range(n - k)
+        ]
+    return n * b[0] / (z[n] - z[0])
+
+
+def _ramp(rise: float, span: float, b: float) -> float:
+    """rise / span * b, or 0 where b = 0: only there can the span be empty."""
+    return rise / span * b if b else 0.0
+
+
+def _first_moments(P: LabelledPolytope, g: WeightFunction):
+    """(integral_P g, [integral_P x_i g for each i]).
+
+    Fractions for polynomial-kind weights with rational data, else floats:
+    their type says whether a result built from them is exact.
+    """
+    M = quadrature.moments(P, g, 1)
+    return M[(0,) * P.dim], [M[e] for e in quadrature._units(P.dim)]
 
 
 def weighted_barycenter(P: LabelledPolytope, g: WeightFunction) -> np.ndarray:
     """b_g with components integral(x_i g) / integral(g) over P."""
-    return _barycenters(P, g)[0]
-
-
-def _barycenters(P: LabelledPolytope, g: WeightFunction):
-    """b_g as floats, and as Fractions where the moments are exact (else None)."""
-    g.check_positive(P)
-    M = quadrature.moments(P, g, 1)
-    units = quadrature._units(P.dim)
-    mass = M[(0,) * P.dim]
-    b = np.array([float(M[e]) / float(mass) for e in units])
-    if all(isinstance(M[e], Fraction) for e in [(0,) * P.dim, *units]):
-        return b, tuple(M[e] / mass for e in units)
-    return b, None
+    return _zero_barycenter(P, g, 0.0)[0]
 
 
 def _zero_barycenter(P: LabelledPolytope, g: WeightFunction, tol: float):
@@ -119,17 +109,20 @@ def _zero_barycenter(P: LabelledPolytope, g: WeightFunction, tol: float):
 
     The rule is "exact" where the moments are, else "tol": |b_g| < tol.
     """
-    b, exact = _barycenters(P, g)
-    if exact is not None:
-        return b, all(x == 0 for x in exact), "exact"
+    g.check_positive(P)
+    mass, first = _first_moments(P, g)
+    b = np.array([float(x) / float(mass) for x in first])
+    if isinstance(mass, Fraction):
+        return b, not any(first), "exact"
     return b, bool(np.linalg.norm(b) < tol), "tol"
 
 
 def weighted_barycenter_exact(P: LabelledPolytope, g: WeightFunction):
     """Exact rational weighted barycenter for polynomial-kind weights."""
-    M = _exact_moments(P, g, 1)
-    mass = M[(0,) * P.dim]
-    return tuple(M[e] / mass for e in quadrature._units(P.dim))
+    mass, first = _first_moments(P, g)
+    if not isinstance(mass, Fraction):
+        raise ValueError("the weight data has no exact moments")
+    return tuple(x / mass for x in first)
 
 
 def futaki(P: LabelledPolytope, g: WeightFunction, xi) -> float:
@@ -140,13 +133,9 @@ def futaki(P: LabelledPolytope, g: WeightFunction, xi) -> float:
     the weighted barycenter does.
     """
     g.check_positive(P)
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    M = quadrature.moments(P, g, 1)
-    acc = 0.0
-    for xi_i, e in zip(xi, quadrature._units(P.dim)):
-        if xi_i != 0:
-            acc += xi_i * float(M[e])
-    return -acc / float(M[(0,) * P.dim])
+    xi = _exact.vector(xi, P.dim)
+    mass, first = _first_moments(P, g)
+    return -sum(x * float(f) for x, f in zip(xi, first) if x != 0) / float(mass)
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +193,19 @@ def _exp_moments(P: LabelledPolytope, xi: np.ndarray):
     return M[(0,) * P.dim], np.array(grad), np.array(hess)
 
 
-def solve_kr_soliton(
-    P: LabelledPolytope, tol: float = 1e-12, max_iter: int = 200
-) -> SolitonSolution:
+def solve_kr_soliton(P: LabelledPolytope) -> SolitonSolution:
     """Minimize W(xi) = integral_P e^{<xi,x>} dx by damped Newton.
 
     W is smooth, strictly convex, and proper because 0 is interior to P, so
     the minimizer exists and is unique; at it the weighted barycenter of
-    e^{<xi,x>} vanishes.  Convergence criterion: |grad W| / W < tol.
+    e^{<xi,x>} vanishes.  Convergence criterion: |grad W| / W < _KR_TOL.
     """
     n = P.dim
     xi = np.zeros(n)
     W, grad, hess = _exp_moments(P, xi)
     history = [float(np.linalg.norm(grad) / W)]
-    for it in range(1, max_iter + 1):
-        if history[-1] < tol:
+    for _ in range(_KR_MAX_ITER):
+        if history[-1] < _KR_TOL:
             break
         try:
             step = np.linalg.solve(hess, -grad)
@@ -240,7 +227,7 @@ def solve_kr_soliton(
         history.append(float(np.linalg.norm(grad) / W))
     else:
         raise MaxIterations(
-            f"Newton did not reach |grad W|/W < {tol} in {max_iter} iterations"
+            f"Newton did not reach |grad W|/W < {_KR_TOL} in {_KR_MAX_ITER} iterations"
         )
     weight = WeightFunction.exp_affine(0.0, tuple(float(x) for x in xi))
     residual = float(np.max(np.abs(weighted_barycenter(P, weight))))

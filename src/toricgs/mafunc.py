@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -39,11 +39,22 @@ from . import quadrature
 from .errors import (
     NewtonDiverged,
     NonConvexInput,
+    SchemaViolation,
     ValidationError,
     WindowTooSmall,
 )
+from .invariants import weighted_barycenter
 from .polytope import LabelledPolytope
 from .quadrature import WeightFunction
+from .stability import ding_na_valuation
+
+#: ``DiscretePotential.validate`` tolerances: how far the half-slopes may
+#: decrease (second differences) and leave [p_min, p_max]
+_CONVEX_TOL = 1e-12
+_SLOPE_TOL = 1e-9
+
+#: orders j of the moments integral p^j compared by ``pushforward_moments``
+_PUSHFORWARD_ORDERS = (0, 1, 2)
 
 # ---------------------------------------------------------------------------
 # grid and potentials
@@ -128,14 +139,14 @@ class DiscretePotential:
         s[..., -1] = pmax
         return s
 
-    def validate(self, slope_tol: float = 1e-9, convex_tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         s = self.half_slopes()
-        if np.any(np.diff(s) < -convex_tol):
+        if np.any(np.diff(s) < -_CONVEX_TOL):
             raise NonConvexInput(
                 f"second differences reach {float(np.min(np.diff(s))):.3e}"
             )
         pmin, pmax = self.slopes
-        if np.min(s) < pmin - slope_tol or np.max(s) > pmax + slope_tol:
+        if np.min(s) < pmin - _SLOPE_TOL or np.max(s) > pmax + _SLOPE_TOL:
             raise NonConvexInput("gradient leaves the closure of the polytope")
 
     def shifted(self, kappa: float) -> "DiscretePotential":
@@ -167,8 +178,6 @@ class DiscretePotential:
 
     @staticmethod
     def from_dict(d: dict, P: LabelledPolytope) -> "DiscretePotential":
-        from .errors import SchemaViolation
-
         if not isinstance(d, dict) or "grid" not in d or "values" not in d:
             raise SchemaViolation("potential needs 'grid' and 'values'", "/potential")
         gd = d["grid"]
@@ -584,18 +593,7 @@ class FunctionalValues:
     underflow_count: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "E_g": self.E_g,
-            "Lambda_g": self.Lambda_g,
-            "I_g": self.I_g,
-            "J_g": self.J_g,
-            "L": self.L,
-            "D": self.D,
-            "H_g": self.H_g,
-            "M": self.M,
-            "mass_g": self.mass_g,
-            "underflow_count": self.underflow_count,
-        }
+        return asdict(self)
 
 
 def functionals(
@@ -678,9 +676,7 @@ def _log_mean_exp(a: np.ndarray, weights: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def pushforward_moments(
-    u: DiscretePotential, g: WeightFunction, orders=(0, 1, 2)
-) -> dict:
+def pushforward_moments(u: DiscretePotential, g: WeightFunction) -> dict:
     """Moments of the pushforward of c e^{-u} dx under u' versus g dx on P.
 
     The discrete measure places mass c e^{-u_k} h at the midpoint slope of
@@ -701,9 +697,9 @@ def pushforward_moments(
     cell_mass = u.c * np.exp(-u.values) * h
     gm = g.value(mids[:, None])
     dgm = g.grad(mids[:, None])[:, 0]
-    exact = quadrature.moments(P, g, max(orders))
+    exact = quadrature.moments(P, g, max(_PUSHFORWARD_ORDERS))
     out = {}
-    for j in orders:
+    for j in _PUSHFORWARD_ORDERS:
         disc = float(np.sum(mids**j * cell_mass))
         # placing the cell mass at the midpoint slope underestimates
         # integral p^j g over the slope interval by
@@ -902,9 +898,6 @@ def ding_ray_diagnostic(
     non-Archimedean invariant A(a) - S_g(a); a decreasing ray flags
     instability (nonzero weighted barycenter).
     """
-    from .invariants import weighted_barycenter
-    from .stability import ding_na_valuation
-
     grid = grid or Grid1D()
     pmin, pmax = _endpoint_slopes(P)
     b = float(weighted_barycenter(P, g)[0])

@@ -152,12 +152,8 @@ class LabelledPolytope:
     # -- basic queries ------------------------------------------------------
 
     def support_min(self, a):
-        """min_P <a, x>, attained at a vertex; exact for rational ``a``."""
-        if all(isinstance(x, (int, Fraction)) for x in a):
-            av = tuple(_exact.frac(x) for x in a)
-            return min(_exact.dot(av, v) for v in self.vertices)
-        af = np.asarray([float(x) for x in a])
-        return float(np.min(self.vertices_f @ af))
+        """min_P <a, x>, attained at a vertex; exact for a Fraction ``a``."""
+        return min(_exact.dot(a, v) for v in self.vertices)
 
     def support_max(self, a):
         """max_P <a, x>, attained at a vertex; exact for rational ``a``."""
@@ -170,19 +166,11 @@ class LabelledPolytope:
         xs = [v[0] for v in self.vertices]
         return min(xs), max(xs)
 
-    def facet_vertices(self, i: int) -> tuple[Point, ...]:
-        nu = self.normals[i]
-        return tuple(v for v in self.vertices if _exact.dot(nu, v) == 1)
-
     # -- cached derived data ------------------------------------------------
 
     @cached_property
     def vertices_f(self) -> np.ndarray:
         return np.array([[float(x) for x in v] for v in self.vertices], dtype=float)
-
-    @cached_property
-    def normals_f(self) -> np.ndarray:
-        return np.array([[float(x) for x in nu] for nu in self.normals], dtype=float)
 
     @cached_property
     def triangulation(self) -> tuple[tuple[Point, ...], ...]:

@@ -81,20 +81,20 @@ class WeightFunction:
 
     @staticmethod
     def constant(c) -> "WeightFunction":
-        return WeightFunction("constant", a0=_num(c))
+        return WeightFunction("constant", a0=_exact.num(c))
 
     @staticmethod
     def affine(a0, b) -> "WeightFunction":
-        return WeightFunction("affine", a0=_num(a0), b=tuple(_num(x) for x in b))
+        return WeightFunction("affine", a0=_exact.num(a0), b=tuple(map(_exact.num, b)))
 
     @staticmethod
     def exp_affine(a0, b) -> "WeightFunction":
-        return WeightFunction("exp_affine", a0=_num(a0), b=tuple(_num(x) for x in b))
+        return WeightFunction("exp_affine", a0=_exact.num(a0), b=tuple(map(_exact.num, b)))
 
     @staticmethod
     def polynomial(coeffs) -> "WeightFunction":
         cc = tuple(
-            (tuple(int(p) for p in powers), _num(c)) for powers, c in coeffs
+            (tuple(int(p) for p in powers), _exact.num(c)) for powers, c in coeffs
         )
         if not cc:
             raise SchemaViolation("polynomial weight needs at least one term")
@@ -278,16 +278,6 @@ class WeightFunction:
                 (t["powers"], decode_number(t["c"], f"{pointer}/coeffs/{i}/c"))
             )
         return WeightFunction.polynomial(coeffs)
-
-
-def _num(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, float):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot use {type(x).__name__} as a weight parameter")
 
 
 def _positivity_samples(P: LabelledPolytope) -> np.ndarray:

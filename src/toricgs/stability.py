@@ -22,8 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _exact, quadrature
-from .errors import ZeroVector
+from . import _exact, invariants, quadrature
 from .polytope import (
     LabelledPolytope,
     _affine_rank,
@@ -32,30 +31,6 @@ from .polytope import (
     solve_vertices,
 )
 from .quadrature import WeightFunction, encode_number
-
-# ---------------------------------------------------------------------------
-# directions
-# ---------------------------------------------------------------------------
-
-
-def _direction(a, allow_zero: bool = False):
-    """Coerce a direction to a tuple, rational entries kept exact."""
-    if np.isscalar(a):
-        a = (a,)
-    out = []
-    exact = True
-    for x in a:
-        if isinstance(x, (int, Fraction)):
-            out.append(Fraction(x))
-        elif isinstance(x, str):
-            out.append(Fraction(x))
-        else:
-            out.append(float(x))
-            exact = False
-    if not allow_zero and all(x == 0 for x in out):
-        raise ZeroVector("direction must be nonzero")
-    return tuple(out), exact
-
 
 # ---------------------------------------------------------------------------
 # A, S_g, and the finite-m lattice counterpart
@@ -69,8 +44,7 @@ def log_discrepancy(P: LabelledPolytope, a) -> float:
     the value is -min <nu_i, x>, which exceeds 1 whenever the polytope is
     not centrally symmetric.)
     """
-    av, _ = _direction(a, allow_zero=True)
-    return float(-P.support_min(av))
+    return float(-P.support_min(_exact.vector(a, P.dim)))
 
 
 def s_g(P: LabelledPolytope, g: WeightFunction, a) -> float:
@@ -78,10 +52,10 @@ def s_g(P: LabelledPolytope, g: WeightFunction, a) -> float:
 
     Exact until the final conversion when a and the weight data are rational.
     """
-    av, _ = _direction(a)
-    M = quadrature.moments(P, g, 1)
-    acc = sum(ai * M[e] for ai, e in zip(av, quadrature._units(P.dim)) if ai != 0)
-    return float(acc / M[(0,) * P.dim] - P.support_min(av))
+    av = _exact.direction(a, P.dim)
+    mass, first = invariants._first_moments(P, g)
+    acc = sum(ai * f for ai, f in zip(av, first) if ai != 0)
+    return float(acc / mass - P.support_min(av))
 
 
 def s_g_lattice(P: LabelledPolytope, g: WeightFunction, a, m: int) -> float:
@@ -90,7 +64,7 @@ def s_g_lattice(P: LabelledPolytope, g: WeightFunction, a, m: int) -> float:
     Sum of g(u/m) (<a,u>/m - min_P <a,.>) over u in mP, normalized by the
     total weight; converges to s_g at rate O(1/m).
     """
-    av, _ = _direction(a)
+    av = _exact.direction(a, P.dim)
     if m < 1:
         raise ValueError("m must be >= 1")
     U = P.lattice_points(m)
@@ -99,35 +73,6 @@ def s_g_lattice(P: LabelledPolytope, g: WeightFunction, a, m: int) -> float:
     af = np.array([float(x) for x in av])
     vals = X @ af - float(P.support_min(av))
     return float(np.sum(w * vals) / np.sum(w))
-
-
-@dataclass(frozen=True, eq=False)
-class ToricValuation:
-    """A toric divisorial valuation wt_a with its cached stability data."""
-
-    P: LabelledPolytope
-    g: WeightFunction
-    a: tuple
-
-    def __post_init__(self):
-        av, _ = _direction(self.a)
-        object.__setattr__(self, "a", av)
-
-    @cached_property
-    def support_min(self):
-        return self.P.support_min(self.a)
-
-    @cached_property
-    def log_discrepancy(self) -> float:
-        return float(-self.support_min)
-
-    @cached_property
-    def s_g(self) -> float:
-        return s_g(self.P, self.g, self.a)
-
-    @property
-    def ding(self) -> float:
-        return self.log_discrepancy - self.s_g
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +133,8 @@ class PLConvexFunction:
     @staticmethod
     def valuation_type(P: LabelledPolytope, a) -> "PLConvexFunction":
         """f_a(x) = <a,x> - min_P <a,.> for a rational direction a."""
-        av, exact = _direction(a)
-        if not exact:
+        av = _exact.direction(a, P.dim)
+        if not all(isinstance(x, Fraction) for x in av):
             raise ValueError("valuation-type data needs a rational direction")
         return PLConvexFunction(P, ((av, Fraction(0)),))
 
@@ -224,8 +169,8 @@ class PLConvexFunction:
 
 def twist(f: PLConvexFunction, xi) -> PLConvexFunction:
     """Shift every piece slope by xi and renormalize to min zero."""
-    xv, exact = _direction(xi, allow_zero=True)
-    if not exact:
+    xv = _exact.vector(xi, f.domain.dim)
+    if not all(isinstance(x, Fraction) for x in xv):
         raise ValueError("twist direction must be rational")
     pieces = tuple(
         (tuple(ai + xi_i for ai, xi_i in zip(a, xv)), c) for a, c in f.pieces
@@ -446,31 +391,28 @@ def delta_toric(P: LabelledPolytope, g: WeightFunction, with_direction: bool = F
     1 / (1 + max <a, b_g> over {A(a) <= 1}) = 1 / (1 - min_i <nu_i, b_g>),
     as that dual polytope is minus the polar of P.  The normals positively
     span, so delta < 1 iff b_g is nonzero; delta = 1 means g-Ding
-    semistability on toric valuations.  Exact when b_g is.
+    semistability on toric valuations.  Exact when b_g is: the pairings
+    run in b_g's own dtype, Fractions (object) or floats.
     """
-    from .invariants import _barycenters
-
-    b, exact = _barycenters(P, g)
-    duals = _dual_vertices(P)
-    if exact is not None:
-        pairings = [_exact.dot(w, exact) for w in duals]
-    else:
-        pairings = [float(np.dot([float(x) for x in w], b)) for w in duals]
-    best_pair = max(pairings)
-    best_w = np.array([float(x) for x in duals[pairings.index(best_pair)]])
+    g.check_positive(P)
+    mass, first = invariants._first_moments(P, g)
+    b = np.array([x / mass for x in first])
+    duals = np.array(_dual_vertices(P), dtype=b.dtype)
+    # one dot per row: a matrix-vector product can round float pairings
+    # differently, and the delta reports are pinned byte for byte
+    pairings = [np.dot(w, b) for w in duals]
+    i = int(np.argmax(pairings))
     # directions with <a, b_g> <= 0 have ratio >= 1, so delta caps at 1
-    delta = float(1 / (1 + best_pair)) if best_pair > 0 else 1.0
+    delta = float(1 / (1 + pairings[i])) if pairings[i] > 0 else 1.0
     if with_direction:
-        direction = best_w / np.linalg.norm(best_w)
-        return delta, direction
+        best_w = duals[i].astype(float)
+        return delta, best_w / np.linalg.norm(best_w)
     return delta
 
 
 def g_uniform_check(P: LabelledPolytope, g: WeightFunction, tol: float = 1e-8) -> dict:
     """Is b_g = 0?  Decided exactly where b_g is exact, else by norm < tol."""
-    from .invariants import _zero_barycenter
-
-    b, stable, rule = _zero_barycenter(P, g, tol)
+    b, stable, rule = invariants._zero_barycenter(P, g, tol)
     return {
         "stable_modulo_torus": stable,
         "barycenter_norm": float(np.linalg.norm(b)),

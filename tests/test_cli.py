@@ -255,6 +255,19 @@ def test_bad_direction_reports_json_pointer():
     assert body["pointer"] == "/a"
 
 
+def test_a_negative_direction_needs_the_equals_form():
+    argv = ["ding-na", "--polytope", "builtin:bl1p2", "--g", "constant:1"]
+    # argparse reads "-1,2" after a space as a flag, not as the value of --a
+    cp = run_cli([*argv, "--a", "-1,2"])
+    assert cp.returncode == 2
+    body = _error_body(cp)
+    assert body["error"] == "SchemaViolation"
+    assert body["pointer"] == "/argv"
+    cp = run_cli([*argv, "--a=-1,2"])
+    assert cp.returncode == 0, cp.stderr.decode()
+    assert json.loads(cp.stdout)["inputs"]["a"] == [-1, 2]
+
+
 _P1 = ["--polytope", "builtin:p1"]
 
 

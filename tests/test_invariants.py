@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import toricgs as t
+from toricgs import errors, invariants, quadrature
 from toricgs.invariants import weighted_barycenter_exact, weighted_volume_exact
-from toricgs import quadrature
 
 from conftest import assert_close, norm_inf
 from oracles import grid_points, polygon_monomial_integral
@@ -105,6 +105,33 @@ def test_futaki_linear_in_direction(p2, g_exp_xy=None):
     assert t.futaki(p2, g, (0, 0)) == 0.0
 
 
+def test_direction_of_the_wrong_length_is_rejected(p1, p2):
+    # g = 1 + x/5: a direction cut to (1,) or padded to (1, 0, 7) once gave
+    # Fut = -0.1, the value of (1, 0)
+    g = t.WeightFunction.affine(1, [Fraction(1, 5), 0])
+    f = t.PLConvexFunction.zero(p2)
+    calls = [
+        lambda a: t.futaki(p2, g, a),
+        lambda a: t.log_discrepancy(p2, a),
+        lambda a: t.s_g(p2, g, a),
+        lambda a: t.ding_na_valuation(p2, g, a),
+        lambda a: t.s_g_lattice(p2, g, a, 4),
+        lambda a: t.dh_marginal(p2, a, 0.5),
+        lambda a: t.PLConvexFunction.valuation_type(p2, a),
+        lambda a: t.twist(f, a),
+    ]
+    for a in ((1,), (1, 0, 7)):
+        for call in calls:
+            with pytest.raises(errors.ValidationError, match=f"length {len(a)}.* dimension 2"):
+                call(a)
+    assert t.futaki(p2, g, (1, 0)) == pytest.approx(-0.1, abs=1e-15)
+    # zero directions stay legal where A and Fut are degree-1 homogeneous
+    assert t.futaki(p2, g, (0, 0)) == 0.0
+    assert t.log_discrepancy(p1, (0,)) == 0.0
+    with pytest.raises(errors.ZeroVector):
+        t.s_g(p2, g, (0, 0))
+
+
 def test_futaki_vanishes_for_symmetric_data(p1, p1xp1, p2, g_one):
     for P in (p1, p1xp1, p2):
         n = P.dim
@@ -144,6 +171,21 @@ def test_marginal_integrates_to_volume():
             ts = lo + h * (np.arange(m) + 0.5)
             area = h * sum(t.dh_marginal(P, a, float(x)) for x in ts)
             assert area == pytest.approx(float(P.volume), rel=1e-5), (name, a)
+
+
+def test_marginal_knots_that_nearly_tie():
+    # a float direction is used as given, so knots <a, v> can tie up to
+    # rounding: <(0.1, 0.3), (3, -1)> is 5.6e-17, not 0.  A divided
+    # difference across such a pair once read 2.0 outside the support
+    z = [0.0, 0.1 * 3 - 0.3, 1.0]
+    assert z[1] != 0
+    assert invariants._mspline(z, -0.7, 2) == 0.0
+    assert invariants._mspline(z, 0.5, 2) == pytest.approx(1.0, abs=1e-15)
+    P = t.from_vertices([(3, -1), (-1, 2), (-1, -1), (1, 1)])
+    exact = (Fraction(1, 10), Fraction(3, 10))
+    for tt in np.linspace(-0.5, 0.6, 45):
+        want = t.dh_marginal(P, exact, tt)
+        assert t.dh_marginal(P, (0.1, 0.3), tt) == pytest.approx(want, abs=1e-12)
 
 
 def test_marginal_matches_strip_count_oracle(bl1p2):

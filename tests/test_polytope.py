@@ -182,14 +182,7 @@ def test_to_dict_roundtrip():
         assert Q.vertices == P.vertices
 
 
-def test_facet_vertices_lie_on_facet(p2):
-    for i, nu in enumerate(p2.normals):
-        for v in p2.facet_vertices(i):
-            assert sum(a * b for a, b in zip(nu, v)) == 1
-
-
-def test_normals_f_and_vertices_f_are_floats(p2):
-    assert p2.normals_f.dtype == np.float64
+def test_vertices_f_are_floats(p2):
     assert p2.vertices_f.dtype == np.float64
     assert p2.vertices_f.shape == (3, 2)
 

@@ -13,6 +13,7 @@ from toricgs import errors
 
 from conftest import assert_close, norm_inf
 from oracles import LoopFiltration, grid_integral, pl_minimum
+from perfbench.gen import REFLEXIVE_2D
 
 
 COTH1 = 1 / math.tanh(1)
@@ -106,14 +107,8 @@ def test_s_g_lattice_spot_values(p1, g_one, g_exp_x):
     assert abs(t.s_g_lattice(p1, g_exp_x, (1,), 200) - COTH1) <= 0.02
 
 
-def test_toric_valuation_record(p1, g_exp_x):
-    v = t.ToricValuation(P=p1, g=g_exp_x, a=(1,))
-    assert v.log_discrepancy == pytest.approx(1.0, abs=1e-14)
-    assert v.s_g == pytest.approx(COTH1, abs=1e-12)
-    assert v.ding == pytest.approx(1 - COTH1, abs=1e-12)
-
-
 def test_ding_na_valuation_signs(p1, g_exp_x):
+    assert t.ding_na_valuation(p1, g_exp_x, (1,)) == pytest.approx(1 - COTH1, abs=1e-12)
     assert t.ding_na_valuation(p1, g_exp_x, (1,)) < 0
     assert t.ding_na_valuation(p1, g_exp_x, (-1,)) > 0
     assert t.ding_na_valuation(p1, t.WeightFunction.constant(1), (1,)) == pytest.approx(
@@ -526,6 +521,35 @@ def test_g_uniform_check(p1, bl1p2, g_one, g_exp_x, solved_kr_bl1p2):
     r = t.g_uniform_check(bl1p2, solved_kr_bl1p2.weight)
     assert r["stable_modulo_torus"] is True
     assert r["barycenter_norm"] < 1e-10
+
+
+def test_a_kr_soliton_is_g_ding_semistable():
+    # existence implies stability: for the weight e^{<xi,x>} that the KR
+    # solver's Newton loop returns, delta = 1, D^NA >= 0 on the dual vertices
+    # and Fut = 0, read off the first moments rather than the solver's residual
+    for vertices in REFLEXIVE_2D:
+        P = t.from_vertices(vertices)
+        g = t.WeightFunction.exp_affine(0, t.solve_kr_soliton(P).xi)
+        assert abs(1 - t.delta_toric(P, g)) <= 1e-11, vertices
+        for nu in P.normals:
+            assert t.ding_na_valuation(P, g, tuple(-x for x in nu)) >= -1e-11, vertices
+        for xi in ((1.0, 0.0), (0.0, 1.0)):
+            assert abs(t.futaki(P, g, xi)) <= 1e-11, vertices
+
+
+def test_an_unstable_weight_has_a_destabilizing_direction():
+    # b_g != 0 for 1 + x/7 - y/9: decided exactly, delta < 1, and the float
+    # direction that attains delta has D^NA(a) = -<a, b_g> < 0
+    g = t.WeightFunction.affine(1, [Fraction(1, 7), Fraction(-1, 9)])
+    for vertices in REFLEXIVE_2D[:6]:
+        P = t.from_vertices(vertices)
+        check = t.g_uniform_check(P, g)
+        assert check["decided_by"] == "exact" and check["stable_modulo_torus"] is False
+        delta, a = t.delta_toric(P, g, with_direction=True)
+        assert delta < 1, vertices
+        ding = t.ding_na_valuation(P, g, a)
+        assert ding < 0, vertices
+        assert ding == pytest.approx(-float(np.dot(a, t.weighted_barycenter(P, g))), abs=1e-13)
 
 
 def test_zero_barycenter_is_decided_exactly_for_rational_weights(p1xp1, bl1p2, g_one):
