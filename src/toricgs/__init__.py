@@ -11,7 +11,7 @@ suite and its comparison inequalities.
 __version__ = "0.1.0"
 
 from .polytope import LabelledPolytope, builtin, builtin_names, from_facets, from_vertices
-from .quadrature import WeightFunction, integrate, moment, moments
+from .quadrature import WeightFunction, moments
 from .invariants import (
     SolitonSolution,
     dh_marginal,
@@ -56,8 +56,6 @@ __all__ = [
     "from_facets",
     "from_vertices",
     "WeightFunction",
-    "integrate",
-    "moment",
     "moments",
     "SolitonSolution",
     "weighted_volume",

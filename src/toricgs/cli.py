@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -60,7 +59,7 @@ def _load_json(path: str, pointer: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaViolation(f"file not found: {path}", pointer)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaViolation(f"invalid JSON in {path}: {exc}", pointer)
 
 
@@ -86,6 +85,13 @@ def _list(x, pointer: str) -> list:
 
 def _numbers(x, pointer: str) -> list:
     return [decode_number(v, pointer) for v in _list(x, pointer)]
+
+
+def _int(x, pointer: str) -> int:
+    value = decode_number(x, pointer)
+    if value != int(value):
+        raise SchemaViolation(f"expected an integer, got {x!r}", pointer)
+    return int(value)
 
 
 def polytope_from_dict(d: dict) -> LabelledPolytope:
@@ -127,12 +133,12 @@ def parse_weight(spec: str) -> WeightFunction:
     if ":" in spec and not os.path.sep in spec.split(":", 1)[0]:
         kind, _, rest = spec.partition(":")
         if kind == "constant":
-            return WeightFunction.constant(_parse_number(rest, "/g"))
+            return WeightFunction.constant(decode_number(rest, "/g"))
         if kind in ("affine", "exp_affine"):
             parts = [p for p in rest.split(",") if p != ""]
             if not parts:
                 raise SchemaViolation(f"{kind} weight needs a0,b1,...", "/g")
-            nums = [_parse_number(p, "/g") for p in parts]
+            nums = [decode_number(p, "/g") for p in parts]
             ctor = WeightFunction.affine if kind == "affine" else WeightFunction.exp_affine
             return ctor(nums[0], nums[1:])
         if kind == "polynomial":
@@ -148,33 +154,16 @@ def parse_weight(spec: str) -> WeightFunction:
     return WeightFunction.from_dict(_load_json(spec, "/g"))
 
 
-def _parse_number(text: str, pointer: str):
-    text = text.strip()
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        try:
-            x = float(text)
-        except ValueError:
-            raise SchemaViolation(f"cannot parse number {text!r}", pointer)
-        if not math.isfinite(x):
-            raise SchemaViolation(f"expected a finite number, got {text!r}", pointer)
-        return x
-
-
 def _finite_float(text: str) -> float:
     """argparse type for float flags: finite values only."""
-    x = float(text)
-    if not math.isfinite(x):
-        raise ValueError(text)
-    return x
+    return float(decode_number(text, "/argv"))
 
 
 def parse_direction(text: str):
     parts = [p for p in text.split(",") if p != ""]
     if not parts:
         raise SchemaViolation("direction must be x[,y,...]", "/a")
-    return tuple(_parse_number(p, "/a") for p in parts)
+    return tuple(decode_number(p, "/a") for p in parts)
 
 
 def _encode_vec(v) -> list:
@@ -243,35 +232,51 @@ def _emit_error(exc: ToricGSError) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _field(inputs: dict, key: str):
+    if key not in inputs:
+        raise SchemaViolation(f"inputs need {key!r}", f"/{key}")
+    return inputs[key]
+
+
 def _decode_polytope(inputs: dict) -> LabelledPolytope:
-    return polytope_from_dict(inputs["polytope"])
+    return polytope_from_dict(_field(inputs, "polytope"))
 
 
 def _decode_weight(inputs: dict, P: LabelledPolytope) -> WeightFunction:
     """The weight, certified positive on P (every command needs g > 0)."""
-    g = WeightFunction.from_dict(inputs["g"])
+    g = WeightFunction.from_dict(_field(inputs, "g"))
+    if g.dim not in (None, P.dim):
+        raise SchemaViolation(f"weight needs dimension {P.dim}, got {g.dim}", "/g")
     g.check_positive(P)
     return g
 
 
-def _decode_direction(inputs: dict, P: LabelledPolytope):
-    a = tuple(decode_number(x, "/a") for x in inputs["a"])
+def _slope(x, P: LabelledPolytope, pointer: str) -> tuple:
+    a = tuple(_numbers(x, pointer))
     if len(a) != P.dim:
-        raise SchemaViolation(f"direction needs {P.dim} entries, got {len(a)}", "/a")
+        raise SchemaViolation(f"slope needs {P.dim} entries, got {len(a)}", pointer)
     return a
 
 
-def _positive_int(inputs: dict, key: str, default: int) -> int:
-    value = int(inputs.get(key, default))
-    if value < 1:
-        raise SchemaViolation(f"{key} must be >= 1, got {value}", f"/{key}")
+def _decode_direction(inputs: dict, P: LabelledPolytope):
+    return _slope(_field(inputs, "a"), P, "/a")
+
+
+def _int_input(inputs: dict, key: str, default: int, least: int = 1) -> int:
+    value = _int(inputs.get(key, default), f"/{key}")
+    if value < least:
+        raise SchemaViolation(f"{key} must be >= {least}, got {value}", f"/{key}")
     return value
+
+
+def _tol(inputs: dict, default: float) -> float:
+    return float(decode_number(inputs.get("tol", default), "/tol"))
 
 
 def _run_check_futaki(inputs: dict):
     P = _decode_polytope(inputs)
     g = _decode_weight(inputs, P)
-    tol = inputs.get("tol", 1e-10)
+    tol = _tol(inputs, 1e-10)
     b, vanishes, rule = invariants._zero_barycenter(P, g, tol)
     norm = float(np.linalg.norm(b))
     basis = []
@@ -324,7 +329,7 @@ def _run_sg(inputs: dict):
     results = {"A": A, "S_g": S, "ratio": A / S, "ding": A - S}
     diagnostics = {}
     if "m" in inputs:
-        m = _positive_int(inputs, "m", 1)
+        m = _int_input(inputs, "m", 1)
         lat = stability.s_g_lattice(P, g, a, m)
         results["S_g_lattice"] = lat
         diagnostics["lattice_m"] = m
@@ -335,15 +340,16 @@ def _run_sg(inputs: dict):
 def _run_delta(inputs: dict):
     P = _decode_polytope(inputs)
     g = _decode_weight(inputs, P)
+    tol = _tol(inputs, 1e-8)
     delta, direction = stability.delta_toric(P, g, with_direction=True)
-    check = stability.g_uniform_check(P, g, tol=inputs.get("tol", 1e-8))
+    check = stability.g_uniform_check(P, g, tol=tol)
     results = {
         "delta": float(delta),
         "minimizing_direction": [float(x) for x in direction],
         "stable_modulo_torus": check["stable_modulo_torus"],
         "barycenter_norm": check["barycenter_norm"],
     }
-    return results, {"tol": inputs.get("tol", 1e-8), "decided_by": check["decided_by"]}
+    return results, {"tol": tol, "decided_by": check["decided_by"]}
 
 
 def _run_ding_na(inputs: dict):
@@ -358,22 +364,21 @@ def _run_ding_na(inputs: dict):
 def _decode_pl(inputs: dict, P: LabelledPolytope) -> PLConvexFunction:
     if "pl" in inputs:
         d = inputs["pl"]
-        if not isinstance(d, dict) or "pieces" not in d or not d["pieces"]:
+        if not isinstance(d, dict) or not _list(d.get("pieces"), "/pl/pieces"):
             raise SchemaViolation("PL function needs non-empty 'pieces'", "/pl")
         pieces = []
         for i, p in enumerate(d["pieces"]):
             if not isinstance(p, dict) or "a" not in p:
                 raise SchemaViolation("each piece needs 'a'", f"/pl/pieces/{i}")
-            a = tuple(decode_number(x, f"/pl/pieces/{i}/a") for x in p["a"])
-            if len(a) != P.dim:
-                raise SchemaViolation(
-                    f"piece slope needs {P.dim} entries, got {len(a)}", f"/pl/pieces/{i}/a"
-                )
+            a = _slope(p["a"], P, f"/pl/pieces/{i}/a")
             c = decode_number(p.get("c", 0), f"/pl/pieces/{i}/c")
             pieces.append((a, c))
         return PLConvexFunction(P, tuple(pieces))
     if "a" in inputs:
-        return PLConvexFunction.valuation_type(P, _decode_direction(inputs, P))
+        a = _decode_direction(inputs, P)
+        if not all(isinstance(x, Fraction) for x in a):
+            raise SchemaViolation("dh needs a rational direction", "/a")
+        return PLConvexFunction.valuation_type(P, a)
     raise SchemaViolation("dh needs --pl-file or --a", "/pl")
 
 
@@ -381,7 +386,7 @@ def _run_dh(inputs: dict):
     P = _decode_polytope(inputs)
     g = _decode_weight(inputs, P)
     f = _decode_pl(inputs, P)
-    m = _positive_int(inputs, "m", 20)
+    m = _int_input(inputs, "m", 20)
     sample = stability.dh_g_filtration(P, g, f, m)
     positions, masses = sample.nu_atoms
     atoms_full = len(positions)
@@ -411,15 +416,14 @@ def _run_dh(inputs: dict):
 
 
 def _grid_from_inputs(inputs: dict) -> Grid1D:
-    gd = inputs.get("grid", {})
-    return Grid1D(R=float(gd.get("R", 12.0)), N=int(gd.get("N", 2001)))
+    return Grid1D.from_dict(inputs["grid"], "/grid") if "grid" in inputs else Grid1D()
 
 
 def _run_solve_ma(inputs: dict):
     P = _decode_polytope(inputs)
     g = _decode_weight(inputs, P)
     grid = _grid_from_inputs(inputs)
-    tol = float(inputs.get("tol", 1e-10))
+    tol = _tol(inputs, 1e-10)
     u = mafunc.solve_ma(P, g, grid=grid, tol=tol)
     moments = mafunc.pushforward_moments(u, g)
     results = {
@@ -454,8 +458,8 @@ def _run_functionals(inputs: dict):
 def _run_inequalities(inputs: dict):
     P = _decode_polytope(inputs)
     g = _decode_weight(inputs, P)
-    samples = _positive_int(inputs, "samples", 100)
-    seed = int(inputs.get("seed", 0))
+    samples = _int_input(inputs, "samples", 100)
+    seed = _int_input(inputs, "seed", 0, least=0)
     grid = _grid_from_inputs(inputs)
     rep = mafunc.inequality_suite(P, g, samples=samples, seed=seed, grid=grid)
     diagnostics = {"grid": grid.to_dict()}
@@ -477,7 +481,7 @@ _RUNNERS = {
 
 def run_command(command: str, inputs: dict) -> dict:
     """Execute a command from its canonical inputs and build the report."""
-    if command not in _RUNNERS:
+    if not isinstance(command, str) or command not in _RUNNERS:
         raise UnknownCommand(f"unknown command {command!r}")
     # numpy's float warnings would break the one-JSON-object stderr of a
     # failure; a non-finite result still fails in render_report
@@ -491,7 +495,7 @@ def run_command(command: str, inputs: dict) -> dict:
         "version": __version__,
     }
     if "seed" in inputs:
-        report["seed"] = int(inputs["seed"])
+        report["seed"] = _int(inputs["seed"], "/seed")
     return report
 
 
@@ -617,9 +621,15 @@ def _run_report_command(args) -> tuple[dict, str]:
     if command == "report":
         raise SchemaViolation("cannot re-run a report of a report", "/input/command")
     if args.rerun:
-        fresh = run_command(command, saved["inputs"])
+        if not isinstance(saved["inputs"], dict):
+            raise SchemaViolation("inputs must be an object", "/input/inputs")
+        try:
+            fresh = run_command(command, saved["inputs"])
+        except SchemaViolation as exc:
+            raise SchemaViolation(str(exc), "/input/inputs" + exc.pointer)
+        # a key the saved report lacks is a mismatch, not an error
         match = json.dumps(fresh, sort_keys=True, default=_json_default) == json.dumps(
-            {k: saved[k] for k in fresh}, sort_keys=True, default=_json_default
+            {k: saved[k] for k in fresh if k in saved}, sort_keys=True, default=_json_default
         )
         report = {
             "command": "report",

@@ -117,14 +117,6 @@ def _zero_barycenter(P: LabelledPolytope, g: WeightFunction, tol: float):
     return b, bool(np.linalg.norm(b) < tol), "tol"
 
 
-def weighted_barycenter_exact(P: LabelledPolytope, g: WeightFunction):
-    """Exact rational weighted barycenter for polynomial-kind weights."""
-    mass, first = _first_moments(P, g)
-    if not isinstance(mass, Fraction):
-        raise ValueError("the weight data has no exact moments")
-    return tuple(x / mass for x in first)
-
-
 def futaki(P: LabelledPolytope, g: WeightFunction, xi) -> float:
     """Generalized Futaki invariant of the torus direction xi.
 
@@ -214,9 +206,8 @@ def solve_kr_soliton(P: LabelledPolytope) -> SolitonSolution:
         slope = float(grad @ step)
         t = 1.0
         for _ in range(60):
-            W_new = quadrature.integrate(
-                P, WeightFunction.exp_affine(0.0, tuple(xi + t * step))
-            )[0]
+            w = WeightFunction.exp_affine(0.0, tuple(xi + t * step))
+            W_new = quadrature.moments(P, w, 0)[(0,) * n]
             # W is known only to rounding, so near the minimum a decrease
             # below that level is accepted instead of being halved away
             if W_new <= W + 1e-4 * t * slope + 1e-14 * W or t < 1e-18:

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .invariants import weighted_barycenter
 from .polytope import LabelledPolytope
-from .quadrature import WeightFunction
+from .quadrature import WeightFunction, decode_number
 from .stability import ding_na_valuation
 
 #: ``DiscretePotential.validate`` tolerances: how far the half-slopes may
@@ -88,6 +88,20 @@ class Grid1D:
 
     def to_dict(self) -> dict:
         return {"R": self.R, "N": self.N}
+
+    @staticmethod
+    def from_dict(d, pointer: str) -> "Grid1D":
+        """The grid of ``{"R": radius, "N": nodes}``; errors point under ``pointer``."""
+        if not isinstance(d, dict) or "R" not in d or "N" not in d:
+            raise SchemaViolation("grid needs 'R' and 'N'", pointer)
+        R = decode_number(d["R"], f"{pointer}/R")
+        N = decode_number(d["N"], f"{pointer}/N")
+        if N != int(N):
+            raise SchemaViolation(f"N must be an integer, got {d['N']!r}", f"{pointer}/N")
+        try:
+            return Grid1D(R=float(R), N=int(N))
+        except ValidationError as exc:
+            raise SchemaViolation(str(exc), pointer)
 
 
 def _endpoint_slopes(P: LabelledPolytope) -> tuple[float, float]:
@@ -180,23 +194,16 @@ class DiscretePotential:
     def from_dict(d: dict, P: LabelledPolytope) -> "DiscretePotential":
         if not isinstance(d, dict) or "grid" not in d or "values" not in d:
             raise SchemaViolation("potential needs 'grid' and 'values'", "/potential")
-        gd = d["grid"]
-        if not isinstance(gd, dict) or "R" not in gd or "N" not in gd:
-            raise SchemaViolation("grid needs 'R' and 'N'", "/potential/grid")
-        grid = Grid1D(R=float(gd["R"]), N=int(gd["N"]))
-        values = np.asarray([float(v) for v in d["values"]], dtype=float)
-        if values.shape != (grid.N,):
-            raise SchemaViolation(
-                f"expected {grid.N} values, got {len(values)}", "/potential/values"
-            )
-        ref = reference_potential(P, grid)
-        return DiscretePotential(
-            grid=grid,
-            P=P,
-            values=values,
-            ref_values=ref.values,
-            c=float(d["c"]) if "c" in d else None,
+        grid = Grid1D.from_dict(d["grid"], "/potential/grid")
+        raw = d["values"]
+        if not isinstance(raw, list) or len(raw) != grid.N:
+            raise SchemaViolation(f"expected a list of {grid.N} values", "/potential/values")
+        values = np.array(
+            [float(decode_number(v, f"/potential/values/{i}")) for i, v in enumerate(raw)]
         )
+        c = float(decode_number(d["c"], "/potential/c")) if "c" in d else None
+        ref = reference_potential(P, grid)
+        return DiscretePotential(grid=grid, P=P, values=values, ref_values=ref.values, c=c)
 
 
 def reference_potential(P: LabelledPolytope, grid: Grid1D | None = None) -> DiscretePotential:
@@ -536,7 +543,7 @@ def solve_ma(
     # B = int_P p g dp forces boundary cell masses approaching max(0, +-B),
     # i.e. an intrinsic O(h) first-slope layer that no window enlargement
     # removes.  Only the excess beyond that layer measures truncation error.
-    B = float(quadrature.moment(P, g, (1,)))
+    B = float(quadrature.moments(P, g, 1)[(1,)])
     p_layer_lo = Ginv(y_lo + h * max(0.0, B))
     p_layer_hi = Ginv(y_hi - h * max(0.0, -B))
     gap = max(float(s[1]) - p_layer_lo, p_layer_hi - float(s[-2]), 0.0)

@@ -270,13 +270,15 @@ class WeightFunction:
             )
         coeffs = []
         for i, t in enumerate(terms):
+            at = f"{pointer}/coeffs/{i}"
             if not isinstance(t, dict) or "powers" not in t or "c" not in t:
-                raise SchemaViolation(
-                    "each coefficient needs 'powers' and 'c'", f"{pointer}/coeffs/{i}"
-                )
-            coeffs.append(
-                (t["powers"], decode_number(t["c"], f"{pointer}/coeffs/{i}/c"))
-            )
+                raise SchemaViolation("each coefficient needs 'powers' and 'c'", at)
+            powers = t["powers"]
+            if not isinstance(powers, list) or not all(type(p) is int and p >= 0 for p in powers):
+                raise SchemaViolation("powers must be non-negative integers", f"{at}/powers")
+            if len(powers) != len(coeffs[0][0] if coeffs else powers):
+                raise SchemaViolation("every term needs the same number of powers", f"{at}/powers")
+            coeffs.append((powers, decode_number(t["c"], f"{at}/c")))
         return WeightFunction.polynomial(coeffs)
 
 
@@ -427,10 +429,6 @@ def _exp_dd_table(z) -> float:
     return col[0]
 
 
-def _exact_or_float_dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
 # ---------------------------------------------------------------------------
 # the moment kernel on one simplex
 # ---------------------------------------------------------------------------
@@ -451,15 +449,11 @@ def simplex_moments(simplex, g: WeightFunction, alphas):
     basis integral of t^kappa e^{<c,t>} is kappa! times the confluent
     divided difference of exp at 0 and each c_i repeated kappa_i + 1 times,
     which ``exp_divided_difference`` evaluates stably for any node geometry.
-
-    Returns (values, error_estimate); the estimate bounds every value.
     """
     n = len(simplex) - 1
     s0 = simplex[0]
     edges = [tuple(x - y for x, y in zip(p, s0)) for p in simplex[1:]]
     detE = abs(_exact.det([list(e) for e in edges]))
-    if detE == 0:
-        return [Fraction(0) if g.is_polynomial_kind else 0.0] * len(alphas), 0.0
     lines = _barycentric_lines(s0, edges, n)
     powers: dict = {(0,) * n: {(0,) * n: 1}}
     if g.is_polynomial_kind:
@@ -475,12 +469,10 @@ def simplex_moments(simplex, g: WeightFunction, alphas):
                     integrals[gamma] = _dirichlet_integral(tpoly, n, sum(gamma))
                 total = total + coeff * integrals[gamma]
             values.append(detE * total)
-        if all(isinstance(v, Fraction) for v in values):
-            return values, 0.0
-        return values, 1e-15 * max(abs(float(v)) for v in values)
+        return values
 
-    c = [float(_exact_or_float_dot(g.b, e)) for e in edges]
-    pref = float(detE) * math.exp(float(g.a0) + float(_exact_or_float_dot(g.b, s0)))
+    c = [float(_exact.dot(g.b, e)) for e in edges]
+    pref = float(detE) * math.exp(float(g.a0) + float(_exact.dot(g.b, s0)))
     basis: dict = {}  # t^kappa -> its divided difference of exp
     values = []
     for alpha in alphas:
@@ -491,7 +483,7 @@ def simplex_moments(simplex, g: WeightFunction, alphas):
                 basis[kappa] = exp_divided_difference(nodes)
             total += float(coeff) * _kappa_factorial(kappa) * basis[kappa]
         values.append(pref * total)
-    return values, 1e-13 * max(abs(v) for v in values)
+    return values
 
 
 def _dirichlet_integral(tpoly: dict, n: int, degree: int) -> Fraction:
@@ -528,20 +520,12 @@ def moments(P: LabelledPolytope, g: WeightFunction, degree: int) -> dict:
     Returns {alpha: value}.  Polynomial-kind weights with rational data give
     exact Fractions; other data gives floats.
     """
-    alphas = [a for d in range(degree + 1) for a in _compositions(d, P.dim)]
-    return dict(zip(alphas, _moments(P, g, alphas)[0]))
-
-
-def _moments(P: LabelledPolytope, g: WeightFunction, alphas):
-    """Sum the simplex kernel over the triangulation: (values, error)."""
     _check_dim(P, g)
+    alphas = [a for d in range(degree + 1) for a in _compositions(d, P.dim)]
     totals = [0] * len(alphas)
-    err = 0.0
     for simplex in P.triangulation:
-        vals, e = simplex_moments(simplex, g, alphas)
-        totals = [t + v for t, v in zip(totals, vals)]
-        err += e
-    return totals, err
+        totals = [t + v for t, v in zip(totals, simplex_moments(simplex, g, alphas))]
+    return dict(zip(alphas, totals))
 
 
 def _check_dim(P: LabelledPolytope, g: WeightFunction) -> None:
@@ -549,25 +533,3 @@ def _check_dim(P: LabelledPolytope, g: WeightFunction) -> None:
         raise SchemaViolation(
             f"weight dimension {g.dim} does not match polytope dimension {P.dim}"
         )
-
-
-def integrate(P: LabelledPolytope, g: WeightFunction, alpha: tuple[int, ...] | None = None):
-    """Integral of x^alpha * g(x) over P with an error estimate.
-
-    Polynomial-kind weights (constant/affine/polynomial) integrate exactly
-    (zero reported error when all data is rational); the exponential-affine
-    kind uses the closed form per simplex.
-    Returns (value, error_estimate) with a float value.
-    """
-    alpha = (0,) * P.dim if alpha is None else tuple(int(a) for a in alpha)
-    if len(alpha) != P.dim:
-        raise SchemaViolation(
-            f"moment multi-index length {len(alpha)} does not match dimension {P.dim}"
-        )
-    (value,), err = _moments(P, g, [alpha])
-    return float(value), err
-
-
-def moment(P: LabelledPolytope, g: WeightFunction, alpha) -> float:
-    """The moment integral of x^alpha against g over P."""
-    return integrate(P, g, alpha)[0]

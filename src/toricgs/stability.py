@@ -350,7 +350,7 @@ def e_g_na(P: LabelledPolytope, g: WeightFunction, f: PLConvexFunction) -> float
     for j, simplices in f.cell_simplices:
         a, c = f.pieces[j]
         for simplex in simplices:
-            (m0, *m1), _ = quadrature.simplex_moments(simplex, g, alphas)
+            m0, *m1 = quadrature.simplex_moments(simplex, g, alphas)
             num += c * m0 + sum(ai * v for ai, v in zip(a, m1) if ai != 0)
             mass += m0
     return float(num / mass)

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,6 +92,15 @@ def assert_close(a, b, tol, label=""):
     assert abs(a - b) <= tol, f"{label}: {a!r} vs {b!r} (|diff|={abs(a-b):.3e} > {tol:.1e})"
 
 
+def exact_barycenter(P, g):
+    """b_g in Fractions, from the moments of rational polynomial-kind data."""
+    M = t.moments(P, g, 1)
+    mass = M[(0,) * P.dim]
+    assert isinstance(mass, Fraction)
+    units = [tuple(int(i == j) for j in range(P.dim)) for i in range(P.dim)]
+    return tuple(M[e] / mass for e in units)
+
+
 def norm_inf(v):
     return float(np.max(np.abs(np.asarray(v, dtype=float))))
 
@@ -96,6 +108,16 @@ def norm_inf(v):
 # ---------------------------------------------------------------------------
 # CLI golden registry (shared by the CLI tests and the determinism criterion)
 # ---------------------------------------------------------------------------
+
+
+def run_main(argv):
+    """Run the CLI in process: (exit code, stdout, stderr)."""
+    from toricgs import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
 
 
 def run_cli(argv, threads=None):

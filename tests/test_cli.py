@@ -1,19 +1,18 @@
 """Command-line front end: parsing, reports, determinism, exit codes."""
 
-import contextlib
-import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toricgs as t
-from conftest import assert_close, golden_payload, run_cli
+from conftest import assert_close, golden_payload, run_cli, run_main
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +280,11 @@ _P1 = ["--polytope", "builtin:p1"]
         (["sg", *_P1, "--g", "exp_affine:0,inf", "--a", "1"], "/g"),
         (["inequalities", *_P1, "--samples", "0"], "/samples"),
         (["check-futaki", *_P1, "--g", "constant:1", "--tol", "nan"], "/argv"),
+        (["inequalities", *_P1, "--samples", "1", "--seed", "-1"], "/seed"),
+        (["check-futaki", *_P1, "--g", "affine:1,1,1"], "/g"),
     ],
-    ids=["dh_m0", "sg_m0", "sg_a_length", "sg_a_nan", "g_inf", "samples0", "tol_nan"],
+    ids=["dh_m0", "sg_m0", "sg_a_length", "sg_a_nan", "g_inf", "samples0", "tol_nan", "seed_negative",
+         "g_length"],
 )
 def test_input_errors_report_json_pointer(argv, pointer):
     cp = run_cli(argv)
@@ -474,14 +476,173 @@ def _fuzz_argv(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_fuzz_argv())
 def test_cli_argv_fuzz_exits_cleanly(argv):
-    from toricgs import cli
-
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(argv)
+    rc, out, err = run_main(argv)
     assert rc in (0, 1, 2)
     if rc:
-        body = json.loads(err.getvalue())
+        body = json.loads(err)
         assert isinstance(body, dict) and "error" in body
     else:
-        assert json.loads(out.getvalue())["command"] == argv[0]
+        assert json.loads(out)["command"] == argv[0]
+
+
+# ---------------------------------------------------------------------------
+# input files: --u, --pl-file and saved reports
+# ---------------------------------------------------------------------------
+
+
+def _potential(**changes):
+    d = {"grid": {"R": 12, "N": 9}, "values": [1] * 9}
+    for key, value in changes.items():
+        if key in ("R", "N"):
+            d["grid"][key] = value
+        elif key == "value0":
+            d["values"][0] = value
+        else:
+            d[key] = value
+    return d
+
+
+@pytest.mark.parametrize("changes, pointer", [
+    ({"value0": "a"}, "/potential/values/0"),
+    ({"value0": "nan"}, "/potential/values/0"),
+    ({"value0": True}, "/potential/values/0"),
+    ({"R": "x"}, "/potential/grid/R"),
+    ({"N": 9.5}, "/potential/grid/N"),
+    ({"N": 5}, "/potential/grid"),
+    ({"c": "q"}, "/potential/c"),
+    ({"values": {"0": 1}}, "/potential/values"),
+], ids=["value_text", "value_nan", "value_bool", "R_text", "N_fraction", "N_small", "c_text", "values_object"])
+def test_potential_file_numbers_are_validated(tmp_path, changes, pointer):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(_potential(**changes)))
+    rc, _, err = run_main(["functionals", *_P1, "--u", str(path)])
+    assert rc == 2, err
+    body = json.loads(err)
+    assert body["error"] == "SchemaViolation" and body["pointer"] == pointer
+
+
+@pytest.mark.parametrize("polytope, slope", [
+    ("builtin:p1", 1),
+    ("builtin:p1xp1", "12"),
+    ("builtin:p1xp1", {"0": 1, "1": 2}),
+], ids=["int", "string", "object"])
+def test_pl_slope_that_is_not_a_list_exits_two(tmp_path, polytope, slope):
+    pl = tmp_path / "pl.json"
+    pl.write_text(json.dumps({"pieces": [{"a": slope, "c": 0}]}))
+    rc, _, err = run_main(["dh", "--polytope", polytope, "--g", "constant:1", "--pl-file", str(pl)])
+    assert rc == 2, err
+    body = json.loads(err)
+    assert body["error"] == "SchemaViolation" and body["pointer"] == "/pl/pieces/0/a"
+
+
+_SAVED_ARGV = {
+    "check-futaki": ["check-futaki", *_P1, "--g", "affine:1,1/3"],
+    "sg": ["sg", *_P1, "--g", "constant:1", "--a", "1", "--m", "3"],
+    "dh": ["dh", *_P1, "--g", "exp_affine:0,1/2", "--a", "1", "--m", "3"],
+    "delta": ["delta", "--polytope", "builtin:bl1p2", "--g", "constant:1", "--tol", "1e-6"],
+    "solve-soliton": ["solve-soliton", "--polytope", "builtin:p1xp1", "--kind", "mabuchi"],
+    "solve-ma": ["solve-ma", *_P1, "--grid-n", "501"],
+    "functionals": ["functionals", *_P1],  # --u: the solve-ma report
+    "inequalities": ["inequalities", *_P1, "--samples", "1", "--grid-n", "501"],
+}
+_saved_cache: dict = {}
+
+
+def _saved(command):
+    """The report of one fixed run of ``command``, made once."""
+    if command not in _saved_cache:
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = _SAVED_ARGV[command]
+            if command == "functionals":
+                with open(f"{tmp}/u.json", "w", encoding="utf-8") as fh:
+                    json.dump(_saved("solve-ma"), fh)
+                argv = [*argv, "--u", f"{tmp}/u.json"]
+            rc, out, err = run_main(argv)
+        assert rc == 0, err
+        _saved_cache[command] = out
+    return json.loads(_saved_cache[command])
+
+
+def _rerun(report):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/saved.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(report, fh)
+        return run_main(["report", "--input", path, "--rerun"])
+
+
+_DELETE = object()
+
+
+def _mutate(report, path, value):
+    """A copy of the report with the value at ``path`` replaced, or deleted."""
+    node = report = json.loads(json.dumps(report))
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return report
+
+
+def _dict_paths(d, prefix):
+    for key, value in d.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _dict_paths(value, prefix + (key,))
+
+
+_junk = st.sampled_from([_DELETE, None, True, "abc", "nan", "1/0", 9.5, -1, 0, [], [1], {}, {"R": 1}])
+
+
+@st.composite
+def _report_mutation(draw):
+    command = draw(st.sampled_from(sorted(_SAVED_ARGV)))
+    paths = [("command",), ("results",), *_dict_paths(_saved(command)["inputs"], ("inputs",))]
+    return command, draw(st.sampled_from(paths)), draw(_junk)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_report_mutation())
+@example(("check-futaki", ("inputs", "polytope"), _DELETE))
+@example(("sg", ("inputs", "m"), "abc"))
+@example(("sg", ("inputs",), []))
+@example(("solve-ma", ("inputs", "grid"), [1]))
+@example(("delta", ("results",), _DELETE))
+def test_report_rerun_fuzz_exits_cleanly(mutation):
+    command, path, value = mutation
+    rc, out, err = _rerun(_mutate(_saved(command), path, value))
+    assert rc in (0, 1, 2)
+    if rc == 0:
+        assert isinstance(json.loads(out)["results"]["match"], bool)
+    else:
+        body = json.loads(err)
+        assert isinstance(body, dict) and "error" in body
+        if body["error"] == "SchemaViolation":
+            assert body["pointer"].startswith("/input"), body
+
+
+@pytest.mark.parametrize("command, path, value, pointer", [
+    ("check-futaki", ("inputs", "polytope"), _DELETE, "/input/inputs/polytope"),
+    ("sg", ("inputs", "m"), "abc", "/input/inputs/m"),
+    ("sg", ("inputs",), [], "/input/inputs"),
+    ("solve-ma", ("inputs", "grid"), [1], "/input/inputs/grid"),
+    ("functionals", ("inputs", "potential", "grid", "N"), 9.5, "/input/inputs/potential/grid/N"),
+    ("dh", ("inputs", "a"), [0.5], "/input/inputs/a"),
+], ids=["no_polytope", "m_text", "inputs_list", "grid_list", "potential_N", "dh_float_direction"])
+def test_malformed_saved_report_exits_two_with_a_pointer(command, path, value, pointer):
+    rc, _, err = _rerun(_mutate(_saved(command), path, value))
+    assert rc == 2, err
+    body = json.loads(err)
+    assert body["error"] == "SchemaViolation" and body["pointer"] == pointer
+
+
+def test_saved_report_without_a_key_of_the_fresh_one_does_not_match():
+    saved = _saved("delta")
+    rc, out, _ = _rerun(saved)
+    assert rc == 0 and json.loads(out)["results"]["match"] is True
+    for key in ("results", "diagnostics", "version"):
+        rc, out, err = _rerun(_mutate(saved, (key,), _DELETE))
+        assert rc == 0, err
+        assert json.loads(out)["results"]["match"] is False

@@ -1,5 +1,6 @@
 """Weighted volumes, barycenters, Futaki pairing, soliton solvers, marginals."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -8,10 +9,11 @@ import pytest
 
 import toricgs as t
 from toricgs import errors, invariants, quadrature
-from toricgs.invariants import weighted_barycenter_exact, weighted_volume_exact
+from toricgs.invariants import weighted_volume_exact
 
-from conftest import assert_close, norm_inf
+from conftest import assert_close, exact_barycenter, norm_inf, run_main
 from oracles import grid_points, polygon_monomial_integral
+from perfbench.gen import REFLEXIVE_2D
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +81,7 @@ def test_barycenter_equivariant_under_coordinate_swap(bl1p2):
 
 def test_barycenter_exact_rational_path(p1):
     g = t.WeightFunction.affine(1, [Fraction(1, 2)])
-    b = weighted_barycenter_exact(p1, g)
+    b = exact_barycenter(p1, g)
     # int x (1 + x/2) / int (1 + x/2) = (1/3) / 2
     assert b == (Fraction(1, 6),)
 
@@ -244,7 +246,7 @@ def test_kr_soliton_is_local_grid_minimum(solved_kr_bl1p2, bl1p2):
 
     def W(z):
         g = t.WeightFunction.exp_affine(0, tuple(float(c) for c in z))
-        return quadrature.integrate(bl1p2, g)[0]
+        return quadrature.moments(bl1p2, g, 0)[(0, 0)]
 
     w0 = W(xi)
     for dx in (-0.05, 0.0, 0.05):
@@ -259,7 +261,7 @@ def test_exp_volume_is_convex_in_direction(bl1p2):
 
     def W(z):
         g = t.WeightFunction.exp_affine(0, tuple(float(c) for c in z))
-        return quadrature.integrate(bl1p2, g)[0]
+        return quadrature.moments(bl1p2, g, 0)[(0, 0)]
 
     for _ in range(5):
         x, y = rng.uniform(-1.5, 1.5, size=(2, 2))
@@ -296,7 +298,7 @@ def test_mabuchi_bl1p2_exact_rational(bl1p2):
     )
     assert tuple(sol.b) == want
     # exact zero residual of the weighted barycenter under the affine weight
-    bexact = weighted_barycenter_exact(bl1p2, sol.weight)
+    bexact = exact_barycenter(bl1p2, sol.weight)
     assert all(x == 0 for x in bexact)
     # feasibility matches the exact vertex evaluation of 1 + <b, v>
     vertex_vals = [
@@ -304,6 +306,30 @@ def test_mabuchi_bl1p2_exact_rational(bl1p2):
     ]
     assert sol.feasible == all(x > 0 for x in vertex_vals)
     assert V == Fraction(4)  # guards the oracle itself
+
+
+_BUILTINS = [t.builtin(name).vertices for name in t.builtin_names()]
+
+
+@pytest.mark.parametrize("vertices", _BUILTINS + REFLEXIVE_2D)
+def test_a_feasible_mabuchi_soliton_is_stable_exactly(tmp_path, vertices):
+    # every builtin has a positive Mabuchi weight; 10 of the 16 reflexive
+    # polygons do, and the claim is about those only
+    P = t.from_vertices(vertices)
+    sol = t.solve_mabuchi_soliton(P)
+    assert sol.feasible or vertices not in _BUILTINS
+    if not sol.feasible:
+        return
+    check = t.g_uniform_check(P, sol.weight)
+    assert check["stable_modulo_torus"] is True and check["decided_by"] == "exact"
+    path = tmp_path / "P.json"
+    path.write_text(json.dumps({"vertices": [[str(x) for x in v] for v in vertices]}))
+    spec = "affine:1," + ",".join(str(x) for x in sol.b)
+    rc, out, err = run_main(["check-futaki", "--polytope", str(path), "--g", spec])
+    assert rc == 0, err
+    report = json.loads(out)
+    assert report["results"]["futaki_vanishes"] is True
+    assert report["diagnostics"]["decided_by"] == "exact"
 
 
 def test_soliton_solution_serialization(solved_kr_bl1p2, bl1p2):

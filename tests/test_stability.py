@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import toricgs as t
 from toricgs import errors
 
-from conftest import assert_close, norm_inf
+from conftest import assert_close, exact_barycenter, norm_inf
 from oracles import LoopFiltration, grid_integral, pl_minimum
 from perfbench.gen import REFLEXIVE_2D
 
@@ -436,6 +436,35 @@ def test_e_g_na_is_gl_n_z_invariant(name, ops, pieces, weight):
     assert t.e_g_na(Q, gq, fq) == t.e_g_na(P, g, f)
 
 
+_POLYGONS = [t.builtin(name).vertices for name in t.builtin_names()] + REFLEXIVE_2D
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(_POLYGONS),
+    st.lists(st.tuples(st.sampled_from(["flip", "swap", "shear"]), st.integers(0, 1), st.integers(0, 1)), max_size=6),
+    st.tuples(st.fractions(5, 7, max_denominator=3), *[st.fractions(-1, 1, max_denominator=5)] * 2),
+    st.tuples(*[st.fractions(-2, 2, max_denominator=3)] * 2),
+)
+def test_invariants_are_gl_n_z_equivariant(vertices, ops, weight, a):
+    # x' = A x maps (P, g) to (AP, g o A^-1); points map by A and the
+    # directions and slopes paired with them by B = A^-T
+    n = len(vertices[0])
+    A = _unimodular(n, ops)
+    B = _inverse_transpose(A)
+    P, Q = t.from_vertices(vertices), t.from_vertices([_apply(A, v) for v in vertices])
+    b = weight[1 : n + 1]
+    g, gq = t.WeightFunction.affine(weight[0], b), t.WeightFunction.affine(weight[0], _apply(B, b))
+    a = a[:n] if any(a[:n]) else (1,) * n
+    assert exact_barycenter(Q, gq) == _apply(A, exact_barycenter(P, g))
+    assert t.delta_toric(Q, gq) == t.delta_toric(P, g)
+    assert t.s_g(Q, gq, _apply(B, a)) == t.s_g(P, g, a)
+    assert t.solve_mabuchi_soliton(Q).b == _apply(B, t.solve_mabuchi_soliton(P).b)
+    xi = [float(x) for x in _apply(B, t.solve_kr_soliton(P).xi)]
+    assert np.max(np.abs(t.solve_kr_soliton(Q).xi - xi)) <= 1e-12
+    assert abs(t.futaki(Q, gq, _apply(B, a)) - t.futaki(P, g, a)) <= 1e-15
+
+
 def test_lambda_and_j_na_examples(p1, g_one, g_exp_x, abs_x):
     assert t.lambda_na(abs_x) == 1.0
     assert t.j_g_na(p1, g_one, abs_x) == pytest.approx(0.5, abs=1e-9)
@@ -553,8 +582,6 @@ def test_an_unstable_weight_has_a_destabilizing_direction():
 
 
 def test_zero_barycenter_is_decided_exactly_for_rational_weights(p1xp1, bl1p2, g_one):
-    from toricgs.invariants import weighted_barycenter_exact
-
     tiny = t.WeightFunction.affine(1, [Fraction(1, 10**11), 0])
     r = t.g_uniform_check(p1xp1, tiny)
     assert r["stable_modulo_torus"] is False and r["decided_by"] == "exact"
@@ -562,7 +589,7 @@ def test_zero_barycenter_is_decided_exactly_for_rational_weights(p1xp1, bl1p2, g
     assert t.delta_toric(p1xp1, g_one) == 1.0
     # delta = 1 / (1 - min_i <nu_i, b_g>), computed in Fractions
     for P, g in ((p1xp1, tiny), (bl1p2, g_one)):
-        b = weighted_barycenter_exact(P, g)
+        b = exact_barycenter(P, g)
         low = min(sum(x * y for x, y in zip(nu, b)) for nu in P.normals)
         assert low < 0
         assert t.delta_toric(P, g) == float(1 / (1 - low))
