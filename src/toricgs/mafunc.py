@@ -14,11 +14,14 @@ structural properties the functional suite leans on: the total mass
 telescopes to the constant integral of g over P for every potential, and
 the energy 1-form sum(phi_k MA_k(u_t)) is exactly closed, so energy path
 integrals are path-independent at the discrete level (cocycle, translation
-invariance, and the monotonicity inequalities hold to quadrature rounding,
-not to grid resolution).
+invariance, and the monotonicity inequalities hold to float rounding, not
+to grid resolution).
 
-``functionals`` evaluates the flux masses of all its energy-path nodes in
-one batch over stacked rows.  The destabilizing ray of
+``functionals`` integrates the energy along the affine path in closed form.
+Every edge slope moves linearly along that path, so after summation by
+parts the path integral is a sum of means of G along the edges
+(``_antiderivative_mean``), and it needs the slopes of the two ends only.
+The destabilizing ray of
 ``ding_ray_diagnostic`` is built from exact discrete Legendre transforms
 (max-plus conjugates of the sampled potentials, ``_conjugate``): a lower
 convex hull of the N samples in O(N), then a binary search of its edge
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +42,7 @@ from . import quadrature
 from .errors import (
     NewtonDiverged,
     NonConvexInput,
+    NumericalFailure,
     SchemaViolation,
     ValidationError,
     WindowTooSmall,
@@ -285,6 +289,51 @@ def _antiderivative(g: WeightFunction):
     return lambda p: _horner(Gc, np.asarray(p, dtype=float))
 
 
+def _antiderivative_mean(g: WeightFunction):
+    """(a, b) -> int_0^1 G(b + r (a - b)) dr, the mean of G over [b, a], vectorized.
+
+    Each form is free of the cancellation in (G~(a) - G~(b)) / (a - b), with
+    G~' = G, as a -> b.  For ``exp_affine`` with z = beta (a - b), it is
+    e^{a0 + beta b} expm1(z) / (z beta), anchored at the end with the larger
+    exponent so that expm1 takes a nonpositive argument and cannot overflow.
+    For polynomials, the mean of p^j is h_j(a, b) / (j + 1) with the
+    complete homogeneous sums h_j = a h_{j-1} + b^j, h_0 = 1.
+    """
+    if g.kind == "constant":
+        c = float(g.a0)
+        return lambda a, b: 0.5 * c * (a + b)
+    if g.kind == "affine":
+        a0, beta = float(g.a0), float(g.b[0])
+        return lambda a, b: 0.5 * a0 * (a + b) + beta * (a * a + a * b + b * b) / 6.0
+    if g.kind == "exp_affine":
+        a0, beta = float(g.a0), float(g.b[0])
+        if beta == 0.0:
+            c = math.exp(a0)
+            return lambda a, b: 0.5 * c * (a + b)
+
+        def mean_exp(a, b):
+            z = beta * (a - b)
+            top = np.where(z > 0.0, a, b)
+            d = np.abs(z)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ratio = np.where(d > 0.0, -np.expm1(-d) / d, 1.0)
+            return np.exp(a0 + beta * top) * ratio / beta
+
+        return mean_exp
+    Gc = _poly_coeffs(g)[1][::-1]  # lowest degree first, Gc[0] = G(0) = 0
+
+    def mean_poly(a, b):
+        hj = bj = 1.0
+        acc = Gc[0]
+        for j in range(1, len(Gc)):
+            bj = bj * b
+            hj = a * hj + bj
+            acc = acc + Gc[j] / (j + 1) * hj
+        return acc
+
+    return mean_poly
+
+
 def _poly_coeffs(g: WeightFunction) -> tuple[list[float], list[float]]:
     """Coefficients of g and of G = int_0^p g, highest degree first."""
     gc = [0.0] * (1 + max(int(p[0]) for p, _ in g.coeffs))
@@ -432,14 +481,6 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
     raise NewtonDiverged(f"root finder did not converge after 100 iterations, x={xcur!r}")
 
 
-def _ma_flux(g: WeightFunction, s: np.ndarray) -> np.ndarray:
-    """Flux-form Monge-Ampère cell masses MA_k = G(s_{k+1/2}) - G(s_{k-1/2}).
-
-    ``s`` holds the half-slopes, ghosts included, one row per potential.
-    """
-    return np.diff(_antiderivative(g)(s), axis=-1)
-
-
 def weight_mass(P: LabelledPolytope, g: WeightFunction) -> float:
     """integral of g over the 1D polytope = total flux mass (exact telescope)."""
     G = _antiderivative(g)
@@ -528,7 +569,7 @@ def solve_ma(
     w = _shoot(w0)[0]
     s = DiscretePotential(grid=grid, P=P, values=w, ref_values=ref.values).half_slopes()
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(np.max(np.abs(_ma_flux(g, s) / h - np.exp(-w))))
+        residual = float(np.max(np.abs(np.diff(G(s)) / h - np.exp(-w))))
     if residual > tol:
         raise NewtonDiverged(
             f"shooting residual {residual:.3e} exceeds tol {tol:.1e}",
@@ -570,18 +611,36 @@ def solve_ma(
 # functional suite
 # ---------------------------------------------------------------------------
 
-_GL_NODES = 16
 
+def _energies(
+    u: DiscretePotential,
+    g: WeightFunction,
+    P: LabelledPolytope,
+    base: np.ndarray,
+) -> tuple[float, float, np.ndarray, float]:
+    """E_g and Lambda_g of u over ``base``, the flux masses of base and u, and Vg.
 
-@cache
-def _gauss_legendre01() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1], made on first use.
+    Validates u first.  With phi = u - base, the half-slopes of
+    base + r phi are s_b + r (s_u - s_b), so summation by parts turns the
+    path integral of sum(phi_k MA_k(base + r phi)) over r in [0, 1] into
 
-    Made lazily rather than at import: ``numpy.polynomial`` takes about 5 ms
-    to import, which every CLI call would pay.
+        Vg E_g = phi_{N-1} G(p_max) - phi_0 G(p_min)
+                 - sum_k (phi_{k+1} - phi_k) int_0^1 G(s_b + r (s_u - s_b)) dr,
+
+    exactly, with the edge means from ``_antiderivative_mean``.  The masses
+    come back as two rows, base first.
     """
-    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
-    return 0.5 * (x + 1.0), 0.5 * w
+    u.validate()
+    Vg = weight_mass(P, g)
+    phi = u.values - base
+    s = DiscretePotential(grid=u.grid, P=P, values=base, ref_values=base).half_slopes(
+        np.stack((base, u.values))
+    )
+    Gs = _antiderivative(g)(s)
+    means = _antiderivative_mean(g)(s[1, 1:-1], s[0, 1:-1])
+    E = phi[-1] * Gs[0, -1] - phi[0] * Gs[0, 0] - float(np.dot(np.diff(phi), means))
+    ma = np.diff(Gs, axis=-1)
+    return float(E) / Vg, float(np.dot(phi, ma[0])) / Vg, ma, Vg
 
 
 @dataclass
@@ -618,29 +677,13 @@ def functionals(
     Gibbs) hold exactly in the discrete model, with equality at the solved
     soliton.  ``u0_values`` overrides the base potential of the energy path
     (used by the cocycle identity E_{g,u0}(u2) - E_{g,u0}(u1) = E_{g,u1}(u2)).
+    E_g integrates along the straight path in closed form (``_energies``):
+    one divided difference of the second antiderivative of g per edge.
     """
     P = P or u.P
-    u.validate()
     base = u.ref_values if u0_values is None else np.asarray(u0_values, float)
+    E, Lam, (ma0, ma1), Vg = _energies(u, g, P, base)
     phi = u.values - base
-    Vg = weight_mass(P, g)
-    base_pot = DiscretePotential(grid=u.grid, P=P, values=base, ref_values=base)
-
-    # E_g: Gauss-Legendre along the affine path from base to u; the 1-form
-    # is exactly closed for the flux operator, so this is path-independent.
-    # One flux evaluation covers the rows of the path nodes, then base and u.
-    tq, wq = _gauss_legendre01()
-    rows = np.empty((len(tq) + 2, len(phi)))
-    rows[:-2] = base + tq[:, None] * phi
-    rows[-2] = base
-    rows[-1] = u.values
-    ma = _ma_flux(g, base_pot.half_slopes(rows))
-    E = 0.0
-    for w, ma_t in zip(wq, ma[:-2]):
-        E += w * float(np.dot(phi, ma_t)) / Vg
-
-    ma0, ma1 = ma[-2], ma[-1]
-    Lam = float(np.dot(phi, ma0)) / Vg
     Ival = float(np.dot(phi, ma0 - ma1)) / Vg
     J = Lam - E
 
@@ -674,8 +717,20 @@ def functionals(
 
 
 def _log_mean_exp(a: np.ndarray, weights: np.ndarray) -> float:
+    """log sum(weights e^a), shifted by max(a) so that no term overflows.
+
+    Raises NumericalFailure when every weighted term underflows to 0: on a
+    window or a polytope so wide that the weights vanish wherever a is near
+    its maximum.
+    """
     m = float(np.max(a))
-    return m + math.log(float(np.sum(weights * np.exp(a - m))))
+    total = float(np.sum(weights * np.exp(a - m)))
+    if total == 0.0:
+        raise NumericalFailure(
+            "a weighted mean of exponentials underflows to 0; "
+            "the window or the polytope is too wide for float range"
+        )
+    return m + math.log(total)
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +843,8 @@ def inequality_suite(
         ok_c = c_m >= -slack
         ok_d = True
         for t in t_grid:
-            Jt = functionals(u.along(t), g, P).J_g
+            E_t, Lam_t, _, _ = _energies(u.along(t), g, P, u.ref_values)
+            Jt = Lam_t - E_t
             d_m = t * Fg.J_g - Jt
             worst["d_margin"] = min(worst["d_margin"], d_m)
             if d_m < -slack:

@@ -403,6 +403,18 @@ def test_numerical_failure_exits_one():
     assert body["error"] == "WindowTooSmall"
 
 
+def test_window_too_wide_for_float_range_exits_one():
+    # at R = 1e10 the reference measure e^{-u0} underflows to 0 at every node
+    # but x = 0, and e^{-phi} underflows there against its maximum, so the
+    # weighted mean of e^{-phi} in L reads 0
+    cp = run_cli(["inequalities", "--polytope", "builtin:p1", "--samples", "1",
+                  "--grid-r", "1e10", "--grid-n", "101"])
+    assert cp.returncode == 1, cp.stderr.decode()
+    body = _error_body(cp)
+    assert body["error"] == "NumericalFailure"
+    assert "underflows" in body["message"]
+
+
 def test_shooting_residual_failure_reports_one_history_entry():
     cp = run_cli(["solve-ma", "--polytope", "builtin:p1", "--g", "exp_affine:0,1/2", "--grid-n", "4001"])
     assert cp.returncode == 1

@@ -1,10 +1,12 @@
 """Monge-Ampère solver and Archimedean functional suite."""
 
 import math
+import subprocess
 import sys
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -450,6 +452,121 @@ def test_functionals_match_the_per_node_loop(g, verts):
         got = t.functionals(u, g, u0_values=base).to_dict()
         for name, want in loop_functionals(u, g, u0_values=base).items():
             assert abs(got[name] - want) <= 1e-13 * max(abs(want), phi), (name, got[name], want)
+
+
+def _exact_energy(P, gc, values, base, h):
+    """E_g of ``values`` over ``base`` by sympy: the path integral of
+    <phi, MA(base + r phi)> / Vg over r in [0, 1], symbolic in r, for the
+    weight sum gc[k] p^k with rational gc."""
+    import sympy
+
+    r = sympy.Symbol("r")
+
+    def G(p):
+        return sum(c * p ** (k + 1) / (k + 1) for k, c in enumerate(gc))
+
+    pmin, pmax = (sympy.Rational(v) for v in P.interval())
+    phi = [v - b for v, b in zip(values, base)]
+    path = [b + r * f for b, f in zip(base, phi)]
+    s = [pmin] + [(q - p) / h for p, q in zip(path, path[1:])] + [pmax]
+    form = sum(f * (G(s[k + 1]) - G(s[k])) for k, f in enumerate(phi))
+    return sympy.integrate(sympy.expand(form), (r, 0, 1)) / (G(pmax) - G(pmin))
+
+
+_RATIONAL_WEIGHTS = {
+    "constant": (t.WeightFunction.constant(Fraction(3, 2)), [Fraction(3, 2)]),
+    "affine": (t.WeightFunction.affine(1, (Fraction(1, 4),)), [1, Fraction(1, 4)]),
+    "polynomial": (
+        t.WeightFunction.polynomial(
+            [((0,), 2), ((1,), Fraction(1, 3)), ((2,), Fraction(-1, 5)), ((3,), Fraction(1, 7))]
+        ),
+        [2, Fraction(1, 3), Fraction(-1, 5), Fraction(1, 7)],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RATIONAL_WEIGHTS))
+@pytest.mark.parametrize("verts", [[(-1,), (1,)], [(Fraction(-3, 4),), (Fraction(5, 4),)]])
+def test_energy_matches_the_exact_path_integral(kind, verts):
+    # dyadic node values on h = 1/2: the float slopes are exact, so only the
+    # closed form itself rounds
+    import sympy
+
+    g, gc = _RATIONAL_WEIGHTS[kind]
+    gc = [sympy.Rational(c) for c in gc]
+    P = t.from_vertices(verts)
+    grid = t.Grid1D(R=2.0, N=9)
+    half = sympy.Rational(1, 2)
+
+    def from_slopes(v0, slopes):
+        out = [sympy.Rational(v0)]
+        for s in slopes:
+            out.append(out[-1] + half * sympy.Rational(s))
+        return out
+
+    values = from_slopes("3/8", ["-3/4", "-5/8", "-1/2", "-1/4", "0", "1/8", "1/2", "3/4"])
+    base = from_slopes("-1/4", ["-1/2", "-1/2", "-3/8", "-1/8", "1/4", "1/4", "5/8", "1"])
+    u = DiscretePotential(
+        grid=grid,
+        P=P,
+        values=np.array([float(v) for v in values]),
+        ref_values=np.array([float(v) for v in base]),
+    )
+    want = float(_exact_energy(P, gc, values, base, half))
+    assert abs(t.functionals(u, g).E_g - want) <= 1e-14 * max(1.0, abs(want)), want
+
+
+def _mp_mean_of_exp_antiderivative(a0, beta, a, b):
+    """int_0^1 e^{a0 + beta (b + r (a - b))} / beta dr by mpmath quadrature at 40 digits."""
+    with mpmath.workdps(40):
+        a0, beta, a, b = (mpmath.mpf(v) for v in (a0, beta, a, b))
+        return mpmath.quad(lambda r: mpmath.exp(a0 + beta * (b + r * (a - b))) / beta, [0, 1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.floats(-2.0, 2.0),
+    st.floats(0.05, 3.0),
+    st.sampled_from([-1.0, 1.0]),
+    st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+    st.one_of(st.just(0.0), st.floats(1e-300, 1e-12), st.floats(1e-12, 50.0)),
+    st.sampled_from([-1.0, 1.0]),
+)
+def test_exp_edge_mean_matches_mpmath(a0, beta, beta_sign, b, z, z_sign):
+    # z = beta (a - b) from 0 through 1e-300 up to 50; the exponent reaches
+    # about 60, whose rounding alone moves the mean by 60 eps ~ 1.3e-14
+    beta *= beta_sign
+    a = b + z_sign * z / beta
+    g = t.WeightFunction.exp_affine(a0, (beta,))
+    got = float(mafunc._antiderivative_mean(g)(np.array(a), np.array(b)))
+    want = _mp_mean_of_exp_antiderivative(a0, beta, a, b)
+    assert abs(got - want) <= 1e-13 * abs(want), (a, b, got, want)
+
+
+def test_inequality_suite_validates_every_segment_potential(p1, g_exp_x):
+    # per sample: random_potential, functionals for g and for g = 1, then
+    # one validate for each of the ten segment potentials u_t
+    calls = []
+    real = DiscretePotential.validate
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    with mock.patch.object(DiscretePotential, "validate", counting):
+        t.inequality_suite(p1, g_exp_x, samples=2, seed=5, grid=t.Grid1D(N=201))
+    assert len(calls) == 2 * 13
+
+
+def test_functionals_load_no_numpy_polynomial():
+    probe = (
+        "import sys, toricgs as t; P = t.builtin('p1'); "
+        "t.functionals(t.random_potential(P), t.WeightFunction.exp_affine(0, (1,))); "
+        "print('numpy.polynomial' in sys.modules)"
+    )
+    cp = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "False"
 
 
 def test_functional_record_serialization(p1, ma_solution_p1, g_one):
