@@ -17,11 +17,12 @@ integrals are path-independent at the discrete level (cocycle, translation
 invariance, and the monotonicity inequalities hold to float rounding, not
 to grid resolution).
 
+Every weight reaches this module through one kernel, ``_weight_1d``: G with
+G(0) = 0, its mean along an edge and its inverse, free of cancellation.
 ``functionals`` integrates the energy along the affine path in closed form.
 Every edge slope moves linearly along that path, so after summation by
-parts the path integral is a sum of means of G along the edges
-(``_antiderivative_mean``), and it needs the slopes of the two ends only.
-The destabilizing ray of
+parts the path integral is a sum of means of G along the edges, and it
+needs the slopes of the two ends only.  The destabilizing ray of
 ``ding_ray_diagnostic`` is built from exact discrete Legendre transforms
 (max-plus conjugates of the sampled potentials, ``_conjugate``): a lower
 convex hull of the N samples in O(N), then a binary search of its edge
@@ -266,72 +267,142 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# weight antiderivative (G' = g) for the flux-form operator
+# the 1D weight kernel: G (G' = g, G(0) = 0), its edge mean and its inverse
 # ---------------------------------------------------------------------------
 
 
-def _antiderivative(g: WeightFunction):
-    """Closed-form antiderivative of a 1D weight, vectorized."""
+#: F(d) = (expm1(-d) + d) / d^2 of the exp edge mean comes from its series
+#: sum_k (-d)^k / (k + 2)! below d = 1/4, where 11 terms reach 4e-17
+_F_SERIES_CUT = 0.25
+_F_SERIES = [(-1.0) ** k / math.factorial(k + 2) for k in range(11)][::-1]
+
+
+def _weight_1d(g: WeightFunction, pmin: float, pmax: float):
+    """(G, mean, Ginv) of a 1D weight; the only reader of ``g.kind`` here.
+
+    G' = g with G(0) = 0, so the flux masses diff(G(s)) carry no offset.  G
+    and the edge mean (a, b, G(a), G(b)) -> int_0^1 G(b + r (a - b)) dr take
+    arrays and cancel nothing as a -> b or as the slope beta -> 0.  Ginv is
+    scalar and monotone-extended past [pmin, pmax], which only the
+    overshooting trial shots of the bracket reach.  The forms:
+
+    * constant, affine, and exp_affine at beta = 0 (the constant e^{a0}):
+      G = p (a0 + beta p / 2) and Ginv(y) = 2y / (a0 + sqrt(a0^2 + 2 beta y)),
+      where a0 = g(0) > 0 since the origin is interior;
+    * exp_affine: G = e^{a0} expm1(beta p) / beta, taken as
+      p e^{a0 + max(z, 0)} E(|z|) with z = beta p and E(d) = -expm1(-d) / d,
+      so that no factor overflows and a tiny z loses nothing; the mean
+      is G(top) E(d) + e^{a0} (bot - top) F(d), d = |beta (a - b)|, at the
+      end ``top`` with the larger exponent; Ginv(y) = log1p(beta y e^{-a0}) / beta;
+    * polynomial: Horner for G; the mean of p^j is h_j(a, b) / (j + 1) with
+      h_j = a h_{j-1} + b^j, h_0 = 1; Ginv is Newton inside a sign bracket.
+    """
     if g.dim not in (None, 1):
         raise ValidationError("weight must be one-dimensional")
-    if g.kind == "constant":
-        c = float(g.a0)
-        return lambda p: c * np.asarray(p, dtype=float)
-    if g.kind == "affine":
-        a0, b = float(g.a0), float(g.b[0])
-        return lambda p: a0 * np.asarray(p, float) + 0.5 * b * np.asarray(p, float) ** 2
-    if g.kind == "exp_affine":
-        a0, b = float(g.a0), float(g.b[0])
-        if b == 0.0:
-            return lambda p: math.exp(a0) * np.asarray(p, float)
-        return lambda p: np.exp(a0 + b * np.asarray(p, float)) / b
-    Gc = _poly_coeffs(g)[1]
-    return lambda p: _horner(Gc, np.asarray(p, dtype=float))
+    if g.kind == "polynomial":
+        gc, Gc = _poly_coeffs(g)
+        Gl = Gc[::-1]  # lowest degree first, Gl[0] = G(0) = 0
 
+        def G_poly(p):
+            return _horner(Gc, np.asarray(p, dtype=float))
 
-def _antiderivative_mean(g: WeightFunction):
-    """(a, b) -> int_0^1 G(b + r (a - b)) dr, the mean of G over [b, a], vectorized.
+        def mean_poly(a, b, *_):
+            hj = bj = 1.0
+            acc = Gl[0]
+            for j in range(1, len(Gl)):
+                bj = bj * b
+                hj = a * hj + bj
+                acc = acc + Gl[j] / (j + 1) * hj
+            return acc
 
-    Each form is free of the cancellation in (G~(a) - G~(b)) / (a - b), with
-    G~' = G, as a -> b.  For ``exp_affine`` with z = beta (a - b), it is
-    e^{a0 + beta b} expm1(z) / (z beta), anchored at the end with the larger
-    exponent so that expm1 takes a nonpositive argument and cannot overflow.
-    For polynomials, the mean of p^j is h_j(a, b) / (j + 1) with the
-    complete homogeneous sums h_j = a h_{j-1} + b^j, h_0 = 1.
-    """
-    if g.kind == "constant":
-        c = float(g.a0)
-        return lambda a, b: 0.5 * c * (a + b)
-    if g.kind == "affine":
-        a0, beta = float(g.a0), float(g.b[0])
-        return lambda a, b: 0.5 * a0 * (a + b) + beta * (a * a + a * b + b * b) / 6.0
-    if g.kind == "exp_affine":
-        a0, beta = float(g.a0), float(g.b[0])
-        if beta == 0.0:
-            c = math.exp(a0)
-            return lambda a, b: 0.5 * c * (a + b)
+        glo, ghi = _horner(gc, pmin), _horner(gc, pmax)
+        Glo, Ghi = _horner(Gc, pmin), _horner(Gc, pmax)
+        last = pmin  # warm start: along a shot the slopes increase
 
-        def mean_exp(a, b):
-            z = beta * (a - b)
-            top = np.where(z > 0.0, a, b)
-            d = np.abs(z)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = np.where(d > 0.0, -np.expm1(-d) / d, 1.0)
-            return np.exp(a0 + beta * top) * ratio / beta
+        def inv_poly(y: float) -> float:
+            """Newton on G(p) - y, kept inside the shrinking sign bracket."""
+            nonlocal last
+            if y <= Glo:
+                return pmin + (y - Glo) / glo
+            if y >= Ghi:
+                return pmax + (y - Ghi) / ghi
+            a, b = pmin, pmax
+            p = last
+            for _ in range(200):
+                f = _horner(Gc, p) - y
+                if f < 0.0:
+                    a = p
+                elif f > 0.0:
+                    b = p
+                else:
+                    break
+                q = p - f / _horner(gc, p)
+                if not a < q < b:
+                    q = 0.5 * (a + b)
+                done = abs(q - p) <= 1e-15 + _RTOL * abs(q)
+                p = q
+                if done:
+                    break
+            last = p
+            return p
 
-        return mean_exp
-    Gc = _poly_coeffs(g)[1][::-1]  # lowest degree first, Gc[0] = G(0) = 0
+        return G_poly, mean_poly, inv_poly
+    a0 = float(g.a0)
+    beta = float(g.b[0]) if g.b else 0.0
+    exp = g.kind == "exp_affine"
+    if exp and beta == 0.0:  # the constant e^{a0}
+        exp, a0 = False, math.exp(a0)
+    if exp:
+        ea0 = math.exp(a0)
+        top_of = np.maximum if beta > 0 else np.minimum  # G(top), as G increases
 
-    def mean_poly(a, b):
-        hj = bj = 1.0
-        acc = Gc[0]
-        for j in range(1, len(Gc)):
-            bj = bj * b
-            hj = a * hj + bj
-            acc = acc + Gc[j] / (j + 1) * hj
-        return acc
+        def G_exp(p):
+            z = beta * np.asarray(p, float)
+            nd = np.minimum(-np.abs(z), -1e-300)  # E(|z|) is 1 below 1e-300
+            return p * np.exp(a0 + np.maximum(z, 0.0)) * (np.expm1(nd) / nd)
 
-    return mean_poly
+        def mean_exp(a, b, Ga, Gb):
+            delta = np.abs(a - b)
+            d = abs(beta) * delta
+            x = np.minimum(d, _F_SERIES_CUT)
+            F = x * _F_SERIES[0] + _F_SERIES[1]
+            for c in _F_SERIES[2:]:  # Horner, in place
+                F *= x
+                F += c
+            E = 1.0 - d * F  # cancels nothing below the cut
+            big = d >= _F_SERIES_CUT
+            if big.any():
+                db = d[big]
+                em = np.expm1(-db)
+                F[big], E[big] = (em + db) / (db * db), -em / db
+            return top_of(Ga, Gb) * E - math.copysign(ea0, beta) * delta * F
+
+        scale = beta / ea0
+        over = pmin - 64.0 if beta > 0 else pmax + 64.0
+
+        def inv_exp(y: float) -> float:
+            t = y * scale
+            if t <= -1.0:
+                # only reachable on bracket overshoot; answer far past range
+                return over
+            return math.log1p(t) / beta
+
+        return G_exp, mean_exp, inv_exp
+
+    def G_affine(p):
+        return p * (a0 + 0.5 * beta * p)
+
+    def mean_affine(a, b, *_):
+        s = a + b
+        return 0.5 * a0 * s + beta / 6.0 * (s * s - a * b)
+
+    a2, b2 = a0 * a0, 2.0 * beta
+
+    def inv_affine(y: float) -> float:
+        d = a2 + b2 * y
+        return (y + y) / (a0 + math.sqrt(d if d > 0.0 else 0.0))
+
+    return G_affine, mean_affine, inv_affine
 
 
 def _poly_coeffs(g: WeightFunction) -> tuple[list[float], list[float]]:
@@ -349,75 +420,6 @@ def _horner(cs, p):
     for c in cs:
         acc = acc * p + c
     return acc
-
-
-def _antiderivative_inverse(g: WeightFunction, pmin: float, pmax: float):
-    """Scalar inverse of the antiderivative, monotone-extended past [pmin, pmax].
-
-    Trial profiles during the shooting bracket may overshoot the slope range;
-    the extension keeps the inverse defined there, while converged solutions
-    only ever evaluate it strictly inside the range.
-    """
-    if g.kind == "constant":
-        c = float(g.a0)
-        return lambda y: y / c
-    if g.kind == "affine":
-        a0, b = float(g.a0), float(g.b[0])
-        if b == 0.0:
-            return lambda y: y / a0
-
-        def inv_affine(y: float) -> float:
-            disc = a0 * a0 + 2.0 * b * y
-            return (-a0 + math.sqrt(max(disc, 0.0))) / b
-
-        return inv_affine
-    if g.kind == "exp_affine":
-        a0, b = float(g.a0), float(g.b[0])
-        if b == 0.0:
-            scale = math.exp(-a0)
-            return lambda y: y * scale
-
-        def inv_exp(y: float) -> float:
-            t = b * y
-            if t <= 0.0:
-                # only reachable on bracket overshoot; answer far past range
-                return pmin - 64.0 if b > 0 else pmax + 64.0
-            return (math.log(t) - a0) / b
-
-        return inv_exp
-    gc, Gc = _poly_coeffs(g)
-    glo, ghi = _horner(gc, pmin), _horner(gc, pmax)
-    Glo, Ghi = _horner(Gc, pmin), _horner(Gc, pmax)
-    last = pmin  # warm start: along a shot the slopes increase
-
-    def inv_poly(y: float) -> float:
-        """Newton on G(p) - y, kept inside the shrinking sign bracket."""
-        nonlocal last
-        if y <= Glo:
-            return pmin + (y - Glo) / glo
-        if y >= Ghi:
-            return pmax + (y - Ghi) / ghi
-        a, b = pmin, pmax
-        p = last
-        for _ in range(200):
-            f = _horner(Gc, p) - y
-            if f < 0.0:
-                a = p
-            elif f > 0.0:
-                b = p
-            else:
-                break
-            q = p - f / _horner(gc, p)
-            if not a < q < b:
-                q = 0.5 * (a + b)
-            done = abs(q - p) <= 1e-15 + _RTOL * abs(q)
-            p = q
-            if done:
-                break
-        last = p
-        return p
-
-    return inv_poly
 
 
 _RTOL = 4.0 * sys.float_info.epsilon
@@ -483,8 +485,8 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
 
 def weight_mass(P: LabelledPolytope, g: WeightFunction) -> float:
     """integral of g over the 1D polytope = total flux mass (exact telescope)."""
-    G = _antiderivative(g)
     pmin, pmax = _endpoint_slopes(P)
+    G = _weight_1d(g, pmin, pmax)[0]
     return float(G(pmax) - G(pmin))
 
 
@@ -510,15 +512,14 @@ def solve_ma(
     solved first, after which the shift kappa that pins the center value to
     the reference determines c = e^{-kappa}.  The c = 1 system collapses to
     one unknown: given the base value w_0, each flux equation determines the
-    next half-slope from the running mass (through G^{-1}: closed form, or
-    a bracketed Newton for polynomial weights), and the closing defect is
-    h * sum(e^{-w_k}) minus the integral of g -- a bracketed scalar root
-    problem, solved by Brent's method (``_brentq``).  The max-norm flux
-    residual of the shot profile must then be at most ``tol``, else
-    NewtonDiverged.  That residual has a rounding floor of about
-    g eps |u| / h^2 from the slopes diff(u)/h, so it grows like N^2: at the
-    default ``tol`` it is reached at N = 4001 for e^{0.3x} on p1 and at
-    N = 8001 for g = 1.
+    next half-slope from the running mass (through the G^{-1} of
+    ``_weight_1d``), and the closing defect is h * sum(e^{-w_k}) minus the
+    integral of g -- a bracketed scalar root problem, solved by Brent's
+    method (``_brentq``).  The max-norm flux residual of the shot profile
+    must then be at most ``tol``, else NewtonDiverged.  That residual has a
+    rounding floor of about g eps |u| / h^2 from the slopes diff(u)/h, so it
+    grows like N^2: at the default ``tol`` it is reached at N = 4001 for
+    e^{0.3x} on p1 and at N = 8001 for g = 1.
     Summing the flux-form equations shows c * sum(e^{-u_k}) h equals the
     integral of g over P automatically, so c carries the mass normalization.
     Raises WindowTooSmall if the boundary slopes end up farther than
@@ -532,24 +533,20 @@ def solve_ma(
     ref = reference_potential(P, grid)
     h = grid.h
     mid = grid.mid_index
-    G = _antiderivative(g)
-
-    Ginv = _antiderivative_inverse(g, pmin, pmax)
+    G, _, Ginv = _weight_1d(g, pmin, pmax)
     y_lo = float(G(pmin))
     y_hi = float(G(pmax))
     N = grid.N
 
     def _shoot(w0: float):
-        prof = np.empty(N)
-        prof[0] = wk = w0
-        y = y_lo
-        for k in range(N - 1):
-            ex = -wk
-            if ex > 500.0:
+        prof = [w0]
+        wk, y = w0, y_lo
+        for _ in range(N - 1):
+            if wk < -500.0:
                 return prof, 1e300  # mass already far past target: sign only
-            y += h * math.exp(ex)
+            y += h * math.exp(-wk)
             wk += h * Ginv(y)
-            prof[k + 1] = wk
+            prof.append(wk)
         return prof, (y + h * math.exp(-wk)) - y_hi
 
     def _psi(w0: float) -> float:
@@ -566,7 +563,7 @@ def solve_ma(
     if flo * fhi > 0.0:
         raise NewtonDiverged("shooting bracket failed for the base value")
     w0 = _brentq(_psi, lo, hi, 1e-13)
-    w = _shoot(w0)[0]
+    w = np.array(_shoot(w0)[0])
     s = DiscretePotential(grid=grid, P=P, values=w, ref_values=ref.values).half_slopes()
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(np.max(np.abs(np.diff(G(s)) / h - np.exp(-w))))
@@ -627,17 +624,18 @@ def _energies(
         Vg E_g = phi_{N-1} G(p_max) - phi_0 G(p_min)
                  - sum_k (phi_{k+1} - phi_k) int_0^1 G(s_b + r (s_u - s_b)) dr,
 
-    exactly, with the edge means from ``_antiderivative_mean``.  The masses
+    exactly, with G and the edge means from ``_weight_1d``.  The masses
     come back as two rows, base first.
     """
     u.validate()
-    Vg = weight_mass(P, g)
+    G, mean, _ = _weight_1d(g, *_endpoint_slopes(P))
     phi = u.values - base
     s = DiscretePotential(grid=u.grid, P=P, values=base, ref_values=base).half_slopes(
         np.stack((base, u.values))
     )
-    Gs = _antiderivative(g)(s)
-    means = _antiderivative_mean(g)(s[1, 1:-1], s[0, 1:-1])
+    Gs = G(s)
+    Vg = float(Gs[0, -1] - Gs[0, 0])  # G(p_max) - G(p_min) at the ghosts
+    means = mean(s[1, 1:-1], s[0, 1:-1], Gs[1, 1:-1], Gs[0, 1:-1])
     E = phi[-1] * Gs[0, -1] - phi[0] * Gs[0, 0] - float(np.dot(np.diff(phi), means))
     ma = np.diff(Gs, axis=-1)
     return float(E) / Vg, float(np.dot(phi, ma[0])) / Vg, ma, Vg

@@ -403,6 +403,12 @@ def test_numerical_failure_exits_one():
     assert body["error"] == "WindowTooSmall"
 
 
+def test_small_slope_weight_solves():
+    # G^{-1} in the form 2y / (a0 + sqrt(a0^2 + 2by)) cancels nothing as b -> 0
+    cp = run_cli(["solve-ma", *_P1, "--g", "affine:1,0.0001"])
+    assert cp.returncode == 0, cp.stderr.decode()
+
+
 def test_window_too_wide_for_float_range_exits_one():
     # at R = 1e10 the reference measure e^{-u0} underflows to 0 at every node
     # but x = 0, and e^{-phi} underflows there against its maximum, so the
