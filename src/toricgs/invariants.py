@@ -178,11 +178,11 @@ def _first_and_second(M: dict, n: int):
 
 
 def _exp_moments(P: LabelledPolytope, xi: np.ndarray):
-    """W, grad W, Hess W for W(xi) = integral_P e^{<xi,x>} dx."""
+    """The weight e^{<xi,x>}, and W, grad W, Hess W for W(xi) = integral_P it."""
     g = WeightFunction.exp_affine(0.0, tuple(float(x) for x in xi))
     M = quadrature.moments(P, g, 2)
     grad, hess = _first_and_second(M, P.dim)
-    return M[(0,) * P.dim], np.array(grad), np.array(hess)
+    return g, M[(0,) * P.dim], np.array(grad), np.array(hess)
 
 
 def solve_kr_soliton(P: LabelledPolytope) -> SolitonSolution:
@@ -194,7 +194,7 @@ def solve_kr_soliton(P: LabelledPolytope) -> SolitonSolution:
     """
     n = P.dim
     xi = np.zeros(n)
-    W, grad, hess = _exp_moments(P, xi)
+    weight, W, grad, hess = _exp_moments(P, xi)
     history = [float(np.linalg.norm(grad) / W)]
     for _ in range(_KR_MAX_ITER):
         if history[-1] < _KR_TOL:
@@ -214,13 +214,13 @@ def solve_kr_soliton(P: LabelledPolytope) -> SolitonSolution:
                 break
             t *= 0.5
         xi = xi + t * step
-        W, grad, hess = _exp_moments(P, xi)
+        weight, W, grad, hess = _exp_moments(P, xi)
         history.append(float(np.linalg.norm(grad) / W))
     else:
         raise MaxIterations(
             f"Newton did not reach |grad W|/W < {_KR_TOL} in {_KR_MAX_ITER} iterations"
         )
-    weight = WeightFunction.exp_affine(0.0, tuple(float(x) for x in xi))
+    # the weight of the last Newton step, whose kept moments give b_g
     residual = float(np.max(np.abs(weighted_barycenter(P, weight))))
     return SolitonSolution(
         kind="kr",

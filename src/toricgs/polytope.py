@@ -169,6 +169,11 @@ class LabelledPolytope:
     # -- cached derived data ------------------------------------------------
 
     @cached_property
+    def _moment_cache(self) -> dict:
+        """What ``quadrature`` keeps on P; it is freed with P."""
+        return {}
+
+    @cached_property
     def vertices_f(self) -> np.ndarray:
         return np.array([[float(x) for x in v] for v in self.vertices], dtype=float)
 

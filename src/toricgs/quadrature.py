@@ -8,11 +8,20 @@ integrated exactly through the Dirichlet moment formula in barycentric
 coordinates; exponential-affine integrands use the closed-form
 divided-difference representation of the simplex exponential integral.
 There is no quadrature rule: every value is a closed form.
+
+Repeated work is kept on the domain object, in its ``_moment_cache``, and
+freed with it: per polytope the weight-independent data of each
+triangulation simplex (``_Simplex``), and per (polytope or PL function,
+weight) the moments computed so far, the positivity certificate and
+``e_g_na``.  Weights are held weakly, so an entry also dies with its weight,
+and keyed by identity, so equal weights with differently typed data
+(Fraction 1 and 1.0) never share results.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -207,8 +216,16 @@ class WeightFunction:
 
         Polynomial weights get a dense-sample certificate: the sampled
         minimum must clear a small relative margin, otherwise the weight is
-        rejected rather than silently trusted.
+        rejected rather than silently trusted.  A certificate is made once
+        per (P, g) and kept while both live (see the module docstring); a
+        rejection is not kept, so it raises again on every call.
         """
+        memo = _memo(P, self)
+        if "positive" not in memo:
+            self._certify_positive(P)
+            memo["positive"] = True
+
+    def _certify_positive(self, P: LabelledPolytope) -> None:
         if self.kind == "constant":
             if self.a0 <= 0:
                 raise PositivityViolated(f"constant weight {self.a0} is not positive")
@@ -350,7 +367,32 @@ def _kappa_factorial(kappa) -> int:
 # ---------------------------------------------------------------------------
 
 _SERIES_SPREAD = 3.0
-_SERIES_TERMS = 120
+
+
+def _series_terms(sigma: float) -> int:
+    """A term count by which the stop test of ``_exp_dd_series`` has fired
+    on every node set with |y_i| <= sigma.
+
+    With N + 1 nodes, |h_j| <= C(j + N, N) sigma^j, so the term
+    t_j = h_j / (N + j)! is at most r_j / N! with r_j = sigma^j / j!.  The
+    full sum is the divided difference of exp at the nodes, e^xi / N! for
+    some xi in [-sigma, sigma], so the partial sum T_j is at least
+    (e^-sigma - R_j) / N! with R_j = sum_{i>j} r_i.  Let J - 1 be the first
+    j > 4 with j >= 2 sigma and r_j <= 1e-22 e^-sigma / 4.  From there on
+    r_{i+1} / r_i = sigma / (i + 1) <= 1/2, so r_j falls and R_j <= r_j,
+    and for j = J - 1 and j = J: |t_j| <= 1e-22 e^-sigma / (4 N!), which
+    is below 1e-22 |T_j| / 3.9.  These are two consecutive negligible terms
+    with a factor of almost 4 to spare for rounding, so the loop breaks at
+    some j <= J, and J + 1 terms give the bits of any longer series.
+    """
+    j, r = 0, 1.0
+    while j <= 4 or j < 2 * sigma or r > 2.5e-23 * math.exp(-sigma):
+        j += 1
+        r *= sigma / j
+    return j + 1
+
+
+_SERIES_TERMS = _series_terms(_SERIES_SPREAD)
 
 
 def exp_divided_difference(nodes) -> float:
@@ -434,14 +476,34 @@ def _exp_dd_table(z) -> float:
 # ---------------------------------------------------------------------------
 
 
+class _Simplex:
+    """The weight-independent data of the moment kernel on one simplex.
+
+    |det E| of the edge matrix, the lines x_j = s0_j + sum_i t_i e_ij, and
+    two caches that grow as moments are asked for: x^gamma as a
+    t-polynomial, and its integral over the standard simplex.
+    """
+
+    def __init__(self, simplex):
+        n = len(simplex) - 1
+        self.s0 = simplex[0]
+        self.edges = [tuple(x - y for x, y in zip(p, self.s0)) for p in simplex[1:]]
+        self.det = abs(_exact.det([list(e) for e in self.edges]))
+        self.lines = _barycentric_lines(self.s0, self.edges, n)
+        self.powers: dict = {(0,) * n: {(0,) * n: 1}}
+        self.integrals: dict = {}
+
+
 def simplex_moments(simplex, g: WeightFunction, alphas):
     """Integrals of x^alpha * g(x) over a rational simplex, one per alpha.
 
-    The determinant and the substitution x = s0 + sum_i t_i e_i are done
-    once; each power x^gamma becomes a t-polynomial (built once per simplex)
-    whose monomials t^kappa are integrated once each (the basis integrals)
-    and then recombined (Baldoni, Berline, De Loera, Koppe and Vergne,
-    Math. Comp. 80, 2011).
+    ``simplex`` is its n + 1 points, or a ``_Simplex`` that keeps the
+    weight-independent work (the determinant, the substitution
+    x = s0 + sum_i t_i e_i, each power x^gamma as a t-polynomial and, for
+    polynomial kinds, its integral) for the next call.  The monomials t^kappa
+    of a t-polynomial are integrated once each (the basis integrals) and
+    then recombined (Baldoni, Berline, De Loera, Koppe and Vergne, Math.
+    Comp. 80, 2011).
 
     Polynomial kinds expand g into its monomials, and the basis integral
     over the standard simplex is the Dirichlet value kappa! / (n + |kappa|)!,
@@ -450,34 +512,30 @@ def simplex_moments(simplex, g: WeightFunction, alphas):
     divided difference of exp at 0 and each c_i repeated kappa_i + 1 times,
     which ``exp_divided_difference`` evaluates stably for any node geometry.
     """
-    n = len(simplex) - 1
-    s0 = simplex[0]
-    edges = [tuple(x - y for x, y in zip(p, s0)) for p in simplex[1:]]
-    detE = abs(_exact.det([list(e) for e in edges]))
-    lines = _barycentric_lines(s0, edges, n)
-    powers: dict = {(0,) * n: {(0,) * n: 1}}
+    S = simplex if isinstance(simplex, _Simplex) else _Simplex(simplex)
+    n = len(S.lines)
     if g.is_polynomial_kind:
         gx = g.as_poly(n)
-        integrals: dict = {}  # x^gamma -> its integral over the standard simplex
+        integrals = S.integrals  # x^gamma -> its integral over the standard simplex
         values = []
         for alpha in alphas:
             total = 0
             for beta, coeff in gx.items():
                 gamma = tuple(x + y for x, y in zip(alpha, beta))
                 if gamma not in integrals:
-                    tpoly = _x_power(gamma, lines, powers)
+                    tpoly = _x_power(gamma, S.lines, S.powers)
                     integrals[gamma] = _dirichlet_integral(tpoly, n, sum(gamma))
                 total = total + coeff * integrals[gamma]
-            values.append(detE * total)
+            values.append(S.det * total)
         return values
 
-    c = [float(_exact.dot(g.b, e)) for e in edges]
-    pref = float(detE) * math.exp(float(g.a0) + float(_exact.dot(g.b, s0)))
+    c = [float(_exact.dot(g.b, e)) for e in S.edges]
+    pref = float(S.det) * math.exp(float(g.a0) + float(_exact.dot(g.b, S.s0)))
     basis: dict = {}  # t^kappa -> its divided difference of exp
     values = []
     for alpha in alphas:
         total = 0.0
-        for kappa, coeff in _x_power(tuple(alpha), lines, powers).items():
+        for kappa, coeff in _x_power(tuple(alpha), S.lines, S.powers).items():
             if kappa not in basis:
                 nodes = [0.0] + [ci for ci, k in zip(c, kappa) for _ in range(k + 1)]
                 basis[kappa] = exp_divided_difference(nodes)
@@ -517,15 +575,40 @@ def _compositions(total: int, parts: int):
 def moments(P: LabelledPolytope, g: WeightFunction, degree: int) -> dict:
     """Every moment integral_P x^alpha g dx with |alpha| <= degree.
 
-    Returns {alpha: value}.  Polynomial-kind weights with rational data give
-    exact Fractions; other data gives floats.
+    Returns a new {alpha: value}.  Polynomial-kind weights with rational
+    data give exact Fractions; other data gives floats.  Each moment is
+    computed once per (P, g) and kept while both live (see the module
+    docstring): a repeat call, or one of lower degree, is served from the
+    kept values, and a higher degree computes only the moments it adds.
+    A moment does not depend on which others are asked for, so the values
+    are those of a fresh computation, bit for bit.
     """
     _check_dim(P, g)
     alphas = [a for d in range(degree + 1) for a in _compositions(d, P.dim)]
-    totals = [0] * len(alphas)
-    for simplex in P.triangulation:
-        totals = [t + v for t, v in zip(totals, simplex_moments(simplex, g, alphas))]
-    return dict(zip(alphas, totals))
+    known = _memo(P, g).setdefault("moments", {})
+    todo = [a for a in alphas if a not in known]
+    if todo:
+        totals = [0] * len(todo)
+        for simplex in _simplices(P):
+            totals = [t + v for t, v in zip(totals, simplex_moments(simplex, g, todo))]
+        known.update(zip(todo, totals))
+    return {a: known[a] for a in alphas}
+
+
+def _simplices(P: LabelledPolytope) -> tuple:
+    """The ``_Simplex`` of each simplex of P.triangulation, built once per P."""
+    cache = P._moment_cache
+    if "simplices" not in cache:
+        cache["simplices"] = tuple(_Simplex(s) for s in P.triangulation)
+    return cache["simplices"]
+
+
+def _memo(domain, g: WeightFunction) -> dict:
+    """The results kept for weight g on a domain (a polytope or PL function)."""
+    cache = domain._moment_cache
+    if "weights" not in cache:
+        cache["weights"] = weakref.WeakKeyDictionary()
+    return cache["weights"].setdefault(g, {})
 
 
 def _check_dim(P: LabelledPolytope, g: WeightFunction) -> None:

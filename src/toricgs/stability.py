@@ -124,6 +124,11 @@ class PLConvexFunction:
             (j, tuple(fan_triangulation(verts, cons))) for j, verts, cons in self._cells
         )
 
+    @cached_property
+    def _moment_cache(self) -> dict:
+        """What ``quadrature`` keeps on f (``e_g_na``); it is freed with f."""
+        return {}
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
@@ -341,9 +346,13 @@ def e_g_na(P: LabelledPolytope, g: WeightFunction, f: PLConvexFunction) -> float
     piece j, f = <a_j, x> + c_j, so each simplex of the cell contributes
     c_j M_0 + <a_j, M_1> from the moment kernel, and the mass is the sum of
     the M_0.  Rational polynomial-kind data gives the float of an exact
-    Fraction.
+    Fraction.  The value is kept per (f, g) while both live, as the
+    moments are (see ``quadrature``).
     """
     quadrature._check_dim(P, g)
+    memo = quadrature._memo(f, g)
+    if "e_g_na" in memo:
+        return memo["e_g_na"]
     n = P.dim
     alphas = [(0,) * n] + quadrature._units(n)
     num = mass = 0
@@ -353,7 +362,8 @@ def e_g_na(P: LabelledPolytope, g: WeightFunction, f: PLConvexFunction) -> float
             m0, *m1 = quadrature.simplex_moments(simplex, g, alphas)
             num += c * m0 + sum(ai * v for ai, v in zip(a, m1) if ai != 0)
             mass += m0
-    return float(num / mass)
+    memo["e_g_na"] = value = float(num / mass)
+    return value
 
 
 def lambda_na(f: PLConvexFunction) -> float:

@@ -138,6 +138,36 @@ def dd_exp_series(nodes, rel_tol: Fraction = Fraction(1, 10**28)):
         j += 1
 
 
+def exp_dd_series_120(y, N: int) -> float:
+    """``quadrature._exp_dd_series`` with a fixed table of 120 terms.
+
+    The same float operations and stop test as the library's series, whose
+    table length is instead derived from its spread bound: the two must
+    agree bit for bit on every node set within that bound.
+    """
+    terms = 120
+    h = [1.0] + [0.0] * terms
+    for v in y:
+        if v == 0.0:
+            continue
+        for j in range(1, terms + 1):
+            h[j] += v * h[j - 1]
+    total = 0.0
+    fact = math.factorial(N)
+    small = 0
+    for j in range(terms + 1):
+        term = h[j] / fact
+        total += term
+        fact *= N + j + 1
+        if j > 4 and abs(term) < 1e-22 * abs(total):
+            small += 1
+            if small >= 2:
+                break
+        else:
+            small = 0
+    return total
+
+
 def unit_triangle_exp_moment(a0, b, i: int, j: int, dps: int = 40):
     """Integral of x^i y^j exp(a0 + b0 x + b1 y) over the unit triangle.
 

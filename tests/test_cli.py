@@ -409,6 +409,16 @@ def test_small_slope_weight_solves():
     assert cp.returncode == 0, cp.stderr.decode()
 
 
+def test_flat_shooting_defect_solves():
+    # the shooting defect is about 1e-113 over the whole bracket, so the
+    # denominator of Brent's extrapolation underflows to zero: bisect there
+    rc, out, err = run_main(["solve-ma", *_P1, "--g", "exp_affine:-250,0.5"])
+    assert rc == 0, err
+    report = json.loads(out)
+    assert 0 < report["results"]["c"] < 1e-110
+    assert report["diagnostics"]["residual_history"][-1] <= report["diagnostics"]["tol"]
+
+
 def test_window_too_wide_for_float_range_exits_one():
     # at R = 1e10 the reference measure e^{-u0} underflows to 0 at every node
     # but x = 0, and e^{-phi} underflows there against its maximum, so the

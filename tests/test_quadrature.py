@@ -1,19 +1,23 @@
 """Weight functions, exact moments, exp integrals, divided differences."""
 
+import gc
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toricgs as t
 from toricgs import errors, quadrature
 
+from conftest import run_main
 from oracles import (
     brute_gm,
     dd_exp_series,
+    exp_dd_series_120,
     grid_integral,
     interval_monomial_integral,
     polygon_monomial_integral,
@@ -280,6 +284,33 @@ def test_exp_dd_near_coincident_nodes_stable():
     assert got == pytest.approx(base, rel=1e-6)
 
 
+@st.composite
+def _series_nodes(draw):
+    """1-8 centred nodes within the series spread, with zeros and repeats."""
+    edge = quadrature._SERIES_SPREAD
+    pool = draw(st.lists(
+        st.sampled_from([0.0, edge, -edge]) | st.floats(-edge, edge), min_size=1, max_size=4
+    ))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_series_nodes())
+@example([-3.0] * 8)  # the slowest decay relative to the sum: the cap's worst case
+@example([3.0, -3.0])
+@example([0.0, 3.0, 3.0, -1.5])
+@example([0.0])
+def test_capped_exp_series_matches_the_120_term_series(y):
+    got = quadrature._exp_dd_series(y, len(y) - 1)
+    assert got == exp_dd_series_120(y, len(y) - 1), y
+
+
+def test_exp_dd_at_spread_three_takes_the_series():
+    # nodes 0 and 6 sit exactly 3.0 from their mean
+    got = quadrature.exp_divided_difference([0.0, 6.0])
+    assert got == math.exp(3.0) * exp_dd_series_120([-3.0, 3.0], 1)
+
+
 # ---------------------------------------------------------------------------
 # moment kernel properties
 # ---------------------------------------------------------------------------
@@ -332,3 +363,79 @@ def test_exp_moments_with_nearly_coincident_nodes_match_mpmath():
         for (i, j), v in zip(alphas, vals):
             want = float(unit_triangle_exp_moment(a0, b, i, j))
             assert abs(v - want) <= 1e-14 * abs(want), (a0, i, j)
+
+
+# ---------------------------------------------------------------------------
+# what the kernel keeps per polytope and per (polytope, weight)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("first", ["fraction", "float"])
+def test_equal_constant_weights_of_different_types_keep_their_types(p1xp1, first):
+    weights = {"fraction": t.WeightFunction.constant(Fraction(1)),
+               "float": t.WeightFunction.constant(1.0)}
+    order = [first] + [k for k in weights if k != first]
+    got = {k: quadrature.moments(p1xp1, weights[k], 1) for k in order}
+    assert all(type(v) is Fraction for v in got["fraction"].values())
+    assert all(type(v) is float for v in got["float"].values())
+    assert got["fraction"] == {a: Fraction(v) for a, v in got["float"].items()}
+
+
+def test_mutating_a_returned_moment_dict_changes_no_later_call(p1xp1):
+    g = t.WeightFunction.exp_affine(0.0, (0.25, -0.5))
+    first = quadrature.moments(p1xp1, g, 1)
+    want = dict(first)
+    first[(0, 0)] = -1.0
+    first.clear()
+    assert quadrature.moments(p1xp1, g, 1) == want
+
+
+@pytest.mark.parametrize("g", [
+    t.WeightFunction.exp_affine(0.1, (0.25, -0.5)),
+    t.WeightFunction.polynomial([((2, 0), Fraction(1, 3)), ((0, 0), 1)]),
+], ids=["exp", "polynomial"])
+def test_lower_degree_from_kept_moments_equals_a_fresh_computation(bl1p2, g):
+    quadrature.moments(bl1p2, g, 2)
+    served = quadrature.moments(bl1p2, g, 0)
+    fresh_g = t.WeightFunction.from_dict(g.to_dict())
+    fresh_P = t.from_vertices(bl1p2.vertices)
+    fresh = quadrature.moments(fresh_P, fresh_g, 0)
+    assert list(served) == list(fresh) == [(0, 0)]
+    assert repr(served) == repr(fresh)
+
+
+def test_kr_line_search_weights_leave_no_kept_results():
+    P = t.builtin("p1xp1")
+    gc.collect()
+    before = set(P._moment_cache.get("weights", {}).keys())
+    sol = t.solve_kr_soliton(P)
+    gc.collect()
+    after = set(P._moment_cache["weights"].keys())
+    assert after - before == {sol.weight}
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["check-futaki", "delta"])
+def test_each_moment_and_certificate_once_per_run(tmp_path, monkeypatch, command):
+    # builtin:p1xp1 is triangulated into 4 simplices, so 4 kernel calls is
+    # one pass over them: every moment a run needs comes from that pass
+    weight = tmp_path / "g.json"
+    weight.write_text(json.dumps({"kind": "polynomial", "coeffs": [
+        {"powers": [2, 0], "c": "1/4"}, {"powers": [0, 0], "c": 1}]}))
+    kernel = _count_calls(monkeypatch, quadrature, "simplex_moments")
+    certificates = _count_calls(monkeypatch, quadrature, "_positivity_samples")
+    rc, _, err = run_main([command, "--polytope", "builtin:p1xp1", "--g", f"polynomial:@{weight}"])
+    assert rc == 0, err
+    assert len(kernel) == 4
+    assert len(certificates) == 1
