@@ -177,12 +177,11 @@ def _first_and_second(M: dict, n: int):
     return first, second
 
 
-def _exp_moments(P: LabelledPolytope, xi: np.ndarray):
-    """The weight e^{<xi,x>}, and W, grad W, Hess W for W(xi) = integral_P it."""
-    g = WeightFunction.exp_affine(0.0, tuple(float(x) for x in xi))
+def _exp_moments(P: LabelledPolytope, g: WeightFunction):
+    """W, grad W, Hess W at xi, for W(xi) = integral_P g and g = e^{<xi,x>}."""
     M = quadrature.moments(P, g, 2)
     grad, hess = _first_and_second(M, P.dim)
-    return g, M[(0,) * P.dim], np.array(grad), np.array(hess)
+    return M[(0,) * P.dim], np.array(grad), np.array(hess)
 
 
 def solve_kr_soliton(P: LabelledPolytope) -> SolitonSolution:
@@ -194,7 +193,8 @@ def solve_kr_soliton(P: LabelledPolytope) -> SolitonSolution:
     """
     n = P.dim
     xi = np.zeros(n)
-    weight, W, grad, hess = _exp_moments(P, xi)
+    weight = WeightFunction.exp_affine(0.0, tuple(xi))
+    W, grad, hess = _exp_moments(P, weight)
     history = [float(np.linalg.norm(grad) / W)]
     for _ in range(_KR_MAX_ITER):
         if history[-1] < _KR_TOL:
@@ -206,15 +206,19 @@ def solve_kr_soliton(P: LabelledPolytope) -> SolitonSolution:
         slope = float(grad @ step)
         t = 1.0
         for _ in range(60):
-            w = WeightFunction.exp_affine(0.0, tuple(xi + t * step))
-            W_new = quadrature.moments(P, w, 0)[(0,) * n]
+            weight = WeightFunction.exp_affine(0.0, tuple(xi + t * step))
+            W_new = quadrature.moments(P, weight, 0)[(0,) * n]
             # W is known only to rounding, so near the minimum a decrease
             # below that level is accepted instead of being halved away
             if W_new <= W + 1e-4 * t * slope + 1e-14 * W or t < 1e-18:
                 break
             t *= 0.5
+        else:
+            # t was halved after the last trial
+            weight = WeightFunction.exp_affine(0.0, tuple(xi + t * step))
         xi = xi + t * step
-        weight, W, grad, hess = _exp_moments(P, xi)
+        # an accepted trial weight serves its kept degree-0 moment here
+        W, grad, hess = _exp_moments(P, weight)
         history.append(float(np.linalg.norm(grad) / W))
     else:
         raise MaxIterations(

@@ -112,8 +112,9 @@ class Grid1D:
 def _endpoint_slopes(P: LabelledPolytope) -> tuple[float, float]:
     if P.dim != 1:
         raise ValidationError("the Monge-Ampère machinery is one-dimensional")
-    lo, hi = P.interval()
-    return float(lo), float(hi)
+    # the vertices of a 1D polytope are its two endpoints, sorted
+    (lo,), (hi,) = P.vertices_f.tolist()
+    return lo, hi
 
 
 @dataclass

@@ -5,8 +5,10 @@ A labelled polytope here is always written in the monotone normalization
     P = { x in R^n : <nu_i, x> <= 1 for every facet normal nu_i },
 
 with the origin strictly interior, so P and conv(nu_i) are polar: one vertex
-enumeration, :func:`_polar`, gives the vertices from the normals and the
-normals from the vertices.  Construction and triangulation combinatorics run
+enumeration, :func:`_polar`, gives the vertices from the normals or the
+normals from the vertices, and each construction runs it once.  Its integer
+solve also decides which constraints are tight where; P keeps that incidence
+for the triangulation.  Construction and triangulation combinatorics run
 in exact arithmetic, lattice enumeration in guarded int64; floating point
 enters only downstream (quadrature, solvers).
 """
@@ -50,24 +52,27 @@ def _affine_rank(points: list[Point]) -> int:
     return _exact.rank(rows)
 
 
-def solve_vertices(constraints, combos) -> set[Point]:
-    """Vertices of {x : <a, x> <= b for every (a, b) in constraints}.
-
-    Solve-and-filter: each index subset in ``combos`` (of size n) whose
-    constraints hold with equality at exactly one point contributes that
-    point when it satisfies every constraint.  Rows are scaled to integers,
-    so the solve and the filter run in exact int arithmetic.
+def solve_vertices(constraints, key=None) -> tuple[tuple[Point, ...], tuple[frozenset, ...]]:
+    """(vertices, tight) of {x : <a, x> <= b for every (a, b) in constraints}:
+    the vertices sorted by ``key``, and per constraint the indices of those
+    on it.  Solve-and-filter: every n constraints that hold with equality at
+    exactly one point give that point when it satisfies all of them.  Rows
+    are scaled to integers, so at a solution num / den the integer slacks
+    b*den - <a, num> decide feasibility (all >= 0) and tightness (== 0).
     """
     rows = [_integral_row(a, b) for a, b in constraints]
-    verts: set[Point] = set()
-    for combo in combos:
-        sol = _exact.int_solve([rows[i][0] for i in combo], [rows[i][1] for i in combo])
+    slack = {}
+    for combo in itertools.combinations(rows, len(rows[0][0])):
+        sol = _exact.int_solve([a for a, _ in combo], [b for _, b in combo])
         if sol is None:
             continue
         num, den = sol
-        if all(sum(x * y for x, y in zip(a, num)) <= b * den for a, b in rows):
-            verts.add(tuple(Fraction(x, den) for x in num))
-    return verts
+        s = [b * den - sum(x * y for x, y in zip(a, num)) for a, b in rows]
+        if min(s) >= 0:
+            slack[tuple(Fraction(x, den) for x in num)] = s
+    verts = tuple(sorted(slack, key=key))
+    tight = [frozenset(j for j, v in enumerate(verts) if not slack[v][i]) for i in range(len(rows))]
+    return verts, tuple(tight)
 
 
 def _integral_row(a, b) -> tuple[tuple[int, ...], int]:
@@ -76,8 +81,8 @@ def _integral_row(a, b) -> tuple[tuple[int, ...], int]:
     return tuple(int(x * scale) for x in a), int(b * scale)
 
 
-def _polar(rows) -> set[Point]:
-    """Vertices of {x : <r, x> <= 1 for every r in rows}; Unbounded unless bounded.
+def _polar(rows, key=None):
+    """``solve_vertices`` of {x : <r, x> <= 1 for r in rows}; Unbounded unless bounded.
 
     An extreme recession direction lies on n - 1 independent rows, so up to
     sign it is their generalized cross product (entry j: (-1)^j times the
@@ -91,27 +96,23 @@ def _polar(rows) -> set[Point]:
             dots = [sum(x * y for x, y in zip(r, d)) for r in ints]
             if all(t <= 0 for t in dots) or all(t >= 0 for t in dots):
                 raise Unbounded("the system has a recession direction")
-    verts = solve_vertices([(r, 1) for r in rows], itertools.combinations(range(len(rows)), n))
+    verts, tight = solve_vertices([(r, 1) for r in rows], key)
     if not verts:
         raise Unbounded("the rows do not span the ambient space")
-    return verts
+    return verts, tight
 
 
-def fan_triangulation(vertices, constraints, apex=None) -> list[tuple[Point, ...]]:
+def fan_triangulation(vertices, tight, apex=None) -> list[tuple[Point, ...]]:
     """Pulling triangulation of the polytope conv(vertices) = {<a, x> <= b}.
 
     The apex (the first vertex, or a given interior point) is coned over
     every facet that misses it, and each facet is triangulated the same way
     from its own first vertex.  The facets of a face are its maximal proper
-    intersections with the tight sets of the constraints, so they come from
-    the vertex sets alone and redundant constraints are harmless.  Returns
-    tuples of n + 1 points.
+    intersections with ``tight``, the vertex indices on each constraint as
+    :func:`solve_vertices` found them, so redundant constraints are
+    harmless.  Returns tuples of n + 1 points.
     """
     verts = list(vertices)
-    tight = [
-        frozenset(i for i, v in enumerate(verts) if _exact.dot(a, v) == b)
-        for a, b in constraints
-    ]
     pts = verts if apex is None else verts + [apex]
     top = None if apex is None else len(verts)
     simplices = _pull(frozenset(range(len(verts))), len(verts[0]), tight, top)
@@ -141,13 +142,15 @@ class LabelledPolytope:
     """A monotone labelled polytope with exact facet and vertex data.
 
     Use :func:`from_facets`, :func:`from_vertices`, or :func:`builtin` to
-    construct one; the constructor assumes pre-validated data.
+    construct one.  The constructor is internal and takes validated data;
+    ``tight`` holds, per normal, the indices of the vertices on its facet.
     """
 
-    def __init__(self, dim: int, normals: tuple[Point, ...], vertices: tuple[Point, ...]):
+    def __init__(self, dim: int, normals: tuple[Point, ...], vertices: tuple[Point, ...], tight):
         self.dim = dim
         self.normals = normals
         self.vertices = vertices
+        self._tight = tight
 
     # -- basic queries ------------------------------------------------------
 
@@ -186,8 +189,7 @@ class LabelledPolytope:
         sum to vol(P) exactly.
         """
         origin = tuple(Fraction(0) for _ in range(self.dim))
-        facets = [(nu, 1) for nu in self.normals]
-        return tuple(fan_triangulation(self.vertices, facets, apex=origin))
+        return tuple(fan_triangulation(self.vertices, self._tight, apex=origin))
 
     @cached_property
     def volume(self) -> Fraction:
@@ -309,14 +311,13 @@ def from_facets(normals, labels) -> LabelledPolytope:
             raise DegenerateFacet(f"facet {i} repeats facet {nus.index(nu)}", index=i)
         nus.append(nu)
 
-    vertices = tuple(sorted(_polar(nus)))
-    for i, nu in enumerate(nus):
-        tight = [v for v in vertices if _exact.dot(nu, v) == 1]
+    vertices, tight = _polar(nus)
+    for i, on in enumerate(tight):
         # a genuine facet carries n affinely independent tight vertices; fewer
         # means the constraint is loose or touches only a lower-dimensional face
-        if len(tight) < n or _affine_rank(tight) < n - 1:
+        if len(on) < n or _affine_rank([vertices[j] for j in on]) < n - 1:
             raise DegenerateFacet(f"facet {i} is redundant or loose", index=i)
-    return LabelledPolytope(n, tuple(nus), vertices)
+    return LabelledPolytope(n, tuple(nus), vertices, tight)
 
 
 def from_vertices(points) -> LabelledPolytope:
@@ -324,7 +325,9 @@ def from_vertices(points) -> LabelledPolytope:
 
     The origin must be strictly interior: then the label-1 facet normals are
     the vertices of the polar {a : <a, p> <= 1 for all points p} (Ziegler,
-    *Lectures on Polytopes*, 2.3), ordered by primitive normal.
+    *Lectures on Polytopes*, 2.3), ordered by primitive normal.  The same
+    enumeration gives the points on each facet; a vertex is the only point
+    on all of its facets.
     """
     pts = sorted({_as_point(p) for p in points})
     if not pts:
@@ -337,10 +340,13 @@ def from_vertices(points) -> LabelledPolytope:
     if _affine_rank(pts) < n:
         raise LowerDimensional("points do not affinely span the ambient space")
     try:
-        normals = sorted(_polar(pts), key=_exact.primitive)
+        normals, on = _polar(pts, key=_exact.primitive)
     except Unbounded:
         raise OriginNotInterior("origin is not strictly interior to the hull") from None
-    return from_facets(normals, [1] * len(normals))
+    # a point inside a face is on every facet that the vertices of the face are on
+    keep = [k for k, s in enumerate(on) if sum(s <= t for t in on) == 1]
+    tight = [frozenset(j for j, k in enumerate(keep) if i in on[k]) for i in range(len(normals))]
+    return LabelledPolytope(n, normals, tuple(pts[k] for k in keep), tuple(tight))
 
 
 #: vertex data for the builtin library of monotone polytopes; every entry is

@@ -13,7 +13,6 @@ each cell is integrated with the moment kernel.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -121,7 +120,7 @@ class PLConvexFunction:
         if len(self.pieces) == 1:
             return ((0, self.domain.triangulation),)
         return tuple(
-            (j, tuple(fan_triangulation(verts, cons))) for j, verts, cons in self._cells
+            (j, tuple(fan_triangulation(verts, tight))) for j, verts, tight in self._cells
         )
 
     @cached_property
@@ -187,33 +186,28 @@ def twist(f: PLConvexFunction, xi) -> PLConvexFunction:
 
 
 def _cells(P: LabelledPolytope, pieces) -> tuple:
-    """(j, vertices, constraints) for every full-dimensional linearity cell.
+    """(j, vertices, tight sets) for every full-dimensional linearity cell.
 
     The cell of piece j is P cut by <a_k - a_j, x> <= c_j - c_k for every
-    k != j.  Its vertices are those of P that satisfy the cuts, plus the
-    feasible points where n constraints, at least one of them a cut, are
-    tight (a zero slope difference with a negative right-hand side admits
-    no point, so that cell is empty).  Cells of affine rank < n are dropped:
-    the full-dimensional cells already cover P.
+    k != j; one ``solve_vertices`` gives its vertices and the vertices on
+    each constraint (a zero slope difference with a negative right-hand
+    side admits no point, so that cell is empty).  Cells of affine rank < n
+    are dropped: the full-dimensional cells already cover P.
     """
     n = P.dim
-    facets = [(nu, 1) for nu in P.normals]
     if len(pieces) == 1:
-        return ((0, P.vertices, facets),)
+        return ((0, P.vertices, P._tight),)
+    facets = [(nu, 1) for nu in P.normals]
     cells = []
     for j, (aj, cj) in enumerate(pieces):
-        cuts = [
+        cons = facets + [
             (tuple(x - y for x, y in zip(ak, aj)), cj - ck)
             for k, (ak, ck) in enumerate(pieces)
             if k != j
         ]
-        cons = facets + cuts
-        verts = {v for v in P.vertices if all(_exact.dot(d, v) <= r for d, r in cuts)}
-        combos = itertools.combinations(range(len(cons)), n)
-        verts |= solve_vertices(cons, (c for c in combos if c[-1] >= len(facets)))
-        verts = sorted(verts)
+        verts, tight = solve_vertices(cons)
         if len(verts) > n and _affine_rank(verts) == n:
-            cells.append((j, tuple(verts), cons))
+            cells.append((j, verts, tight))
     return tuple(cells)
 
 

@@ -463,6 +463,16 @@ def _primitive_ints(v) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
+def affine_rank(points) -> int:
+    """Dimension of the affine hull of rational points (sympy rank)."""
+    import sympy
+
+    pts = [tuple(frac(x) for x in p) for p in points]
+    rat = lambda x: sympy.Rational(x.numerator, x.denominator)  # noqa: E731
+    diffs = [[rat(x - b) for x, b in zip(p, pts[0])] for p in pts[1:]]
+    return sympy.Matrix(len(diffs), len(pts[0]), sum(diffs, [])).rank() if diffs else 0
+
+
 def hull_normals(points):
     """Label-1 facet normals of conv(points), sorted by primitive normal.
 
@@ -476,8 +486,7 @@ def hull_normals(points):
     pts = sorted({tuple(frac(x) for x in p) for p in points})
     n = len(pts[0])
     rat = lambda x: sympy.Rational(x.numerator, x.denominator)  # noqa: E731
-    diffs = [[rat(x - b) for x, b in zip(p, pts[0])] for p in pts[1:]]
-    if sympy.Matrix(len(diffs), n, sum(diffs, [])).rank() < n:
+    if affine_rank(pts) < n:
         return None
     normals = set()
     for combo in combinations(pts, n):
@@ -496,6 +505,34 @@ def hull_normals(points):
             return None
         normals.add(tuple(a / c for a in w))
     return sorted(normals, key=_primitive_ints)
+
+
+def tight_sets(vertices, constraints) -> tuple[frozenset, ...]:
+    """For each constraint <a, x> <= b, the indices of the vertices where it
+    holds with equality, by exact Fraction dot products."""
+    return tuple(
+        frozenset(
+            j for j, v in enumerate(vertices)
+            if sum(frac(x) * frac(y) for x, y in zip(a, v)) == frac(b)
+        )
+        for a, b in constraints
+    )
+
+
+def hull_vertices(points, normals) -> list:
+    """The sorted vertices of conv(points) = {<nu, x> <= 1 for nu in normals}:
+    the points whose tight normals have rank n (sympy)."""
+    import sympy
+
+    pts = sorted({tuple(frac(x) for x in p) for p in points})
+    n = len(pts[0])
+    rat = lambda x: sympy.Rational(x.numerator, x.denominator)  # noqa: E731
+    out = []
+    for p in pts:
+        rows = [nu for nu in normals if sum(a * b for a, b in zip(nu, p)) == 1]
+        if rows and sympy.Matrix(len(rows), n, [rat(x) for r in rows for x in r]).rank() == n:
+            out.append(p)
+    return out
 
 
 # ---------------------------------------------------------------------------

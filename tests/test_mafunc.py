@@ -66,6 +66,9 @@ def test_reference_potential_properties(p1):
     s = ref.half_slopes()
     assert s[0] == -1.0 and s[-1] == 1.0
     assert float(np.min(np.diff(s))) >= 0.0  # convex
+    # the tail slopes are the floats of the exact endpoints
+    Q = t.from_vertices([(Fraction(5, 7),), (Fraction(1, 5),), (Fraction(-1, 3),)])
+    assert t.reference_potential(Q).slopes == (float(Fraction(-1, 3)), float(Fraction(5, 7)))
 
 
 def test_solver_requires_one_dimensional_data(p2, g_one):

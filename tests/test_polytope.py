@@ -8,15 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricgs as t
-from toricgs import errors
+from toricgs import _exact, errors, polytope
 from toricgs.cli import polytope_from_dict
 from toricgs.stability import _dual_vertices
 
 from oracles import (
+    affine_rank,
     brute_lattice_points,
     cyclic_ccw,
     hull_normals,
+    hull_vertices,
     polygon_monomial_integral,
+    tight_sets,
     triangle_monomial_integral,
 )
 
@@ -194,10 +197,33 @@ def test_vertices_f_are_floats(p2):
 
 @st.composite
 def _lattice_sets(draw):
-    n = draw(st.integers(2, 3))
-    r = 3 if n == 2 else 2
+    """Integer points in 1D to 4D, plus centroids of two to n + 1 of them.
+
+    A centroid is never a vertex of the hull: the edge midpoints, points
+    inside facets and interior points are among them.  Lower-dimensional
+    sets and sets with the origin on the boundary come up as drawn; a set
+    closed under x -> -x, drawn half the time, has the origin inside
+    unless it is lower-dimensional.
+    """
+    n = draw(st.integers(1, 4))
+    r = {1: 4, 2: 3, 3: 2, 4: 1}[n]
     coord = st.integers(-r, r)
-    return draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=8))
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=8 if n < 4 else 5))
+    if draw(st.booleans()):
+        pts += [tuple(-x for x in p) for p in pts]
+    distinct = sorted(set(pts))
+    if len(distinct) < 2:
+        return pts
+    subsets = st.lists(
+        st.sampled_from(distinct), min_size=2, max_size=min(n + 1, len(distinct)), unique=True
+    )
+    for sub in draw(st.lists(subsets, max_size=2)):
+        pts.append(tuple(sum(Fraction(p[i]) for p in sub) / len(sub) for i in range(n)))
+    return pts
+
+
+def _same_polytope(Q, P):
+    return (Q.normals, Q.vertices, Q._tight) == (P.normals, P.vertices, P._tight)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -205,15 +231,66 @@ def _lattice_sets(draw):
 def test_from_vertices_matches_brute_force_hull(pts):
     want = hull_normals(pts)
     if want is None:
-        with pytest.raises((errors.LowerDimensional, errors.OriginNotInterior)):
+        n = len(pts[0])
+        err = errors.LowerDimensional if affine_rank(pts) < n else errors.OriginNotInterior
+        with pytest.raises(err):
             t.from_vertices(pts)
         return
     P = t.from_vertices(pts)
     assert list(P.normals) == want
-    # round trips through the facet description and the JSON form
+    assert list(P.vertices) == hull_vertices(pts, want)
+    assert P._tight == tight_sets(P.vertices, [(nu, 1) for nu in P.normals])
+    # round trips through the facet description, a second and independent
+    # vertex enumeration, and through the JSON form
     for Q in (t.from_facets(P.normals, [1] * len(P.normals)), polytope_from_dict(P.to_dict())):
-        assert (Q.normals, Q.vertices) == (P.normals, P.vertices)
+        assert _same_polytope(Q, P)
     assert _dual_vertices(P) == tuple(sorted(tuple(-x for x in nu) for nu in P.normals))
+
+
+_H = Fraction(1, 2)
+_CROSS4 = [tuple(s if i == j else 0 for i in range(4)) for j in range(4) for s in (1, -1)]
+
+
+@pytest.mark.parametrize(
+    "vertices, extra",
+    [
+        ([(-2,), (1,)], [(0,), (_H,)]),
+        ([(1, 1), (-1, 1), (1, -1), (-1, -1)], [(0, 1), (1, 0), (0, 0), (_H, Fraction(-1, 3))]),
+        (
+            [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)],
+            [(0, 0, 1), (0, -1, 0), (1, 1, 0), (_H, _H, -1), (0, 0, 0)],
+        ),
+        (_CROSS4, [(_H, _H, 0, 0), (Fraction(1, 4),) * 4, (0, 0, 0, _H), (0, 0, 0, 0)]),
+    ],
+    ids=["interval", "square", "cube", "cross4"],
+)
+def test_points_that_are_no_vertices_are_dropped(vertices, extra):
+    # edge midpoints, points inside facets and interior points
+    P = t.from_vertices(vertices + extra)
+    assert list(P.vertices) == sorted(tuple(Fraction(x) for x in v) for v in vertices)
+    assert P._tight == tight_sets(P.vertices, [(nu, 1) for nu in P.normals])
+    assert _same_polytope(t.from_vertices(vertices), P)
+
+
+def test_one_vertex_enumeration_per_construction(monkeypatch):
+    """from_vertices and the triangulation decide tightness once, in the
+    integer solve, and take no Fraction dot product."""
+    calls = {"solve_vertices": 0, "dot": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(polytope, "solve_vertices", counted("solve_vertices", polytope.solve_vertices))
+    monkeypatch.setattr(_exact, "dot", counted("dot", _exact.dot))
+    bipyramid = [(2, 0, 0), (0, 2, 0), (-2, 2, 0), (-2, 0, 0), (0, -2, 0), (2, -2, 0),
+                 (0, 0, 2), (0, 0, -2), (1, 0, 0)]
+    P = t.from_vertices(bipyramid)
+    assert len(P.triangulation) == 12
+    assert calls == {"solve_vertices": 1, "dot": 0}
 
 
 @pytest.mark.parametrize(
@@ -224,11 +301,30 @@ def test_from_vertices_matches_brute_force_hull(pts):
         [(1, 1), (2, 1), (1, 2)],
         [(-1, -1, 0), (1, -1, 0), (0, 1, 0), (0, 0, 1)],
         [(1,), (2,)],
+        [(0,), (1,)],
+        [(0, 0, 0, 0), *[tuple(int(i == j) for i in range(4)) for j in range(4)]],
+        [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
     ],
-    ids=["vertex", "edge", "outside", "facet_3d", "outside_1d"],
+    ids=["vertex", "edge", "outside", "facet_3d", "outside_1d", "vertex_1d", "vertex_4d",
+         "facet_4d"],
 )
 def test_origin_on_or_outside_hull_is_rejected(pts):
     with pytest.raises(errors.OriginNotInterior):
+        t.from_vertices(pts)
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        [(1,)],
+        [(-1, -1), (1, 1), (0, 0)],
+        [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 0)],
+        [p[:3] + (0,) for p in _CROSS4],
+    ],
+    ids=["point_1d", "segment_2d", "triangle_3d", "octahedron_4d"],
+)
+def test_lower_dimensional_points_are_rejected(pts):
+    with pytest.raises(errors.LowerDimensional):
         t.from_vertices(pts)
 
 

@@ -12,7 +12,7 @@ import toricgs as t
 from toricgs import errors
 
 from conftest import assert_close, exact_barycenter, norm_inf
-from oracles import LoopFiltration, grid_integral, pl_minimum
+from oracles import LoopFiltration, grid_integral, pl_minimum, tight_sets
 from perfbench.gen import REFLEXIVE_2D
 
 
@@ -385,6 +385,16 @@ def test_pl_normalisation_gives_exact_minimum_zero(case):
     P = {"cube": CUBE, "simplex3": SIMPLEX3}.get(name) or t.builtin(name)
     f = t.PLConvexFunction(P, tuple(pieces))
     assert pl_minimum(P, f.pieces) == 0
+    # each cell's vertex-constraint incidence, against Fraction dot products
+    facets = [(nu, 1) for nu in P.normals]
+    for j, verts, tight in f._cells:
+        aj, cj = f.pieces[j]
+        cuts = [
+            (tuple(x - y for x, y in zip(ak, aj)), cj - ck)
+            for k, (ak, ck) in enumerate(f.pieces)
+            if k != j
+        ]
+        assert tight == tight_sets(verts, facets + cuts)
 
 
 def _unimodular(n, ops):
