@@ -108,10 +108,16 @@ def rank(rows: list[list[Fraction]]) -> int:
 
 
 def det(rows) -> Fraction:
-    """Exact determinant: each row scaled to ints, then ``_bareiss``."""
+    """Exact determinant: each row scaled to ints, then ``int_det``."""
     a, scales = _int_rows(rows)
+    return Fraction(int_det(a), prod(scales))
+
+
+def int_det(rows) -> int:
+    """Determinant of a square integer matrix, by ``_bareiss`` on a copy."""
+    a = list(rows)
     rk, p, sign = _bareiss(a, len(a))
-    return Fraction(sign * p, prod(scales)) if rk == len(a) else Fraction(0)
+    return sign * p if rk == len(a) else 0
 
 
 def int_solve(rows, rhs) -> tuple[list[int], int] | None:

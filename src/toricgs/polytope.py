@@ -52,26 +52,38 @@ def _affine_rank(points: list[Point]) -> int:
     return _exact.rank(rows)
 
 
-def solve_vertices(constraints, key=None) -> tuple[tuple[Point, ...], tuple[frozenset, ...]]:
-    """(vertices, tight) of {x : <a, x> <= b for every (a, b) in constraints}:
-    the vertices sorted by ``key``, and per constraint the indices of those
-    on it.  Solve-and-filter: every n constraints that hold with equality at
-    exactly one point give that point when it satisfies all of them.  Rows
-    are scaled to integers, so at a solution num / den the integer slacks
-    b*den - <a, num> decide feasibility (all >= 0) and tightness (== 0).
+def solve_vertices(rows, key=None) -> tuple[tuple[Point, ...], tuple[frozenset, ...]]:
+    """(vertices, tight) of {x : <a, x> <= b for every integer row (a, b)}:
+    the vertices sorted by ``key``, and per row the indices of those on it.
+    Solve-and-filter: every n rows that hold with equality at exactly one
+    point give that point when it satisfies all of them.  At a solution
+    num / den the integer slacks b*den - <a, num> decide feasibility (all
+    >= 0) and tightness (== 0).
     """
-    rows = [_integral_row(a, b) for a, b in constraints]
+    combos = itertools.combinations(range(len(rows)), len(rows[0][0]))
+    return _incidence(_vertex_slacks(rows, combos), len(rows), key)
+
+
+def _vertex_slacks(rows, combos) -> dict:
+    """{point: its integer slack on every row} for the feasible unique
+    solutions of the row index subsets ``combos``."""
     slack = {}
-    for combo in itertools.combinations(rows, len(rows[0][0])):
-        sol = _exact.int_solve([a for a, _ in combo], [b for _, b in combo])
+    for combo in combos:
+        sol = _exact.int_solve([rows[i][0] for i in combo], [rows[i][1] for i in combo])
         if sol is None:
             continue
         num, den = sol
         s = [b * den - sum(x * y for x, y in zip(a, num)) for a, b in rows]
         if min(s) >= 0:
             slack[tuple(Fraction(x, den) for x in num)] = s
+    return slack
+
+
+def _incidence(slack: dict, nrows: int, key=None):
+    """The points of ``slack`` sorted by ``key``, and per row the indices of
+    those with zero slack on it."""
     verts = tuple(sorted(slack, key=key))
-    tight = [frozenset(j for j, v in enumerate(verts) if not slack[v][i]) for i in range(len(rows))]
+    tight = [frozenset(j for j, v in enumerate(verts) if not slack[v][i]) for i in range(nrows)]
     return verts, tuple(tight)
 
 
@@ -84,19 +96,20 @@ def _integral_row(a, b) -> tuple[tuple[int, ...], int]:
 def _polar(rows, key=None):
     """``solve_vertices`` of {x : <r, x> <= 1 for r in rows}; Unbounded unless bounded.
 
-    An extreme recession direction lies on n - 1 independent rows, so up to
-    sign it is their generalized cross product (entry j: (-1)^j times the
-    minor without column j).  Rows that do not span give no vertex.
+    Each row is scaled to integers once.  An extreme recession direction
+    lies on n - 1 independent rows, so up to sign it is their generalized
+    cross product (entry j: (-1)^j times the minor without column j).  Rows
+    that do not span give no vertex.
     """
     n = len(rows[0])
-    ints = [_integral_row(r, 1)[0] for r in rows]
-    for sub in itertools.combinations(ints, n - 1):
-        d = [(-1) ** j * int(_exact.det([r[:j] + r[j + 1:] for r in sub])) for j in range(n)]
+    ints = [_integral_row(r, 1) for r in rows]
+    for sub in itertools.combinations([a for a, _ in ints], n - 1):
+        d = [(-1) ** j * _exact.int_det([r[:j] + r[j + 1:] for r in sub]) for j in range(n)]
         if any(d):
-            dots = [sum(x * y for x, y in zip(r, d)) for r in ints]
+            dots = [sum(x * y for x, y in zip(a, d)) for a, _ in ints]
             if all(t <= 0 for t in dots) or all(t >= 0 for t in dots):
                 raise Unbounded("the system has a recession direction")
-    verts, tight = solve_vertices([(r, 1) for r in rows], key)
+    verts, tight = solve_vertices(ints, key)
     if not verts:
         raise Unbounded("the rows do not span the ambient space")
     return verts, tight

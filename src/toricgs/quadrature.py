@@ -11,7 +11,10 @@ There is no quadrature rule: every value is a closed form.
 
 Repeated work is kept on the domain object, in its ``_moment_cache``, and
 freed with it: per polytope the weight-independent data of each
-triangulation simplex (``_Simplex``), and per (polytope or PL function,
+triangulation simplex (``_Simplex``: |det E|, the barycentric lines, each
+power x^gamma as a t-polynomial with its Dirichlet integral, and for exp
+weights float copies of |det E|, s0 and the edges and each x^alpha's
+recombination terms as floats), and per (polytope or PL function,
 weight) the moments computed so far, the positivity certificate and
 ``e_g_na``.  Weights are held weakly, so an entry also dies with its weight,
 and keyed by identity, so equal weights with differently typed data
@@ -21,10 +24,12 @@ and keyed by identity, so equal weights with differently typed data
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -385,14 +390,18 @@ def _series_terms(sigma: float) -> int:
     with a factor of almost 4 to spare for rounding, so the loop breaks at
     some j <= J, and J + 1 terms give the bits of any longer series.
     """
-    j, r = 0, 1.0
-    while j <= 4 or j < 2 * sigma or r > 2.5e-23 * math.exp(-sigma):
+    j, r, limit = 0, 1.0, 2.5e-23 * math.exp(-sigma)
+    while j <= 4 or j < 2 * sigma or r > limit:
         j += 1
         r *= sigma / j
     return j + 1
 
 
-_SERIES_TERMS = _series_terms(_SERIES_SPREAD)
+# term counts for spreads k/8, k = 0..24, and every finite float factorial
+# (171! overflows): a float over an int rounds the int first, so dividing by
+# the float table gives the same bits
+_SERIES_TERMS = [_series_terms(k / 8) for k in range(int(8 * _SERIES_SPREAD) + 1)]
+_FACTORIALS = [float(f) for f in accumulate(range(1, 171), operator.mul, initial=1)]
 
 
 def exp_divided_difference(nodes) -> float:
@@ -422,20 +431,23 @@ def _exp_dd_centered(nodes, m: float) -> float:
 
 def _exp_dd_series(y, N: int) -> float:
     # sum_j h_j(y) / (N+j)! with h_j the complete homogeneous symmetric
-    # polynomials; h recursion is cancellation-free in absolute scale sigma^j
-    h = [1.0] + [0.0] * _SERIES_TERMS
+    # polynomials; h recursion is cancellation-free in absolute scale sigma^j.
+    # The stop test fires within _series_terms(sigma) terms for the spread
+    # sigma = ceil(8 max|y|) / 8 >= max|y| (8 max|y| and its ceiling are exact)
+    k = math.ceil(8 * max(map(abs, y)))
+    terms = _SERIES_TERMS[k] if k < len(_SERIES_TERMS) else _series_terms(k / 8)
+    h = [1.0] + [0.0] * terms
     for v in y:
         if v == 0.0:
             continue
-        for j in range(1, _SERIES_TERMS + 1):
-            h[j] += v * h[j - 1]
+        acc = 1.0
+        for j in range(1, terms + 1):
+            h[j] = acc = h[j] + v * acc
     total = 0.0
-    fact = math.factorial(N)
     small = 0
-    for j in range(_SERIES_TERMS + 1):
-        term = h[j] / fact
+    for j in range(terms + 1):
+        term = h[j] / _FACTORIALS[N + j]
         total += term
-        fact *= N + j + 1
         # centered node sets can zero out isolated (e.g. odd-degree) terms,
         # so stop only after two consecutive negligible terms
         if j > 4 and abs(term) < 1e-22 * abs(total):
@@ -480,8 +492,10 @@ class _Simplex:
     """The weight-independent data of the moment kernel on one simplex.
 
     |det E| of the edge matrix, the lines x_j = s0_j + sum_i t_i e_ij, and
-    two caches that grow as moments are asked for: x^gamma as a
-    t-polynomial, and its integral over the standard simplex.
+    what grows as moments are asked for: x^gamma as a t-polynomial, its
+    integral over the standard simplex (polynomial kinds), and for exp
+    weights float copies of |det E|, s0 and the edges and each x^alpha as
+    its (kappa, coefficient * kappa!) terms in floats.
     """
 
     def __init__(self, simplex):
@@ -492,6 +506,20 @@ class _Simplex:
         self.lines = _barycentric_lines(self.s0, self.edges, n)
         self.powers: dict = {(0,) * n: {(0,) * n: 1}}
         self.integrals: dict = {}
+        self._exp_terms: dict = {}
+
+    @cached_property
+    def floats(self) -> tuple[float, tuple, list]:
+        """|det E|, s0 and the edges as floats."""
+        return (float(self.det), tuple(map(float, self.s0)),
+                [tuple(map(float, e)) for e in self.edges])
+
+    def exp_terms(self, alpha) -> list:
+        """The (kappa, float(coeff) * kappa!) of each term coeff * t^kappa of x^alpha."""
+        if alpha not in self._exp_terms:
+            tpoly = _x_power(alpha, self.lines, self.powers)
+            self._exp_terms[alpha] = [(k, float(c) * _kappa_factorial(k)) for k, c in tpoly.items()]
+        return self._exp_terms[alpha]
 
 
 def simplex_moments(simplex, g: WeightFunction, alphas):
@@ -499,8 +527,8 @@ def simplex_moments(simplex, g: WeightFunction, alphas):
 
     ``simplex`` is its n + 1 points, or a ``_Simplex`` that keeps the
     weight-independent work (the determinant, the substitution
-    x = s0 + sum_i t_i e_i, each power x^gamma as a t-polynomial and, for
-    polynomial kinds, its integral) for the next call.  The monomials t^kappa
+    x = s0 + sum_i t_i e_i, each power x^gamma as a t-polynomial and its
+    integral or float terms) for the next call.  The monomials t^kappa
     of a t-polynomial are integrated once each (the basis integrals) and
     then recombined (Baldoni, Berline, De Loera, Koppe and Vergne, Math.
     Comp. 80, 2011).
@@ -511,6 +539,9 @@ def simplex_moments(simplex, g: WeightFunction, alphas):
     basis integral of t^kappa e^{<c,t>} is kappa! times the confluent
     divided difference of exp at 0 and each c_i repeated kappa_i + 1 times,
     which ``exp_divided_difference`` evaluates stably for any node geometry.
+    A float b meets the float copies of the geometry in the operations
+    ``_exact.dot`` would take (a float product makes every later sum a
+    float sum); a b with a rational entry takes ``_exact.dot``.
     """
     S = simplex if isinstance(simplex, _Simplex) else _Simplex(simplex)
     n = len(S.lines)
@@ -529,19 +560,36 @@ def simplex_moments(simplex, g: WeightFunction, alphas):
             values.append(S.det * total)
         return values
 
-    c = [float(_exact.dot(g.b, e)) for e in S.edges]
-    pref = float(S.det) * math.exp(float(g.a0) + float(_exact.dot(g.b, S.s0)))
+    det, s0, edges = S.floats
+    if all(type(x) is float for x in g.b):
+        c = [_float_dot(g.b, e) for e in edges]
+        shift = _float_dot(g.b, s0)
+    else:
+        c = [float(_exact.dot(g.b, e)) for e in S.edges]
+        shift = float(_exact.dot(g.b, S.s0))
+    pref = det * math.exp(float(g.a0) + shift)
     basis: dict = {}  # t^kappa -> its divided difference of exp
     values = []
     for alpha in alphas:
         total = 0.0
-        for kappa, coeff in _x_power(tuple(alpha), S.lines, S.powers).items():
+        for kappa, w in S.exp_terms(tuple(alpha)):
             if kappa not in basis:
                 nodes = [0.0] + [ci for ci, k in zip(c, kappa) for _ in range(k + 1)]
                 basis[kappa] = exp_divided_difference(nodes)
-            total += float(coeff) * _kappa_factorial(kappa) * basis[kappa]
+            total += w * basis[kappa]
         values.append(pref * total)
     return values
+
+
+def _float_dot(a, b) -> float:
+    """``_exact.dot`` of float vectors, in its order: 0.0 + a_0 b_0 + ...
+
+    An explicit loop, since ``sum`` of floats may compensate.
+    """
+    acc = 0.0
+    for x, y in zip(a, b):
+        acc += x * y
+    return acc
 
 
 def _dirichlet_integral(tpoly: dict, n: int, degree: int) -> Fraction:

@@ -13,6 +13,7 @@ each cell is integrated with the moment kernel.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -26,8 +27,10 @@ from .polytope import (
     LabelledPolytope,
     _affine_rank,
     _as_point,
+    _incidence,
+    _integral_row,
+    _vertex_slacks,
     fan_triangulation,
-    solve_vertices,
 )
 from .quadrature import WeightFunction, encode_number
 
@@ -189,23 +192,40 @@ def _cells(P: LabelledPolytope, pieces) -> tuple:
     """(j, vertices, tight sets) for every full-dimensional linearity cell.
 
     The cell of piece j is P cut by <a_k - a_j, x> <= c_j - c_k for every
-    k != j; one ``solve_vertices`` gives its vertices and the vertices on
-    each constraint (a zero slope difference with a negative right-hand
-    side admits no point, so that cell is empty).  Cells of affine rank < n
-    are dropped: the full-dimensional cells already cover P.
+    k != j (a zero slope difference with a negative right-hand side admits
+    no point, so that cell is empty).  Its vertices are P's vertices with no
+    negative integer slack on a cut, on the facets ``P._tight`` says, and
+    the feasible solutions of the n-subsets of facets and cuts that contain
+    a cut; the integer slacks give the vertices on each constraint, as in
+    ``solve_vertices``.  Cells of affine rank < n are dropped: the
+    full-dimensional cells already cover P.
     """
     n = P.dim
     if len(pieces) == 1:
         return ((0, P.vertices, P._tight),)
-    facets = [(nu, 1) for nu in P.normals]
+    facets = list(P._int_facets)
+    # only a slack's sign is read: 0 on a facet, 1 off it
+    on_facet = [[0 if k in T else 1 for T in P._tight] for k in range(len(P.vertices))]
+    scaled = []
+    for v in P.vertices:
+        den = math.lcm(*(x.denominator for x in v))
+        scaled.append(([int(x * den) for x in v], den))
     cells = []
     for j, (aj, cj) in enumerate(pieces):
-        cons = facets + [
-            (tuple(x - y for x, y in zip(ak, aj)), cj - ck)
+        cuts = [
+            _integral_row(tuple(x - y for x, y in zip(ak, aj)), cj - ck)
             for k, (ak, ck) in enumerate(pieces)
             if k != j
         ]
-        verts, tight = solve_vertices(cons)
+        slack = {}
+        for v, (num, den), s in zip(P.vertices, scaled, on_facet):
+            cut = [b * den - sum(x * y for x, y in zip(a, num)) for a, b in cuts]
+            if min(cut) >= 0:
+                slack[v] = s + cut
+        rows = facets + cuts
+        combos = (c for c in itertools.combinations(range(len(rows)), n) if c[-1] >= len(facets))
+        slack.update(_vertex_slacks(rows, combos))
+        verts, tight = _incidence(slack, len(rows))
         if len(verts) > n and _affine_rank(verts) == n:
             cells.append((j, verts, tight))
     return tuple(cells)

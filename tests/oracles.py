@@ -168,6 +168,79 @@ def exp_dd_series_120(y, N: int) -> float:
     return total
 
 
+def exp_simplex_moments(simplex, a0, b, alphas, dd) -> list[float]:
+    """Integrals of x^alpha e^{a0 + <b, x>} over a rational simplex, with the
+    divided difference ``dd``: the reference for the exp branch of
+    ``quadrature.simplex_moments``, bit for bit.
+
+    Every call expands x = s0 + sum_i t_i e_i and each x^alpha anew, takes
+    c_i = <b, e_i> and <b, s0> as Fraction-started sums (a float entry of b
+    turns the sum into float sums) and recombines the t^kappa terms in the
+    order of the expansion, with no float copies and no kept tables.
+    """
+    n = len(simplex) - 1
+    s0 = simplex[0]
+    edges = [tuple(x - y for x, y in zip(p, s0)) for p in simplex[1:]]
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    lines = []
+    for j in range(n):
+        line = {(0,) * n: _int_if_integral(s0[j])}
+        for i, key in enumerate(units):
+            if edges[i][j] != 0:
+                line[key] = _int_if_integral(edges[i][j])
+        lines.append(line)
+
+    def power(beta):
+        if not any(beta):
+            return {(0,) * n: 1}
+        j = max(i for i, x in enumerate(beta) if x)
+        prev = power(beta[:j] + (beta[j] - 1,) + beta[j + 1:])
+        out: dict = {}
+        for ka, ca in prev.items():
+            for kb, cb in lines[j].items():
+                key = tuple(x + y for x, y in zip(ka, kb))
+                out[key] = out.get(key, 0) + ca * cb
+        return {k: v for k, v in out.items() if v != 0}
+
+    def dot(u, v):
+        return sum((x * y for x, y in zip(u, v)), Fraction(0))
+
+    c = [float(dot(b, e)) for e in edges]
+    pref = float(abs(_det_exact(edges))) * math.exp(float(a0) + float(dot(b, s0)))
+    basis: dict = {}
+    values = []
+    for alpha in alphas:
+        total = 0.0
+        for kappa, coeff in power(tuple(alpha)).items():
+            if kappa not in basis:
+                basis[kappa] = dd([0.0] + [ci for ci, k in zip(c, kappa) for _ in range(k + 1)])
+            total += float(coeff) * math.prod(math.factorial(k) for k in kappa) * basis[kappa]
+        values.append(pref * total)
+    return values
+
+
+def _int_if_integral(x):
+    return int(x) if isinstance(x, Fraction) and x.denominator == 1 else x
+
+
+def _det_exact(rows) -> Fraction:
+    """Determinant by Gaussian elimination over Fractions."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for col in range(len(a)):
+        piv = next((r for r in range(col, len(a)) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, len(a)):
+            f = a[r][col] / a[col][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
 def unit_triangle_exp_moment(a0, b, i: int, j: int, dps: int = 40):
     """Integral of x^i y^j exp(a0 + b0 x + b1 y) over the unit triangle.
 
@@ -267,6 +340,20 @@ def _solve_exact(rows, rhs):
                 f = a[r][col] / a[col][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [a[i][k] / a[i][i] for i in range(k)]
+
+
+def polyhedron_vertices(constraints) -> list:
+    """The sorted vertices of {x : <a, x> <= b}: every feasible point where
+    n constraints with a nonsingular matrix hold with equality (Fractions)."""
+    n = len(constraints[0][0])
+    out = set()
+    for combo in combinations(constraints, n):
+        sol = _solve_exact([a for a, _ in combo], [b for _, b in combo])
+        if sol is not None and all(
+            sum(frac(x) * y for x, y in zip(a, sol)) <= frac(b) for a, b in constraints
+        ):
+            out.add(tuple(sol))
+    return sorted(out)
 
 
 def pl_minimum(P, pieces) -> Fraction:

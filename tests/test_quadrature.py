@@ -18,6 +18,7 @@ from oracles import (
     brute_gm,
     dd_exp_series,
     exp_dd_series_120,
+    exp_simplex_moments,
     grid_integral,
     interval_monomial_integral,
     polygon_monomial_integral,
@@ -294,15 +295,35 @@ def _series_nodes(draw):
     return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
 
 
+def _at_table_steps(test):
+    """Examples at each spread k/8 of the term table and one ulp above it,
+    where the ceiling lookup moves to the next entry (past the last entry,
+    to the formula)."""
+    for k in range(int(8 * quadrature._SERIES_SPREAD) + 1):
+        for s in (k / 8, math.nextafter(k / 8, math.inf)):
+            test = example([-s] * 8)(example([s, -s])(test))
+    return test
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_series_nodes())
 @example([-3.0] * 8)  # the slowest decay relative to the sum: the cap's worst case
 @example([3.0, -3.0])
 @example([0.0, 3.0, 3.0, -1.5])
 @example([0.0])
+@_at_table_steps
 def test_capped_exp_series_matches_the_120_term_series(y):
     got = quadrature._exp_dd_series(y, len(y) - 1)
     assert got == exp_dd_series_120(y, len(y) - 1), y
+
+
+def test_series_terms_do_not_decrease_with_the_spread():
+    # the lookup serves every spread up to k/8 with the count for k/8
+    spreads = sorted({k / 256 for k in range(4 * 256)} | {math.nextafter(k / 8, 0) for k in range(1, 33)})
+    counts = [quadrature._series_terms(s) for s in spreads]
+    assert counts == sorted(counts)
+    steps = range(int(8 * quadrature._SERIES_SPREAD) + 1)
+    assert quadrature._SERIES_TERMS == [quadrature._series_terms(k / 8) for k in steps]
 
 
 def test_exp_dd_at_spread_three_takes_the_series():
@@ -412,6 +433,53 @@ def test_kr_line_search_weights_leave_no_kept_results():
     gc.collect()
     after = set(P._moment_cache["weights"].keys())
     assert after - before == {sol.weight}
+
+
+def _simplex_cases(n):
+    """n + 1 small rational points spanning R^n; the first is the origin
+    (a star simplex) or not (a PL cell simplex)."""
+    q = st.fractions(-3, 3, max_denominator=4)
+    point = st.tuples(*[q] * n)
+    origin = st.just((Fraction(0),) * n)
+    return st.tuples(origin | point, st.lists(point, min_size=n, max_size=n)).map(
+        lambda c: (c[0], *c[1])
+    ).filter(lambda s: _rank(s) == n)
+
+
+def _rank(simplex):
+    return t._exact.rank([[x - y for x, y in zip(p, simplex[0])] for p in simplex[1:]])
+
+
+def _b_vectors(n):
+    floats = st.sampled_from([0.0, -0.0]) | st.floats(-2.5, 2.5)
+    fracs = st.just(Fraction(0)) | st.fractions(-2, 2, max_denominator=6)
+    return st.tuples(*[floats] * n) | st.tuples(*[fracs] * n) | st.tuples(*[floats | fracs] * n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    _simplex_cases(n), _b_vectors(n), _b_vectors(n), st.sampled_from([0.0, Fraction(1, 3), -0.75])
+)))
+def test_exp_simplex_moments_match_the_fraction_dot_kernel(case):
+    simplex, b, b2, a0 = case
+    n = len(b)
+    alphas = [a for d in range(3) for a in quadrature._compositions(d, n)]
+    S = quadrature._Simplex(simplex)
+    # one _Simplex serves two weights: its kept float data is weight-free
+    for bb in (b, b2):
+        g = quadrature.WeightFunction("exp_affine", a0=a0, b=bb)
+        got = quadrature.simplex_moments(S, g, alphas)
+        want = exp_simplex_moments(simplex, a0, bb, alphas, quadrature.exp_divided_difference)
+        assert list(map(float.hex, got)) == list(map(float.hex, want)), (simplex, bb)
+
+
+def test_kr_solve_takes_no_fraction_dot(monkeypatch):
+    P = t.builtin("bl1p2")
+    dots = _count_calls(monkeypatch, t._exact, "dot")
+    dds = _count_calls(monkeypatch, quadrature, "exp_divided_difference")
+    sol = t.solve_kr_soliton(P)
+    assert sol.residual < 1e-9
+    assert dds and not dots
 
 
 def _count_calls(monkeypatch, module, name):

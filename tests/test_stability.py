@@ -12,7 +12,7 @@ import toricgs as t
 from toricgs import errors
 
 from conftest import assert_close, exact_barycenter, norm_inf
-from oracles import LoopFiltration, grid_integral, pl_minimum, tight_sets
+from oracles import LoopFiltration, grid_integral, pl_minimum, polyhedron_vertices, tight_sets
 from perfbench.gen import REFLEXIVE_2D
 
 
@@ -394,6 +394,7 @@ def test_pl_normalisation_gives_exact_minimum_zero(case):
             for k, (ak, ck) in enumerate(f.pieces)
             if k != j
         ]
+        assert list(verts) == polyhedron_vertices(facets + cuts)
         assert tight == tight_sets(verts, facets + cuts)
 
 
