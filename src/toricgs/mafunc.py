@@ -2,9 +2,12 @@
 
 The potential u lives on a uniform grid over [-R, R] in the log-toric
 coordinate, extended by affine tails whose slopes are exactly the endpoint
-values of the 1D polytope.  The discrete Monge-Ampère operator is in flux
-form: with one-sided slopes s_{k+1/2} = (u_{k+1} - u_k)/h and G an
-antiderivative of the weight g, the cell mass is
+values of the 1D polytope.  A potential is its edge slopes
+s_{k+1/2} = (u_{k+1} - u_k)/h and one base value, with the node values as
+their running sum; the solver keeps the slopes it shoots, and the
+reference, random and ray potentials take theirs as closed-form secants,
+so they are convex by construction.  The discrete Monge-Ampère operator is
+in flux form: with G an antiderivative of the weight g, the cell mass is
 
     MA_k(u) = G(s_{k+1/2}) - G(s_{k-1/2}),
 
@@ -23,11 +26,7 @@ G(0) = 0, its mean along an edge and its inverse, free of cancellation.
 Every edge slope moves linearly along that path, so after summation by
 parts the path integral is a sum of means of G along the edges, and it
 needs the slopes of the two ends only.  The destabilizing ray of
-``ding_ray_diagnostic`` is built from exact discrete Legendre transforms
-(max-plus conjugates of the sampled potentials, ``_conjugate``): a lower
-convex hull of the N samples in O(N), then a binary search of its edge
-slopes for each of the M slopes, O(N + M log N) in all where the dense
-maximum took O(NM).
+``ding_ray_diagnostic`` is a translation of the reference potential.
 """
 
 from __future__ import annotations
@@ -121,11 +120,16 @@ def _endpoint_slopes(P: LabelledPolytope) -> tuple[float, float]:
 class DiscretePotential:
     """Grid potential with affine tails at the exact polytope slopes.
 
-    ``values`` holds u at the grid nodes; the tails extend affinely with
-    slopes p_min (left) and p_max (right), so the gradient image is the
-    closed polytope interval.  ``ref_values`` samples the reference
-    potential u0 on the same grid; ``c`` is the Monge-Ampère normalization
-    constant when the potential came out of the solver.
+    A potential is its value u_0 at the left node and its N - 1 edge slopes
+    ``edge_slopes`` s_{k+1/2} = (u_{k+1} - u_k)/h; ``values`` holds the
+    cumulative sum u_k.  Potentials the package builds carry slopes from a
+    closed form or from the solver (``with_slopes``); a potential given as
+    values (a file, a test) derives its slopes here, once.  The tails extend
+    affinely with slopes p_min (left) and p_max (right), so the gradient
+    image is the closed polytope interval.  ``ref_values`` and ``ref_slopes``
+    are the values and slopes of the reference potential u0; ``c`` is the
+    Monge-Ampère normalization constant when the potential came out of the
+    solver.
     """
 
     grid: Grid1D
@@ -139,22 +143,45 @@ class DiscretePotential:
     iterations: int = 0
     tail_gap: float = math.nan
     history: list = field(default_factory=list)
+    edge_slopes: np.ndarray | None = None
+    ref_slopes: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.edge_slopes is None:
+            self.edge_slopes = np.diff(self.values) / self.grid.h
+        if self.ref_slopes is None:
+            self.ref_slopes = np.diff(self.ref_values) / self.grid.h
+
+    def with_slopes(self, base: float, slopes: np.ndarray, **kw) -> "DiscretePotential":
+        """The potential with u_0 = ``base`` and edge slopes ``slopes``, over this reference.
+
+        Its values are the running sums u_{k+1} = u_k + h s_{k+1/2}, in the
+        order of the solver's shot.
+        """
+        return DiscretePotential(
+            grid=self.grid,
+            P=self.P,
+            values=np.cumsum(np.concatenate(([base], self.grid.h * slopes))),
+            ref_values=self.ref_values,
+            edge_slopes=slopes,
+            ref_slopes=self.ref_slopes,
+            **kw,
+        )
 
     @property
     def slopes(self) -> tuple[float, float]:
         return _endpoint_slopes(self.P)
 
-    def half_slopes(self, values: np.ndarray | None = None) -> np.ndarray:
+    def half_slopes(self, slopes: np.ndarray | None = None) -> np.ndarray:
         """One-sided slopes s_{-1/2}, ..., s_{N-1/2} with pinned ghosts.
 
-        ``values`` may stack several grid functions as rows; each row gets
-        its own slopes.
+        ``slopes`` may stack several rows of edge slopes in place of the
+        potential's own; each row gets its ghosts.
         """
-        u = self.values if values is None else values
+        e = self.edge_slopes if slopes is None else slopes
         pmin, pmax = self.slopes
-        h = self.grid.h
-        s = np.empty(u.shape[:-1] + (self.grid.N + 1,))
-        s[..., 1:-1] = np.diff(u, axis=-1) / h
+        s = np.empty(e.shape[:-1] + (e.shape[-1] + 2,))
+        s[..., 1:-1] = e
         s[..., 0] = pmin
         s[..., -1] = pmax
         return s
@@ -170,21 +197,14 @@ class DiscretePotential:
             raise NonConvexInput("gradient leaves the closure of the polytope")
 
     def shifted(self, kappa: float) -> "DiscretePotential":
-        return DiscretePotential(
-            grid=self.grid,
-            P=self.P,
-            values=self.values + kappa,
-            ref_values=self.ref_values,
-            c=self.c,
-        )
+        return self.with_slopes(float(self.values[0]) + kappa, self.edge_slopes, c=self.c)
 
     def along(self, t: float) -> "DiscretePotential":
         """The segment potential u0 + t (u - u0)."""
-        return DiscretePotential(
-            grid=self.grid,
-            P=self.P,
-            values=self.ref_values + t * (self.values - self.ref_values),
-            ref_values=self.ref_values,
+        r0 = float(self.ref_values[0])
+        return self.with_slopes(
+            r0 + t * (float(self.values[0]) - r0),
+            self.ref_slopes + t * (self.edge_slopes - self.ref_slopes),
         )
 
     def to_dict(self) -> dict:
@@ -209,20 +229,56 @@ class DiscretePotential:
         )
         c = float(decode_number(d["c"], "/potential/c")) if "c" in d else None
         ref = reference_potential(P, grid)
-        return DiscretePotential(grid=grid, P=P, values=values, ref_values=ref.values, c=c)
+        return DiscretePotential(
+            grid=grid, P=P, values=values, ref_values=ref.values, c=c, ref_slopes=ref.edge_slopes
+        )
+
+
+def _softplus_step(z: np.ndarray, d: float) -> np.ndarray:
+    """softplus(z + d) - softplus(z), softplus = log(1 + e^z), free of cancellation.
+
+    Below |d| = 1 it is log1p(expm1(d) sigmoid(z)), accurate relative to the
+    result however small d is; above, softplus(z) = max(z, 0) +
+    softplus(-|z|) splits off the part of each term that the difference
+    would cancel.
+    """
+    if abs(d) < 1.0:
+        with np.errstate(over="ignore"):  # e^{-z} = inf gives sigmoid 0
+            return np.log1p(math.expm1(d) / (1.0 + np.exp(-z)))
+    zd = z + d
+    return (np.maximum(zd, 0.0) - np.maximum(z, 0.0)) + (
+        _softplus(-np.abs(zd)) - _softplus(-np.abs(z))
+    )
+
+
+def _softplus(z):
+    return np.logaddexp(0.0, z)
+
+
+def _u0_translate(grid: Grid1D, pmin: float, pmax: float, shift: float):
+    """u0(x_0 + shift) and the secant slopes of u0 over [x_k + shift, x_k + shift + h].
+
+    u0(y) = log(e^{p_min y} + e^{p_max y}) = p_min y + softplus((p_max - p_min) y),
+    so each secant is p_min plus a softplus step over h.
+    """
+    y = grid.nodes[:-1] + shift
+    w = pmax - pmin
+    base = float(np.logaddexp(pmin * y[0], pmax * y[0]))
+    return base, pmin + _softplus_step(w * y, w * grid.h) / grid.h
 
 
 def reference_potential(P: LabelledPolytope, grid: Grid1D | None = None) -> DiscretePotential:
-    """u0(x) = log(e^{p_min x} + e^{p_max x}) sampled on the grid.
+    """u0(x) = log(e^{p_min x} + e^{p_max x}) on the grid, from its secant slopes.
 
     Strictly convex, with gradient filling the open polytope interval and
     the exact endpoint slopes at infinity; u0(0) = log 2.
     """
     grid = grid or Grid1D()
-    pmin, pmax = _endpoint_slopes(P)
-    x = grid.nodes
-    vals = np.logaddexp(pmin * x, pmax * x)
-    return DiscretePotential(grid=grid, P=P, values=vals, ref_values=vals.copy())
+    base, slopes = _u0_translate(grid, *_endpoint_slopes(P), 0.0)
+    vals = np.cumsum(np.concatenate(([base], grid.h * slopes)))
+    return DiscretePotential(
+        grid=grid, P=P, values=vals, ref_values=vals.copy(), edge_slopes=slopes, ref_slopes=slopes
+    )
 
 
 def random_potential(
@@ -232,15 +288,18 @@ def random_potential(
 
     Construction: (1 - tau) u0 plus at most five softplus bumps whose total
     slope budget is capped at tau times the endpoint slopes, plus a random
-    constant.  Convexity and the gradient constraint hold by construction.
+    constant.  The slopes are the bumps' secants in closed form, so
+    convexity (monotone slopes) and the gradient constraint hold by
+    construction.
     """
     grid = grid or Grid1D()
     pmin, pmax = _endpoint_slopes(P)
     ref = reference_potential(P, grid)
     rng = np.random.default_rng(seed)
     tau = 0.3
-    vals = (1.0 - tau) * ref.values.copy()
-    x = grid.nodes
+    base = (1.0 - tau) * float(ref.values[0])
+    slopes = (1.0 - tau) * ref.edge_slopes
+    x, h = grid.nodes[:-1], grid.h
     nb = int(rng.integers(1, 6))
     raw = rng.uniform(0.2, 1.0, size=nb)
     signs = rng.choice([-1.0, 1.0], size=nb)
@@ -251,20 +310,18 @@ def random_potential(
     pos_budget = 0.9 * tau * pmax
     neg_budget = 0.9 * tau * (-pmin)
     for i in range(nb):
+        # the bump s softplus(r (x - c)) / rate, with r = -rate if it opens left
         if signs[i] > 0:
-            s = raw[i] / pos_total * pos_budget
-            vals += s * _softplus(rates[i] * (x - centers[i])) / rates[i]
+            s, r = raw[i] / pos_total * pos_budget, rates[i]
         else:
-            s = raw[i] / neg_total * neg_budget
-            vals += s * _softplus(-rates[i] * (x - centers[i])) / rates[i]
-    vals += rng.uniform(-1.0, 1.0)
-    out = DiscretePotential(grid=grid, P=P, values=vals, ref_values=ref.values)
+            s, r = raw[i] / neg_total * neg_budget, -rates[i]
+        z = r * (x - centers[i])
+        base += s * float(_softplus(z[0])) / rates[i]
+        slopes = slopes + s / rates[i] * (_softplus_step(z, r * h) / h)
+    base += rng.uniform(-1.0, 1.0)
+    out = ref.with_slopes(base, slopes)
     out.validate()
     return out
-
-
-def _softplus(z: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, z)
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +578,10 @@ def solve_ma(
     ``_weight_1d``), and the closing defect is h * sum(e^{-w_k}) minus the
     integral of g -- a bracketed scalar root problem, solved by Brent's
     method (``_brentq``).  The max-norm flux residual of the shot profile
-    must then be at most ``tol``, else NewtonDiverged.  That residual has a
-    rounding floor of about g eps |u| / h^2 from the slopes diff(u)/h, so it
-    grows like N^2: at the default ``tol`` it is reached at N = 4001 for
-    e^{0.3x} on p1 and at N = 8001 for g = 1.
+    must then be at most ``tol``, else NewtonDiverged.  The residual reads
+    the shot's own slopes G^{-1}(y_k), which the potential keeps, so it
+    measures the rounding of G(G^{-1}(y)) and of the running sums, not of
+    slopes rebuilt from node values; it stays near 1e-12 as N grows.
     Summing the flux-form equations shows c * sum(e^{-u_k}) h equals the
     integral of g over P automatically, so c carries the mass normalization.
     Raises WindowTooSmall if the boundary slopes end up farther than
@@ -544,15 +601,16 @@ def solve_ma(
     N = grid.N
 
     def _shoot(w0: float):
-        prof = [w0]
+        slopes = []
         wk, y = w0, y_lo
         for _ in range(N - 1):
             if wk < -500.0:
-                return prof, 1e300  # mass already far past target: sign only
+                return slopes, 1e300  # mass already far past target: sign only
             y += h * math.exp(-wk)
-            wk += h * Ginv(y)
-            prof.append(wk)
-        return prof, (y + h * math.exp(-wk)) - y_hi
+            sk = Ginv(y)
+            wk += h * sk
+            slopes.append(sk)
+        return slopes, (y + h * math.exp(-wk)) - y_hi
 
     def _psi(w0: float) -> float:
         return _shoot(w0)[1]
@@ -568,8 +626,9 @@ def solve_ma(
     if flo * fhi > 0.0:
         raise NewtonDiverged("shooting bracket failed for the base value")
     w0 = _brentq(_psi, lo, hi, 1e-13)
-    w = np.array(_shoot(w0)[0])
-    s = DiscretePotential(grid=grid, P=P, values=w, ref_values=ref.values).half_slopes()
+    # the shot's own slopes; its profile w is their running sum, bit for bit
+    shot = ref.with_slopes(w0, np.array(_shoot(w0)[0]))
+    w, s = shot.values, shot.half_slopes()
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(np.max(np.abs(np.diff(G(s)) / h - np.exp(-w))))
     if residual > tol:
@@ -579,7 +638,6 @@ def solve_ma(
         )
     # shift back to the gauged representative; residuals are shift-invariant
     kappa = float(w[mid] - ref.values[mid])
-    u = w - kappa
     c = math.exp(-kappa)
     # Boundary diagnostic.  The window solution pins u' to the endpoint
     # slopes of P at the boundary, and a nonzero weighted first moment
@@ -595,11 +653,9 @@ def solve_ma(
             f"boundary slope gap {gap:.3e} exceeds {_TAIL_TOL:.1e}; "
             f"the step h = 2R/(N - 1) must shrink: raise N, or raise R and N together"
         )
-    out = DiscretePotential(
-        grid=grid,
-        P=P,
-        values=u,
-        ref_values=ref.values,
+    out = ref.with_slopes(
+        w0 - kappa,
+        shot.edge_slopes,
         c=float(c),
         residual=residual,
         tail_gap=float(gap),
@@ -619,6 +675,7 @@ def _energies(
     g: WeightFunction,
     P: LabelledPolytope,
     base: np.ndarray,
+    base_slopes: np.ndarray,
 ) -> tuple[float, float, np.ndarray, float]:
     """E_g and Lambda_g of u over ``base``, the flux masses of base and u, and Vg.
 
@@ -635,9 +692,7 @@ def _energies(
     u.validate()
     G, mean, _ = _weight_1d(g, *_endpoint_slopes(P))
     phi = u.values - base
-    s = DiscretePotential(grid=u.grid, P=P, values=base, ref_values=base).half_slopes(
-        np.stack((base, u.values))
-    )
+    s = u.half_slopes(np.stack((base_slopes, u.edge_slopes)))
     Gs = G(s)
     Vg = float(Gs[0, -1] - Gs[0, 0])  # G(p_max) - G(p_min) at the ghosts
     means = mean(s[1, 1:-1], s[0, 1:-1], Gs[1, 1:-1], Gs[0, 1:-1])
@@ -685,7 +740,8 @@ def functionals(
     """
     P = P or u.P
     base = u.ref_values if u0_values is None else np.asarray(u0_values, float)
-    E, Lam, (ma0, ma1), Vg = _energies(u, g, P, base)
+    base_slopes = u.ref_slopes if u0_values is None else np.diff(base) / u.grid.h
+    E, Lam, (ma0, ma1), Vg = _energies(u, g, P, base, base_slopes)
     phi = u.values - base
     Ival = float(np.dot(phi, ma0 - ma1)) / Vg
     J = Lam - E
@@ -846,7 +902,7 @@ def inequality_suite(
         ok_c = c_m >= -slack
         ok_d = True
         for t in t_grid:
-            E_t, Lam_t, _, _ = _energies(u.along(t), g, P, u.ref_values)
+            E_t, Lam_t, _, _ = _energies(u.along(t), g, P, u.ref_values, u.ref_slopes)
             Jt = Lam_t - E_t
             d_m = t * Fg.J_g - Jt
             worst["d_margin"] = min(worst["d_margin"], d_m)
@@ -885,63 +941,15 @@ def inequality_suite(
 # ---------------------------------------------------------------------------
 
 
-# vectorized pruning passes of _lower_hull before the monotone chain takes over
-_HULL_PASSES = 32
+def _ray_potential(ref: DiscretePotential, a: float, s: float) -> DiscretePotential:
+    """u_s(x) = u0(x + s a) - s max_P <a, .>, the ray of the direction a at time s.
 
-
-def _lower_hull(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices of the lower convex hull of the points (x_i, u_i), x increasing strictly.
-
-    Returns the vertex indices and the slopes of the hull edges between them,
-    which increase strictly.  Each vectorized pass drops every point whose
-    left slope is at least its right slope: such a point lies on or above
-    the chord of its neighbours, so it is no hull vertex.  Sampled convex
-    potentials settle in a few passes; after ``_HULL_PASSES`` the survivors
-    go through Andrew's monotone chain, which keeps the work O(N).
+    In log-toric coordinates the geodesic ray of a toric valuation is this
+    translation; its slopes are the secants of u0 over [x_k + s a, x_k + s a + h].
     """
-    idx = np.arange(len(x))
-    for _ in range(_HULL_PASSES):
-        slopes = np.diff(u[idx]) / np.diff(x[idx])
-        drop = slopes[:-1] >= slopes[1:]
-        if not drop.any():
-            return idx, slopes
-        idx = idx[np.concatenate(([True], ~drop, [True]))]
-    chain: list[int] = []
-    for i in idx.tolist():
-        while len(chain) >= 2 and (
-            (u[chain[-1]] - u[chain[-2]]) / (x[chain[-1]] - x[chain[-2]])
-            >= (u[i] - u[chain[-1]]) / (x[i] - x[chain[-1]])
-        ):
-            chain.pop()
-        chain.append(i)
-    idx = np.array(chain)
-    return idx, np.diff(u[idx]) / np.diff(x[idx])
-
-
-def _conjugate(x: np.ndarray, u: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The discrete Legendre transform max_i (x_i p_j - u_i) for every p_j.
-
-    Exact over the samples (Lucet, "Faster than the fast Legendre
-    transform", Numer. Algorithms 16, 1997): the maximum sits on the vertex
-    of the lower convex hull of (x, u) whose edge slopes bracket p_j.  The
-    hull takes O(N) and the binary search of its slopes O(M log N).
-    Rounding can tie that vertex with a hull neighbour, so both neighbours
-    are evaluated too and the largest value is kept, as the dense maximum
-    over all i does.  ``x`` must increase strictly.
-    """
-    idx, slopes = _lower_hull(x, u)
-    k = np.searchsorted(slopes, p)
-    last = len(idx) - 1
-    best = None
-    for d in (-1, 0, 1):
-        i = idx[np.clip(k + d, 0, last)]
-        v = x[i] * p - u[i]
-        best = v if best is None else np.maximum(best, v)
-    return best
-
-
-# slope samples of the dual (Legendre) side of the ding ray
-_RAY_P_SAMPLES = 4001
+    pmin, pmax = ref.slopes
+    base, slopes = _u0_translate(ref.grid, pmin, pmax, s * a)
+    return ref.with_slopes(base - s * max(a * pmin, a * pmax), slopes)
 
 
 def ding_ray_diagnostic(
@@ -950,36 +958,23 @@ def ding_ray_diagnostic(
     s_values=(0.0, 2.0, 4.0, 8.0),
     grid: Grid1D | None = None,
 ) -> dict:
-    """Ding energy along the dual-twisted ray of the worst toric direction.
+    """Ding energy along the geodesic ray of the worst toric direction.
 
-    The reference potential's Legendre transform is shifted by s times the
-    support gap max_P <a, .> - <a, .> of the destabilizing direction and
-    transformed back, which keeps every ray potential convex with slopes in
-    P.  Both transforms are exact discrete conjugates (``_conjugate``) over
-    the N grid nodes and M = 4001 uniform slope samples of P, computed in
-    O(N + M log N) rather than the O(NM) of a dense maximum.
-    (For linear shifts this ray is the translation
-    u_s(x) = u_0(x + s a) - s max_P <a, .>, whose Ding slope is exactly
-    -<a, b_g>.)  The large-s slope of D along the ray matches the
-    non-Archimedean invariant A(a) - S_g(a); a decreasing ray flags
-    instability (nonzero weighted barycenter).
+    Shifting the reference potential's Legendre transform by s times the
+    support gap max_P <a, .> - <a, .> of the destabilizing direction a gives,
+    in log-toric coordinates, the translation
+    u_s(x) = u_0(x + s a) - s max_P <a, .> (``_ray_potential``), whose Ding
+    slope is exactly -<a, b_g>.  Each ray potential carries the closed-form
+    secants of u_0, so it is convex with slopes in P by construction.  The
+    large-s slope of D along the ray matches the non-Archimedean invariant
+    A(a) - S_g(a); a decreasing ray flags instability (nonzero weighted
+    barycenter).
     """
     grid = grid or Grid1D()
-    pmin, pmax = _endpoint_slopes(P)
     b = float(weighted_barycenter(P, g)[0])
     a = 1.0 if b > 0 else -1.0
     ref = reference_potential(P, grid)
-    x = grid.nodes
-    p = np.linspace(pmin, pmax, _RAY_P_SAMPLES)
-    phi_star = _conjugate(x, ref.values, p)
-    fa = max(a * pmin, a * pmax) - a * p
-    Ds = []
-    for s in s_values:
-        u_s = _conjugate(p, phi_star + s * fa, x)
-        pot = DiscretePotential(
-            grid=grid, P=P, values=u_s, ref_values=ref.values
-        )
-        Ds.append(functionals(pot, g, P).D)
+    Ds = [functionals(_ray_potential(ref, a, s), g, P).D for s in s_values]
     slope = (Ds[-1] - Ds[0]) / (s_values[-1] - s_values[0]) if len(Ds) > 1 else 0.0
     na = ding_na_valuation(P, g, (a,))
     return {

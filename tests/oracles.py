@@ -650,23 +650,30 @@ def _weight_antiderivative(g):
 
 def loop_functionals(u, g, u0_values=None) -> dict:
     """E_g, Lambda_g, I_g, J_g, L, D, H_g, M with one flux evaluation per
-    Gauss-Legendre node of the energy path, as a plain loop."""
+    Gauss-Legendre node of the energy path, as a plain loop.  The edge
+    slopes are those the potential carries; ``u0_values`` gets the slopes
+    of its node values."""
     G = _weight_antiderivative(g)
     pmin, pmax = (float(v) for v in u.P.interval())
     h = u.grid.h
 
-    def flux(values):
-        s = np.concatenate(([pmin], np.diff(values) / h, [pmax]))
+    def flux(slopes):
+        s = np.concatenate(([pmin], slopes, [pmax]))
         return np.diff(G(s))
 
-    base = u.ref_values if u0_values is None else np.asarray(u0_values, float)
+    if u0_values is None:
+        base, base_slopes = u.ref_values, u.ref_slopes
+    else:
+        base = np.asarray(u0_values, float)
+        base_slopes = np.diff(base) / h
     phi = u.values - base
+    dphi = u.edge_slopes - base_slopes
     Vg = float(G(pmax) - G(pmin))
     tq, wq = np.polynomial.legendre.leggauss(16)
     E = 0.0
     for t, w in zip(0.5 * (tq + 1.0), 0.5 * wq):
-        E += w * float(np.dot(phi, flux(base + t * phi))) / Vg
-    ma0, ma1 = flux(base), flux(u.values)
+        E += w * float(np.dot(phi, flux(base_slopes + t * dphi))) / Vg
+    ma0, ma1 = flux(base_slopes), flux(u.edge_slopes)
     Lam = float(np.dot(phi, ma0)) / Vg
     Ival = float(np.dot(phi, ma0 - ma1)) / Vg
     J = Lam - E

@@ -432,11 +432,23 @@ def test_window_too_wide_for_float_range_exits_one():
 
 
 def test_shooting_residual_failure_reports_one_history_entry():
-    cp = run_cli(["solve-ma", "--polytope", "builtin:p1", "--g", "exp_affine:0,1/2", "--grid-n", "4001"])
+    # the residual here is about 3e-13, the rounding of G(G^{-1}(y))
+    cp = run_cli(["solve-ma", "--polytope", "builtin:p1", "--g", "exp_affine:0,1/2",
+                  "--grid-n", "4001", "--tol", "1e-14"])
     assert cp.returncode == 1
     body = _error_body(cp)
     assert body["error"] == "NewtonDiverged"
-    assert len(body["history_tail"]) == 1 and body["history_tail"][0] > 1e-10
+    assert len(body["history_tail"]) == 1 and body["history_tail"][0] > 1e-14
+
+
+@pytest.mark.parametrize("weight, n", [("exp_affine:0,0.3", "4001"), ("constant:1", "8001")])
+def test_fine_grids_solve_at_the_default_tol(weight, n):
+    # the residual reads the shot's own slopes, so raising N meets no floor
+    rc, out, err = run_main(["solve-ma", *_P1, "--g", weight, "--grid-n", n])
+    assert rc == 0, err
+    report = json.loads(out)
+    assert report["diagnostics"]["residual_history"] == [report["results"]["residual"]]
+    assert report["results"]["residual"] <= report["diagnostics"]["tol"] == 1e-10
 
 
 def test_report_of_report_is_rejected(tmp_path, golden_runs):

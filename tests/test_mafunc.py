@@ -24,7 +24,6 @@ from toricgs.errors import (
 from toricgs.mafunc import (
     DiscretePotential,
     _brentq,
-    _conjugate,
     _weight_1d,
     ding_ray_diagnostic,
     weight_mass,
@@ -244,14 +243,47 @@ def test_window_gap_is_an_o_h_layer_so_a_wider_window_needs_more_nodes(p1):
 
 
 def test_residual_above_tol_is_one_shooting_residual(p1):
-    # the shooting residual floor grows like N^2 (rounding in diff(u)/h);
-    # at N = 4001 it passes 1e-10 for e^{x/2}, and the solver reports that
-    # one residual instead of iterating on it
+    # for e^{x/2} at N = 4001 the residual is the rounding of G(G^{-1}(y)),
+    # about 3e-13; below that tol the solver reports that one residual
+    # instead of iterating on it
     g = t.WeightFunction.exp_affine(0, (Fraction(1, 2),))
     with pytest.raises(NewtonDiverged, match="shooting residual") as info:
-        t.solve_ma(p1, g, grid=t.Grid1D(N=4001))
+        t.solve_ma(p1, g, grid=t.Grid1D(N=4001), tol=1e-14)
     assert len(info.value.history) == 1
-    assert info.value.history[0] > 1e-10
+    assert info.value.history[0] > 1e-14
+
+
+@pytest.mark.parametrize(
+    "g, N",
+    [
+        (t.WeightFunction.exp_affine(0, (1.5,)), 2001),
+        (t.WeightFunction.exp_affine(0, (3,)), 2001),
+        (t.WeightFunction.exp_affine(0, (0.3,)), 4001),
+        (t.WeightFunction.constant(1), 8001),
+    ],
+)
+def test_residual_has_no_slope_rounding_floor(p1, g, N):
+    # slopes rebuilt as diff(u)/h would put these residuals at 1.1e-10 to 4.9e-10,
+    # a floor growing like N^2; the shot's own slopes leave about 1e-12.  The
+    # two steep weights still miss the tail gap at N = 2001 (WindowTooSmall,
+    # an O(h) boundary layer checked after the residual), so that check is
+    # lifted here
+    with mock.patch.object(mafunc, "_TAIL_TOL", math.inf):
+        out = t.solve_ma(p1, g, grid=t.Grid1D(N=N))
+    assert out.residual <= 1e-10
+
+
+def test_solver_converges_to_the_closed_form_at_second_order(p1, g_one):
+    # for g = 1 on p1, u'' = c e^{-u} is solved by u = log 2c + 2 log cosh(x/2)
+    # for every c; on the window R = 20 the truncation (about e^{-R}) stays
+    # below the O(h^2) error up to N = 8001
+    errs = []
+    for N in (1001, 2001, 4001, 8001):
+        u = t.solve_ma(p1, g_one, grid=t.Grid1D(R=20.0, N=N))
+        exact = math.log(2.0 * u.c) + 2.0 * np.log(np.cosh(u.grid.nodes / 2.0))
+        errs.append(float(np.max(np.abs(u.values - exact))))
+    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+    assert all(1.8 <= q <= 2.2 for q in orders), (errs, orders)
 
 
 def test_polynomial_path_matches_closed_form_affine_inverse():
@@ -722,61 +754,97 @@ def test_ding_ray_runs_below_solved_potential(p1):
     assert min(ray_values) < D_star - 0.5
 
 
-# ---------------------------------------------------------------------------
-# discrete Legendre transform
-# ---------------------------------------------------------------------------
+_RAY_INTERVALS = [
+    [(-1,), (1,)],
+    [(-1,), (Fraction(1, 2),)],
+    [(Fraction(-7, 4),), (Fraction(7, 4),)],
+]
 
 
-@st.composite
-def _conjugate_case(draw):
-    """Increasing x, samples u and slopes p; ``shape`` picks the samples."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n, m = draw(st.integers(1, 400)), draw(st.integers(1, 400))
-    x = np.cumsum(rng.uniform(0.01, 1.0, n)) - rng.uniform(0.0, 0.6 * n)
-    shape = draw(st.sampled_from(["convex", "rounding", "affine", "random", "dip"]))
-    # a convex sum of a quadratic, kinks and a softplus
-    u = rng.uniform(0.0, 2.0) * x**2
-    for _ in range(3):
-        u = u + rng.uniform(0.0, 3.0) * np.abs(x - rng.uniform(x[0], x[-1]))
-    u = u + np.logaddexp(0.0, rng.uniform(-3.0, 3.0) * x) + rng.uniform(-5.0, 5.0) * x
-    if shape == "rounding":  # non-convex at rounding level
-        u = u * (1.0 + 4e-16 * rng.standard_normal(n))
-    elif shape == "affine":  # every sample ties for the slope 1/2
-        u = 0.5 * x + 1.0
-    elif shape == "random":
-        u = rng.uniform(-10.0, 10.0, n)
-    elif shape == "dip":  # one low end point: the hull drops a point per pass
-        u[0] -= 1e3
-    span = float(np.max(np.abs(np.diff(u)) / np.diff(x))) if n > 1 else 1.0
-    p = rng.uniform(-1.5 * span - 1.0, 1.5 * span + 1.0, m)
-    return x, u, p
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(_conjugate_case(), st.sampled_from([mafunc._HULL_PASSES, 0]))
-def test_conjugate_matches_the_dense_transform(case, passes):
-    # passes = 0 sends every hull through the monotone chain
-    x, u, p = case
-    want = dense_conjugate(x, u, p)
-    with mock.patch.object(mafunc, "_HULL_PASSES", passes):
-        got = _conjugate(x, u, p)
-    scale = max(1.0, float(np.max(np.abs(x))) * float(np.max(np.abs(p))) + float(np.max(np.abs(u))))
-    assert got.shape == want.shape
-    assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
-
-
-@pytest.mark.parametrize("verts", [[(-1,), (1,)], [(-1,), (Fraction(1, 2),)]])
-def test_conjugate_is_bit_identical_on_ray_transforms(verts):
-    # the transforms of ding_ray_diagnostic for the direction +1: on p1 those
-    # of the ma_ding_ray golden; on [-1, 1/2] the s = 0 transform holds a
-    # rounding tie that the bracketing hull vertex alone gets wrong by 1 ulp
+@pytest.mark.parametrize("verts", _RAY_INTERVALS)
+def test_ray_potentials_are_translations_of_the_reference(verts):
     P = t.from_vertices(verts)
     lo, hi = (float(v) for v in P.interval())
     grid = t.Grid1D()
-    u0 = t.reference_potential(P, grid).values
-    x, p = grid.nodes, np.linspace(lo, hi, 4001)
-    phi_star = _conjugate(x, u0, p)
-    assert np.array_equal(phi_star, dense_conjugate(x, u0, p))
-    for s in (0.0, 2.0, 4.0, 8.0):
-        dual = phi_star + s * (hi - p)
-        assert np.array_equal(_conjugate(p, dual, x), dense_conjugate(p, dual, x)), s
+    ref = t.reference_potential(P, grid)
+    for a in (1.0, -1.0):
+        for s in (0.0, 2.0, 4.0, 8.0):
+            y = grid.nodes + s * a
+            exact = np.logaddexp(lo * y, hi * y) - s * max(a * lo, a * hi)
+            # the node values are running sums of N - 1 slopes
+            bound = grid.N * np.finfo(float).eps * float(np.max(np.abs(exact)))
+            got = mafunc._ray_potential(ref, a, s).values
+            assert float(np.max(np.abs(got - exact))) <= bound, (a, s)
+
+
+def _blocked_conjugate(x, u, p, rows=1024):
+    """``dense_conjugate`` over blocks of ``rows`` slopes, to bound its memory."""
+    return np.concatenate([dense_conjugate(x, u, p[i : i + rows]) for i in range(0, len(p), rows)])
+
+
+@pytest.mark.parametrize("verts", _RAY_INTERVALS)
+def test_dense_double_conjugates_approach_the_ray(verts):
+    # the sampled form of the ray: conjugate u0 over M slope samples of P,
+    # add s times the support gap max_P <a, .> - <a, .>, conjugate back; its
+    # sampling error shrinks towards the translation as M grows
+    P = t.from_vertices(verts)
+    lo, hi = (float(v) for v in P.interval())
+    grid = t.Grid1D()
+    ref = t.reference_potential(P, grid)
+    x = grid.nodes
+    for s in (0.0, 4.0, 8.0):
+        ray = mafunc._ray_potential(ref, 1.0, s).values
+        gaps = []
+        for M in (4001, 16001):
+            p = np.linspace(lo, hi, M)
+            phi_star = _blocked_conjugate(x, ref.values, p)
+            u_s = _blocked_conjugate(p, phi_star + s * (hi - p), x)
+            gaps.append(float(np.max(np.abs(u_s - ray))))
+        assert gaps[1] < gaps[0], (s, gaps)
+
+
+# ---------------------------------------------------------------------------
+# convex by construction
+# ---------------------------------------------------------------------------
+
+
+_WIDE_INTERVALS = [
+    [(Fraction(-7, 4),), (Fraction(7, 4),)],
+    [(-2,), (Fraction(1, 2),)],
+    [(Fraction(-1, 2),), (2,)],
+    [(-2,), (2,)],
+]
+
+
+def test_functionals_of_the_reference_on_a_wide_interval(g_one, g_exp_x):
+    # slopes rebuilt from the node values put a second difference of
+    # -1.036e-12 into u0 itself on [-7/4, 7/4], past the convexity check
+    P = t.from_vertices(_WIDE_INTERVALS[0])
+    for g in (g_one, g_exp_x):
+        F = t.functionals(t.reference_potential(P), g)
+        for name in ("E_g", "Lambda_g", "I_g", "J_g", "L", "D"):
+            assert abs(getattr(F, name)) < 1e-14, name
+
+
+@pytest.mark.parametrize("verts", _WIDE_INTERVALS)
+def test_inequality_suite_runs_on_wide_intervals(verts, g_one):
+    report = t.inequality_suite(t.from_vertices(verts), g_one, samples=24)
+    assert report["violations"] == {"a": 0, "b": 0, "c": 0, "d": 0}
+
+
+_ENDS = st.fractions(Fraction(1, 4), 4, max_denominator=12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_ENDS, _ENDS, st.integers(0, 2**32 - 1))
+def test_package_built_potentials_are_convex_by_construction(a, b, seed):
+    P = t.from_vertices([(-a,), (b,)])
+    ref = t.reference_potential(P)
+    pots = [ref]
+    for i in range(3):
+        u = t.random_potential(P, seed=[seed, i])
+        pots += [u, u.along(0.3), u.along(0.9)]
+    for direction in (1.0, -1.0):
+        pots += [mafunc._ray_potential(ref, direction, s) for s in (2.0, 8.0)]
+    for u in pots:
+        u.validate()
