@@ -483,8 +483,9 @@ def _horner(cs, p):
 _RTOL = 4.0 * sys.float_info.epsilon
 
 
-def _brentq(f, xa: float, xb: float, xtol: float) -> float:
-    """A root of f in [xa, xb] by Brent's zeroin (Brent 1973, ch. 4).
+def _brentq(f, xa: float, fa: float, xb: float, fb: float, xtol: float) -> float:
+    """A root of f in [xa, xb] by Brent's zeroin (Brent 1973, ch. 4), given
+    fa = f(xa) and fb = f(xb), which the caller has already evaluated.
 
     A statement-for-statement port of the widely used C ``brentq``, with
     ``rtol = 4 eps`` and ``maxiter = 100``: the same interpolate,
@@ -493,15 +494,14 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
     value, an unbracketed interval or a missed tolerance.
     """
 
-    def fx(x: float) -> float:
-        v = f(x)
+    def checked(x: float, v: float) -> float:
         if math.isnan(v):
             raise NewtonDiverged(f"root finder met NaN at x={x!r}")
         return v
 
     xpre, xcur = xa, xb
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = fx(xpre), fx(xcur)
+    fpre, fcur = checked(xa, fa), checked(xb, fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -541,7 +541,7 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = fx(xcur)
+        fcur = checked(xcur, f(xcur))
     raise NewtonDiverged(f"root finder did not converge after 100 iterations, x={xcur!r}")
 
 
@@ -612,8 +612,11 @@ def solve_ma(
             slopes.append(sk)
         return slopes, (y + h * math.exp(-wk)) - y_hi
 
+    shots = {}  # base value -> the slopes of its shot
+
     def _psi(w0: float) -> float:
-        return _shoot(w0)[1]
+        shots[w0], defect = _shoot(w0)
+        return defect
 
     base = float(ref.values[0])
     span = 8.0
@@ -625,9 +628,10 @@ def solve_ma(
         flo, fhi = _psi(lo), _psi(hi)
     if flo * fhi > 0.0:
         raise NewtonDiverged("shooting bracket failed for the base value")
-    w0 = _brentq(_psi, lo, hi, 1e-13)
-    # the shot's own slopes; its profile w is their running sum, bit for bit
-    shot = ref.with_slopes(w0, np.array(_shoot(w0)[0]))
+    w0 = _brentq(_psi, lo, flo, hi, fhi, 1e-13)
+    # the root is a base value Brent has shot: its own slopes, whose running
+    # sum is its profile w, bit for bit
+    shot = ref.with_slopes(w0, np.array(shots[w0]))
     w, s = shot.values, shot.half_slopes()
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(np.max(np.abs(np.diff(G(s)) / h - np.exp(-w))))

@@ -83,7 +83,8 @@ def _incidence(slack: dict, nrows: int, key=None):
     """The points of ``slack`` sorted by ``key``, and per row the indices of
     those with zero slack on it."""
     verts = tuple(sorted(slack, key=key))
-    tight = [frozenset(j for j, v in enumerate(verts) if not slack[v][i]) for i in range(nrows)]
+    slacks = [slack[v] for v in verts]
+    tight = [frozenset(j for j, s in enumerate(slacks) if not s[i]) for i in range(nrows)]
     return verts, tuple(tight)
 
 

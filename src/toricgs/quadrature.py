@@ -6,8 +6,11 @@ moment of g, and all of them go through one kernel (``moments``, built on
 ``simplex_moments``): per triangulation simplex, polynomial integrands are
 integrated exactly through the Dirichlet moment formula in barycentric
 coordinates; exponential-affine integrands use the closed-form
-divided-difference representation of the simplex exponential integral.
-There is no quadrature rule: every value is a closed form.
+divided-difference representation of the simplex exponential integral,
+every divided difference of one simplex from one series table centred at
+its distinct nodes (``exp_dd_basis``; past the series spread, one
+``exp_divided_difference`` each).  There is no quadrature rule: every
+value is a closed form.
 
 Repeated work is kept on the domain object, in its ``_moment_cache``, and
 freed with it: per polytope the weight-independent data of each
@@ -434,19 +437,33 @@ def _exp_dd_series(y, N: int) -> float:
     # polynomials; h recursion is cancellation-free in absolute scale sigma^j.
     # The stop test fires within _series_terms(sigma) terms for the spread
     # sigma = ceil(8 max|y|) / 8 >= max|y| (8 max|y| and its ceiling are exact)
-    k = math.ceil(8 * max(map(abs, y)))
-    terms = _SERIES_TERMS[k] if k < len(_SERIES_TERMS) else _series_terms(k / 8)
-    h = [1.0] + [0.0] * terms
+    h = [1.0] + [0.0] * _terms_for(max(map(abs, y)))
     for v in y:
-        if v == 0.0:
-            continue
-        acc = 1.0
-        for j in range(1, terms + 1):
-            h[j] = acc = h[j] + v * acc
+        if v != 0.0:
+            _h_step(h, v)
+    return _h_sum(h, N)
+
+
+def _terms_for(spread: float) -> int:
+    """``_series_terms`` at the spread rounded up to the next multiple of 1/8."""
+    k = math.ceil(8 * spread)
+    return _SERIES_TERMS[k] if k < len(_SERIES_TERMS) else _series_terms(k / 8)
+
+
+def _h_step(h: list, v: float) -> None:
+    """Extend the node list of the table h_0, h_1, ... by the node v, in
+    place: h_j <- h_j + v h_{j-1}, with h_{j-1} already the new value."""
+    acc = 1.0
+    for j in range(1, len(h)):
+        h[j] = acc = h[j] + v * acc
+
+
+def _h_sum(h: list, N: int) -> float:
+    """sum_j h_j / (N + j)!, stopped after two consecutive negligible terms."""
     total = 0.0
     small = 0
-    for j in range(terms + 1):
-        term = h[j] / _FACTORIALS[N + j]
+    for j, hj in enumerate(h):
+        term = hj / _FACTORIALS[N + j]
         total += term
         # centered node sets can zero out isolated (e.g. odd-degree) terms,
         # so stop only after two consecutive negligible terms
@@ -457,6 +474,53 @@ def _exp_dd_series(y, N: int) -> float:
         else:
             small = 0
     return total
+
+
+def exp_dd_basis(c, kappas) -> dict:
+    """The basis of the exp moment kernel on one simplex: for each kappa, the
+    divided difference of exp at 0 and each c_i repeated kappa_i + 1 times.
+
+    Every node list shares its distinct nodes 0, c_1, ..., c_n, so all of
+    them are centred once, at the mean m of those n + 1 nodes, and share
+    one table of h_j: the recursion runs over the centred distinct nodes
+    once, and the table of kappa is that of kappa - e_i (i the last index
+    with kappa_i > 0) extended by the node c_i - m.  Each value is then
+    e^m times the stop-tested sum of its table: e^m times
+    ``_exp_dd_series`` of the centred node list 0, c_1, ..., c_n followed
+    by each c_i repeated kappa_i times, in index order.  A spread
+    max |x - m| beyond ``_SERIES_SPREAD`` takes ``exp_divided_difference``
+    of each node list instead.
+    """
+    nodes = [0.0, *c]
+    m = math.fsum(nodes) / len(nodes)
+    y = [x - m for x in nodes]
+    spread = max(map(abs, y))
+    if not spread <= _SERIES_SPREAD:  # a NaN spread too, as in exp_divided_difference
+        basis = {}
+        for kappa in kappas:
+            nodes = [0.0] + [ci for ci, k in zip(c, kappa) for _ in range(k + 1)]
+            basis[kappa] = exp_divided_difference(nodes)
+        return basis
+    h = [1.0] + [0.0] * _terms_for(spread)
+    for v in y:
+        if v != 0.0:
+            _h_step(h, v)
+    tables = {(0,) * len(c): h}
+    scale = math.exp(m)
+    return {kappa: scale * _h_sum(_h_table(kappa, tables, y), len(y) - 1 + sum(kappa))
+            for kappa in kappas}
+
+
+def _h_table(kappa, tables: dict, y) -> list:
+    """The table of kappa in ``exp_dd_basis``, from that of kappa - e_i."""
+    if kappa not in tables:
+        i = max(j for j, k in enumerate(kappa) if k)
+        h = _h_table(kappa[:i] + (kappa[i] - 1,) + kappa[i + 1:], tables, y)
+        if y[i + 1] != 0.0:
+            h = h.copy()
+            _h_step(h, y[i + 1])
+        tables[kappa] = h
+    return tables[kappa]
 
 
 def _exp_dd_table(z) -> float:
@@ -501,9 +565,16 @@ class _Simplex:
     def __init__(self, simplex):
         n = len(simplex) - 1
         self.s0 = simplex[0]
-        self.edges = [tuple(x - y for x, y in zip(p, self.s0)) for p in simplex[1:]]
-        self.det = abs(_exact.det([list(e) for e in self.edges]))
-        self.lines = _barycentric_lines(self.s0, self.edges, n)
+        if all(x.denominator == 1 for p in simplex for x in p):
+            # integral points: the edges, |det E| and the lines in ints
+            s0, *rest = [[x.numerator for x in p] for p in simplex]
+            self.edges = [tuple(x - y for x, y in zip(p, s0)) for p in rest]
+            self.det = abs(_exact.int_det([list(e) for e in self.edges]))
+        else:
+            s0 = self.s0
+            self.edges = [tuple(x - y for x, y in zip(p, s0)) for p in simplex[1:]]
+            self.det = abs(_exact.det([list(e) for e in self.edges]))
+        self.lines = _barycentric_lines(s0, self.edges, n)
         self.powers: dict = {(0,) * n: {(0,) * n: 1}}
         self.integrals: dict = {}
         self._exp_terms: dict = {}
@@ -537,8 +608,12 @@ def simplex_moments(simplex, g: WeightFunction, alphas):
     over the standard simplex is the Dirichlet value kappa! / (n + |kappa|)!,
     so rational data gives exact Fractions.  For g = exp(a0 + <b,x>) the
     basis integral of t^kappa e^{<c,t>} is kappa! times the confluent
-    divided difference of exp at 0 and each c_i repeated kappa_i + 1 times,
-    which ``exp_divided_difference`` evaluates stably for any node geometry.
+    divided difference of exp at 0 and each c_i repeated kappa_i + 1 times.
+    ``exp_dd_basis`` gives those of every kappa the alphas need in one call:
+    one series table centred at the mean of 0, c_1, ..., c_n, each further
+    kappa one recurrence pass over the table of kappa - e_i; a spread past
+    ``_SERIES_SPREAD`` takes ``exp_divided_difference`` per kappa, stable
+    for any node geometry.
     A float b meets the float copies of the geometry in the operations
     ``_exact.dot`` would take (a float product makes every later sum a
     float sum); a b with a rational entry takes ``_exact.dot``.
@@ -568,14 +643,13 @@ def simplex_moments(simplex, g: WeightFunction, alphas):
         c = [float(_exact.dot(g.b, e)) for e in S.edges]
         shift = float(_exact.dot(g.b, S.s0))
     pref = det * math.exp(float(g.a0) + shift)
-    basis: dict = {}  # t^kappa -> its divided difference of exp
+    terms = [S.exp_terms(tuple(alpha)) for alpha in alphas]
+    # t^kappa -> its divided difference of exp, for every kappa at once
+    basis = exp_dd_basis(c, dict.fromkeys(kappa for ts in terms for kappa, _ in ts))
     values = []
-    for alpha in alphas:
+    for ts in terms:
         total = 0.0
-        for kappa, w in S.exp_terms(tuple(alpha)):
-            if kappa not in basis:
-                nodes = [0.0] + [ci for ci, k in zip(c, kappa) for _ in range(k + 1)]
-                basis[kappa] = exp_divided_difference(nodes)
+        for kappa, w in ts:
             total += w * basis[kappa]
         values.append(pref * total)
     return values

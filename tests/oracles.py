@@ -168,15 +168,18 @@ def exp_dd_series_120(y, N: int) -> float:
     return total
 
 
-def exp_simplex_moments(simplex, a0, b, alphas, dd) -> list[float]:
+def exp_simplex_moments(simplex, a0, b, alphas, basis) -> list[float]:
     """Integrals of x^alpha e^{a0 + <b, x>} over a rational simplex, with the
-    divided difference ``dd``: the reference for the exp branch of
-    ``quadrature.simplex_moments``, bit for bit.
+    per-simplex basis routine ``basis(c, kappas)`` -> {kappa: divided
+    difference of exp at 0 and each c_i repeated kappa_i + 1 times}: the
+    reference for the exp branch of ``quadrature.simplex_moments``, bit for
+    bit.
 
     Every call expands x = s0 + sum_i t_i e_i and each x^alpha anew, takes
     c_i = <b, e_i> and <b, s0> as Fraction-started sums (a float entry of b
-    turns the sum into float sums) and recombines the t^kappa terms in the
-    order of the expansion, with no float copies and no kept tables.
+    turns the sum into float sums), asks ``basis`` once for every t^kappa
+    of the expansions and recombines the terms in the order of the
+    expansion, with no float copies and no kept tables.
     """
     n = len(simplex) - 1
     s0 = simplex[0]
@@ -207,14 +210,13 @@ def exp_simplex_moments(simplex, a0, b, alphas, dd) -> list[float]:
 
     c = [float(dot(b, e)) for e in edges]
     pref = float(abs(_det_exact(edges))) * math.exp(float(a0) + float(dot(b, s0)))
-    basis: dict = {}
+    expansions = [power(tuple(alpha)) for alpha in alphas]
+    values_of = basis(c, list(dict.fromkeys(k for e in expansions for k in e)))
     values = []
-    for alpha in alphas:
+    for expansion in expansions:
         total = 0.0
-        for kappa, coeff in power(tuple(alpha)).items():
-            if kappa not in basis:
-                basis[kappa] = dd([0.0] + [ci for ci, k in zip(c, kappa) for _ in range(k + 1)])
-            total += float(coeff) * math.prod(math.factorial(k) for k in kappa) * basis[kappa]
+        for kappa, coeff in expansion.items():
+            total += float(coeff) * math.prod(math.factorial(k) for k in kappa) * values_of[kappa]
         values.append(pref * total)
     return values
 

@@ -206,6 +206,41 @@ def test_solver_exponential_weight(p1):
     assert abs(mass - weight_mass(p1, g)) < 1e-10
 
 
+@pytest.mark.parametrize("g", [
+    t.WeightFunction.constant(1),
+    t.WeightFunction.polynomial([((0,), 1), ((2,), Fraction(1, 2))]),
+], ids=["constant", "polynomial"])
+def test_solver_shoots_no_base_value_twice(p1, g, monkeypatch):
+    # along a shot the running mass y only grows, so each drop of the G^{-1}
+    # argument starts a shot; the last run is the two boundary-layer lookups
+    runs = []
+    real_weight_1d, real_brentq = mafunc._weight_1d, mafunc._brentq
+
+    def weight_1d(*args):
+        G, mean, Ginv = real_weight_1d(*args)
+
+        def counted(y):
+            if not runs or y < runs[-1]:
+                runs.append(y)
+            runs[-1] = y
+            return Ginv(y)
+
+        return G, mean, counted
+
+    evaluated = []  # the base values Brent asks for
+
+    def brentq(f, *args):
+        return real_brentq(lambda x: evaluated.append(x) or f(x), *args)
+
+    monkeypatch.setattr(mafunc, "_weight_1d", weight_1d)
+    monkeypatch.setattr(mafunc, "_brentq", brentq)
+    assert t.solve_ma(p1, g).residual < 1e-8
+    # p1 brackets the root at the first span: two shots, then one per
+    # Brent iterate, none repeated and none for the root's profile
+    assert len(set(evaluated)) == len(evaluated) > 2
+    assert len(runs) - 1 == 2 + len(evaluated)
+
+
 def test_boundary_layer_is_intrinsic_for_skew_weight(p1):
     # with B = int p g dp > 0 the first interior half-slope sits on the
     # predicted O(h) layer G^{-1}(G(p_min) + h B), not at p_min itself
@@ -312,15 +347,17 @@ def test_polynomial_path_matches_closed_form_affine_inverse():
 )
 @pytest.mark.parametrize("xtol", [1e-13, 1e-8])
 def test_brentq_finds_roots_within_its_tolerance(f, lo, hi, root, xtol):
-    x = _brentq(f, lo, hi, xtol)
+    x = _brentq(f, lo, f(lo), hi, f(hi), xtol)
     assert abs(x - root) <= xtol + 4 * sys.float_info.epsilon * abs(x)
 
 
 def test_brentq_raises_newton_diverged_without_a_root():
-    with pytest.raises(NewtonDiverged, match="sign change"):
-        _brentq(lambda x: x * x + 1, -1.0, 2.0, 1e-13)
-    with pytest.raises(NewtonDiverged, match="NaN"):
-        _brentq(lambda x: math.nan if x > 0.5 else x - 1.0, 0.0, 2.0, 1e-13)
+    for f, match in [
+        (lambda x: x * x + 1, "sign change"),
+        (lambda x: math.nan if x > 0.5 else x - 1.0, "NaN"),
+    ]:
+        with pytest.raises(NewtonDiverged, match=match):
+            _brentq(f, -1.0, f(-1.0), 2.0, f(2.0), 1e-13)
 
 
 _coeff = st.fractions(-2, 2, max_denominator=6)

@@ -332,6 +332,75 @@ def test_exp_dd_at_spread_three_takes_the_series():
     assert got == math.exp(3.0) * exp_dd_series_120([-3.0, 3.0], 1)
 
 
+def _shared_spread(c):
+    nodes = [0.0, *c]
+    m = math.fsum(nodes) / len(nodes)
+    return max(abs(x - m) for x in nodes), m
+
+
+def _kappas(n):
+    return [k for d in range(3) for k in quadrature._compositions(d, n)]
+
+
+_PAST = math.nextafter(quadrature._SERIES_SPREAD, math.inf)
+# c for n = 1-3 whose shared spread is exactly the series spread, and one ulp past it
+_AT_THE_EDGE = [[6.0], [-6.0], [4.5, 4.5], [4.0, 4.0, 4.0], [0.0, 6.0, 6.0]]
+_PAST_THE_EDGE = [
+    [math.nextafter(6.0, 7.0)],
+    [math.nextafter(4.5, 5.0)] * 2,
+    [4.0, 4.0, math.nextafter(math.nextafter(4.0, 5.0), 5.0)],
+    [0.0, math.nextafter(6.0, 7.0), math.nextafter(6.0, 7.0)],
+]
+
+
+def test_basis_edge_cases_sit_at_the_series_spread():
+    assert {_shared_spread(c)[0] for c in _AT_THE_EDGE} == {quadrature._SERIES_SPREAD}
+    assert {_shared_spread(c)[0] for c in _PAST_THE_EDGE} == {_PAST}
+
+
+@st.composite
+def _basis_cases(draw):
+    """c for n = 1-3, with zeros, repeats and nodes at the centre, and a
+    set of kappas with |kappa| <= 2 in any order."""
+    n = draw(st.integers(1, 3))
+    edge = 2 * quadrature._SERIES_SPREAD
+    pool = draw(st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, 2.0]) | st.floats(-edge, edge), min_size=1, max_size=3
+    ))
+    c = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    kappas = draw(st.permutations(_kappas(n)))
+    return c, kappas[: draw(st.integers(1, len(kappas)))]
+
+
+def _at_the_spread_edge(test):
+    for c in _AT_THE_EDGE + _PAST_THE_EDGE:
+        test = example((c, _kappas(len(c))))(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_basis_cases())
+@example(([1.0, 2.0], [(2, 0), (1, 1), (0, 2)]))  # c_1 is the centre: no pass for it
+@example(([0.0, 0.0, 0.0], _kappas(3)))
+@_at_the_spread_edge
+def test_exp_basis_is_one_shared_centre_series(case):
+    c, kappas = case
+    got = quadrature.exp_dd_basis(c, kappas)
+    assert list(got) == kappas
+    spread, m = _shared_spread(c)
+    for kappa in kappas:
+        nodes = [0.0] + [ci for ci, k in zip(c, kappa) for _ in range(k + 1)]
+        if spread <= quadrature._SERIES_SPREAD:
+            # the distinct nodes, then each c_i again kappa_i times, centred at m
+            y = [x - m for x in [0.0, *c] + [ci for ci, k in zip(c, kappa) for _ in range(k)]]
+            want = math.exp(m) * exp_dd_series_120(y, len(y) - 1)
+        else:
+            want = quadrature.exp_divided_difference(nodes)
+        assert got[kappa] == want, (c, kappa)
+        exact = float(dd_exp_series([Fraction(x) for x in nodes]))
+        assert got[kappa] == pytest.approx(exact, rel=5e-13), (c, kappa)
+
+
 # ---------------------------------------------------------------------------
 # moment kernel properties
 # ---------------------------------------------------------------------------
@@ -469,17 +538,17 @@ def test_exp_simplex_moments_match_the_fraction_dot_kernel(case):
     for bb in (b, b2):
         g = quadrature.WeightFunction("exp_affine", a0=a0, b=bb)
         got = quadrature.simplex_moments(S, g, alphas)
-        want = exp_simplex_moments(simplex, a0, bb, alphas, quadrature.exp_divided_difference)
+        want = exp_simplex_moments(simplex, a0, bb, alphas, quadrature.exp_dd_basis)
         assert list(map(float.hex, got)) == list(map(float.hex, want)), (simplex, bb)
 
 
 def test_kr_solve_takes_no_fraction_dot(monkeypatch):
     P = t.builtin("bl1p2")
     dots = _count_calls(monkeypatch, t._exact, "dot")
-    dds = _count_calls(monkeypatch, quadrature, "exp_divided_difference")
+    bases = _count_calls(monkeypatch, quadrature, "exp_dd_basis")
     sol = t.solve_kr_soliton(P)
     assert sol.residual < 1e-9
-    assert dds and not dots
+    assert bases and not dots
 
 
 def _count_calls(monkeypatch, module, name):
