@@ -612,10 +612,11 @@ def solve_ma(
             slopes.append(sk)
         return slopes, (y + h * math.exp(-wk)) - y_hi
 
-    shots = {}  # base value -> the slopes of its shot
+    latest = {}  # sign of the defect -> (base value, slopes) of its latest shot
 
     def _psi(w0: float) -> float:
-        shots[w0], defect = _shoot(w0)
+        slopes, defect = _shoot(w0)
+        latest[(defect > 0) - (defect < 0)] = w0, slopes
         return defect
 
     base = float(ref.values[0])
@@ -629,9 +630,12 @@ def solve_ma(
     if flo * fhi > 0.0:
         raise NewtonDiverged("shooting bracket failed for the base value")
     w0 = _brentq(_psi, lo, flo, hi, fhi, 1e-13)
-    # the root is a base value Brent has shot: its own slopes, whose running
-    # sum is its profile w, bit for bit
-    shot = ref.with_slopes(w0, np.array(shots[w0]))
+    # Brent returns an end of its bracket, and each end is the latest shot
+    # of its defect's sign (a new point replaces the end of its own sign),
+    # so the root's shot is kept unless two defects were exactly zero.  Its
+    # slopes' running sum is its profile w, bit for bit
+    kept = dict(latest.values())
+    shot = ref.with_slopes(w0, np.array(kept[w0] if w0 in kept else _shoot(w0)[0]))
     w, s = shot.values, shot.half_slopes()
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(np.max(np.abs(np.diff(G(s)) / h - np.exp(-w))))
