@@ -608,12 +608,10 @@ def simplex_moments(simplex, g: WeightFunction, alphas):
     over the standard simplex is the Dirichlet value kappa! / (n + |kappa|)!,
     so rational data gives exact Fractions.  For g = exp(a0 + <b,x>) the
     basis integral of t^kappa e^{<c,t>} is kappa! times the confluent
-    divided difference of exp at 0 and each c_i repeated kappa_i + 1 times.
-    ``exp_dd_basis`` gives those of every kappa the alphas need in one call:
-    one series table centred at the mean of 0, c_1, ..., c_n, each further
-    kappa one recurrence pass over the table of kappa - e_i; a spread past
-    ``_SERIES_SPREAD`` takes ``exp_divided_difference`` per kappa, stable
-    for any node geometry.
+    divided difference of exp at 0 and each c_i repeated kappa_i + 1 times;
+    ``exp_dd_basis`` gives those of every kappa the alphas need from one
+    shared-centre series table (past the series spread, from
+    ``exp_divided_difference`` per kappa, stable for any node geometry).
     A float b meets the float copies of the geometry in the operations
     ``_exact.dot`` would take (a float product makes every later sum a
     float sum); a b with a rational entry takes ``_exact.dot``.
