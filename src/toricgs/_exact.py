@@ -5,16 +5,16 @@ Fractions and numeric strings become Fractions, any other real a float.
 Every later step keeps that type, so exact data gives exact results.
 
 Small dense routines (n <= 4 throughout the package), all on one
-fraction-free integer elimination, ``_bareiss``: the integer solve of polar
-vertex enumeration and of the Mabuchi moment system, determinants for the
-boundedness test and for volumes, and ranks.  Matrices are lists of lists
-of Fractions or ints; vectors are lists of Fractions.
+fraction-free integer elimination, ``_bareiss``: the integer solve of the
+Mabuchi moment system, the inverse of the starting cone of a vertex
+enumeration, determinants for volumes, and ranks.  Matrices are lists of
+lists of Fractions or ints; vectors are lists of Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 from typing import Sequence
 
 import numpy as np
@@ -133,19 +133,3 @@ def int_solve(rows, rhs) -> tuple[list[int], int] | None:
         return None
     sign = 1 if p > 0 else -1
     return [sign * r[-1] for r in a], sign * p
-
-
-def primitive(v: Vec) -> tuple[Fraction, ...]:
-    """Scale a nonzero rational vector to a primitive integer vector.
-
-    Keeps orientation (multiplies by a positive rational only).
-    """
-    dens = [x.denominator for x in v]
-    scale = lcm(*dens) if dens else 1
-    ints = [int(x * scale) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(Fraction(x, g) for x in ints)

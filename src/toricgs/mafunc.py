@@ -577,8 +577,10 @@ def solve_ma(
     next half-slope from the running mass (through the G^{-1} of
     ``_weight_1d``), and the closing defect is h * sum(e^{-w_k}) minus the
     integral of g -- a bracketed scalar root problem, solved by Brent's
-    method (``_brentq``).  The max-norm flux residual of the shot profile
-    must then be at most ``tol``, else NewtonDiverged.  The residual reads
+    method (``_brentq``).  The root's shot must reach the last node (a shot
+    stops once w falls below -500, where its mass is far past the target),
+    and the max-norm flux residual of its profile must then be at most
+    ``tol``; either failure raises NewtonDiverged.  The residual reads
     the shot's own slopes G^{-1}(y_k), which the potential keeps, so it
     measures the rounding of G(G^{-1}(y)) and of the running sums, not of
     slopes rebuilt from node values; it stays near 1e-12 as N grows.
@@ -635,7 +637,14 @@ def solve_ma(
     # so the root's shot is kept unless two defects were exactly zero.  Its
     # slopes' running sum is its profile w, bit for bit
     kept = dict(latest.values())
-    shot = ref.with_slopes(w0, np.array(kept[w0] if w0 in kept else _shoot(w0)[0]))
+    slopes = kept[w0] if w0 in kept else _shoot(w0)[0]
+    if len(slopes) < N - 1:
+        k = len(slopes)
+        raise NewtonDiverged(
+            f"the shot from base value {w0!r} stopped at node {k} of {N} "
+            f"(x = {float(grid.nodes[k]):.6g}), where w fell below -500"
+        )
+    shot = ref.with_slopes(w0, np.array(slopes))
     w, s = shot.values, shot.half_slopes()
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(np.max(np.abs(np.diff(G(s)) / h - np.exp(-w))))

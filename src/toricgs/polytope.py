@@ -6,19 +6,20 @@ A labelled polytope here is always written in the monotone normalization
 
 with the origin strictly interior, so P and conv(nu_i) are polar: one vertex
 enumeration, :func:`_polar`, gives the vertices from the normals or the
-normals from the vertices, and each construction runs it once.  Its integer
-solve also decides which constraints are tight where; P keeps that incidence
-for the triangulation.  Construction and triangulation combinatorics run
-in exact arithmetic, lattice enumeration in guarded int64; floating point
-enters only downstream (quadrature, solvers).
+normals from the vertices, and each construction runs it once.  The
+enumeration is the double description method in Python ints
+(:func:`_double_description`); it keeps, per vertex, the constraints it lies
+on, and P keeps that incidence for the triangulation and for cutting P into
+the linearity cells of a PL function.  Construction and triangulation
+combinatorics run in exact arithmetic, lattice enumeration in guarded int64;
+floating point enters only downstream (quadrature, solvers).
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, lcm, prod
+from math import ceil, floor, gcd, lcm, prod
 
 import numpy as np
 
@@ -44,76 +45,150 @@ def _as_point(p) -> Point:
     return tuple(_exact.frac(x) for x in p)
 
 
-def _affine_rank(points: list[Point]) -> int:
-    if len(points) < 2:
-        return 0
-    base = points[0]
-    rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    return _exact.rank(rows)
+# -- vertex enumeration: the double description method -------------------------
+#
+# A constraint <a, x> <= b with int entries is the homogeneous row (-a, b):
+# at x = num / den (den > 0) it reads <(-a, b), (num, den)> >= 0.  The
+# polytope's vertices are then the extreme rays (num, den) of the cone of all
+# its rows with den > 0, each an int tuple divided by its gcd, and a ray's
+# zero set, the rows it lies on, is an int bit mask (bit i for row i).
 
 
-def solve_vertices(rows, key=None) -> tuple[tuple[Point, ...], tuple[frozenset, ...]]:
-    """(vertices, tight) of {x : <a, x> <= b for every integer row (a, b)}:
-    the vertices sorted by ``key``, and per row the indices of those on it.
-    Solve-and-filter: every n rows that hold with equality at exactly one
-    point give that point when it satisfies all of them.  At a solution
-    num / den the integer slacks b*den - <a, num> decide feasibility (all
-    >= 0) and tightness (== 0).
+def _homogeneous(a, b) -> tuple[int, ...]:
+    """The cone row (-a, b) of the int constraint <a, x> <= b."""
+    return (*(-x for x in a), b)
+
+
+def _reduced(y) -> tuple[int, ...]:
+    """The int vector ``y`` divided by the gcd of its entries."""
+    g = gcd(*y)
+    return tuple(x // g for x in y)
+
+
+def _double_description(rows, rays, todo) -> list[tuple[tuple[int, ...], int]]:
+    """Extreme rays of the pointed cone {y : <rows[i], y> >= 0 for every i}.
+
+    ``rays`` are the (ray, zero mask) pairs of the extreme rays of the cone
+    of the rows not in ``todo``; the rows of ``todo`` are added one at a
+    time (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon,
+    "Double description method revisited", 1996).  A row keeps the rays on
+    its side and joins each adjacent pair it separates by the ray on its
+    hyperplane.  Adjacency is decided from the zero sets alone: in a cone of
+    dimension d = len(row), two extreme rays are adjacent when their common
+    zero set holds at least d - 2 rows and no third ray's zero set contains
+    it.
     """
-    combos = itertools.combinations(range(len(rows)), len(rows[0][0]))
-    return _incidence(_vertex_slacks(rows, combos), len(rows), key)
+    need = len(rows[0]) - 2
+    for i in todo:
+        h, bit = rows[i], 1 << i
+        kept, pos, neg = [], [], []
+        for y, z in rays:
+            s = sum(x * w for x, w in zip(h, y))
+            if s > 0:
+                kept.append((y, z))
+                pos.append((y, z, s))
+            elif s < 0:
+                neg.append((y, z, s))
+            else:
+                kept.append((y, z | bit))
+        if neg:
+            masks = [z for _, z in rays]
+            for p, zp, sp in pos:
+                for q, zq, sq in neg:
+                    common = zp & zq
+                    if common.bit_count() < need:
+                        continue
+                    # p and q contain it; a third ray would make it a larger face
+                    if sum((z & common) == common for z in masks) > 2:
+                        continue
+                    ray = _reduced([sp * b - sq * a for a, b in zip(p, q)])
+                    kept.append((ray, common | bit))
+        rays = kept
+    return rays
 
 
-def _vertex_slacks(rows, combos) -> dict:
-    """{point: its integer slack on every row} for the feasible unique
-    solutions of the row index subsets ``combos``."""
-    slack = {}
-    for combo in combos:
-        sol = _exact.int_solve([rows[i][0] for i in combo], [rows[i][1] for i in combo])
-        if sol is None:
-            continue
-        num, den = sol
-        s = [b * den - sum(x * y for x, y in zip(a, num)) for a, b in rows]
-        if min(s) >= 0:
-            slack[tuple(Fraction(x, den) for x in num)] = s
-    return slack
+def _independent(rows, count: int) -> list[int]:
+    """Indices of the first ``count`` linearly independent int rows, in order
+    (fewer when the rows span less), by fraction-free elimination."""
+    chosen, echelon = [], []
+    for i, r in enumerate(rows):
+        for c, e in echelon:
+            if r[c]:
+                f, p = r[c], e[c]
+                r = [x * p - f * y for x, y in zip(r, e)]
+        c = next((c for c, x in enumerate(r) if x), None)
+        if c is not None:
+            chosen.append(i)
+            echelon.append((c, r))
+            if len(chosen) == count:
+                break
+    return chosen
 
 
-def _incidence(slack: dict, nrows: int, key=None):
-    """The points of ``slack`` sorted by ``key``, and per row the indices of
-    those with zero slack on it."""
-    verts = tuple(sorted(slack, key=key))
-    slacks = [slack[v] for v in verts]
-    tight = [frozenset(j for j, s in enumerate(slacks) if not s[i]) for i in range(nrows)]
-    return verts, tuple(tight)
+def _simplicial_cone(rows, basis) -> list[tuple[tuple[int, ...], int]]:
+    """The (ray, zero mask) pairs of {y : <rows[i], y> >= 0 for i in basis},
+    for len(y) independent rows: the columns of the inverse of their matrix,
+    each on all of the rows but one.  ``_bareiss`` of [B | I] leaves p B^-1
+    in the right block."""
+    d = len(basis)
+    a = [list(rows[i]) + [int(k == j) for k in range(d)] for j, i in enumerate(basis)]
+    p = _exact._bareiss(a, d)[1]
+    sign = 1 if p > 0 else -1
+    full = sum(1 << i for i in basis)
+    return [
+        (_reduced([sign * a[k][d + j] for k in range(d)]), full & ~(1 << i))
+        for j, i in enumerate(basis)
+    ]
+
+
+def solve_vertices(rows) -> list[tuple[tuple[int, ...], int]]:
+    """The vertices of the polytope {x : <a, x> <= b for every int row (a, b)}.
+
+    Each vertex is a (ray, zero mask) pair: the vertex is num / den for the
+    ray (num, den), and bit i of the mask is set when it lies on row i.  The
+    double description starts from the simplicial cone of the first n + 1
+    independent rows (-a, b) and adds the others, then t >= 0 as row
+    len(rows).  Raises LowerDimensional when the rows (-a, b) span less than
+    R^(n+1), and Unbounded when a ray with den = 0, a recession direction,
+    remains.
+    """
+    n = len(rows[0][0])
+    cone = [_homogeneous(a, b) for a, b in rows]
+    basis = _independent(cone, n + 1)
+    if len(basis) <= n:
+        raise LowerDimensional("the rows (-a, b) do not span the homogeneous space")
+    cone.append((0,) * n + (1,))
+    todo = [i for i in range(len(cone)) if i not in basis]
+    rays = _double_description(cone, _simplicial_cone(cone, basis), todo)
+    if any(not y[-1] for y, _ in rays):
+        raise Unbounded("the system has a recession direction")
+    return rays
+
+
+def _polar(rows):
+    """``solve_vertices`` of {x : <r, x> <= 1 for r in rows}, each row scaled
+    to integers once."""
+    return solve_vertices([_integral_row(r, 1) for r in rows])
+
+
+def _incidence(rays, nrows: int, key=None) -> tuple[tuple[Point, ...], tuple[frozenset, ...]]:
+    """The points num / den of the (ray, mask) pairs ``rays``, sorted by
+    ``key`` of the int ray (by the point itself by default), and per row the
+    indices of the points on it."""
+    pts = [(tuple(Fraction(x, y[-1]) for x in y[:-1]), y, z) for y, z in rays]
+    pts.sort(key=(lambda t: t[0]) if key is None else (lambda t: key(t[1])))
+    verts = tuple(v for v, _, _ in pts)
+    tight = tuple(
+        frozenset(k for k, (_, _, z) in enumerate(pts) if z >> i & 1) for i in range(nrows)
+    )
+    return verts, tight
 
 
 def _integral_row(a, b) -> tuple[tuple[int, ...], int]:
     """The constraint <a, x> <= b scaled by a positive integer to int entries."""
     scale = lcm(*(x.denominator for x in (*a, b)))
-    return tuple(int(x * scale) for x in a), int(b * scale)
-
-
-def _polar(rows, key=None):
-    """``solve_vertices`` of {x : <r, x> <= 1 for r in rows}; Unbounded unless bounded.
-
-    Each row is scaled to integers once.  An extreme recession direction
-    lies on n - 1 independent rows, so up to sign it is their generalized
-    cross product (entry j: (-1)^j times the minor without column j).  Rows
-    that do not span give no vertex.
-    """
-    n = len(rows[0])
-    ints = [_integral_row(r, 1) for r in rows]
-    for sub in itertools.combinations([a for a, _ in ints], n - 1):
-        d = [(-1) ** j * _exact.int_det([r[:j] + r[j + 1:] for r in sub]) for j in range(n)]
-        if any(d):
-            dots = [sum(x * y for x, y in zip(a, d)) for a, _ in ints]
-            if all(t <= 0 for t in dots) or all(t >= 0 for t in dots):
-                raise Unbounded("the system has a recession direction")
-    verts, tight = solve_vertices(ints, key)
-    if not verts:
-        raise Unbounded("the rows do not span the ambient space")
-    return verts, tight
+    ints = tuple(x.numerator * (scale // x.denominator) for x in (*a, b))
+    return ints[:-1], ints[-1]
 
 
 def fan_triangulation(vertices, tight, apex=None) -> list[tuple[Point, ...]]:
@@ -222,6 +297,26 @@ class LabelledPolytope:
         """Facet rows scaled to integers: (A_i, d_i) with <A_i, u> <= m*d_i."""
         return tuple(_integral_row(nu, 1) for nu in self.normals)
 
+    @cached_property
+    def _cone_rows(self) -> list[tuple[int, ...]]:
+        """The facets as the cone rows (-A_i, d_i) of ``_double_description``."""
+        return [_homogeneous(a, d) for a, d in self._int_facets]
+
+    @cached_property
+    def _rays(self) -> list[tuple[tuple[int, ...], int]]:
+        """The vertices as (ray, zero mask) pairs over ``_cone_rows``: the
+        extreme rays of the cone over P, with the facets ``_tight`` puts
+        each on."""
+        masks = [0] * len(self.vertices)
+        for i, on in enumerate(self._tight):
+            for k in on:
+                masks[k] |= 1 << i
+        rays = []
+        for v, z in zip(self.vertices, masks):
+            num, den = _integral_row(v, 1)
+            rays.append(((*num, den), z))
+        return rays
+
     def _int64_facets(self, m: int, umax) -> tuple[np.ndarray, np.ndarray]:
         """(A, m*d) as int64 arrays, for points with |u_j| <= umax[j].
 
@@ -325,11 +420,16 @@ def from_facets(normals, labels) -> LabelledPolytope:
             raise DegenerateFacet(f"facet {i} repeats facet {nus.index(nu)}", index=i)
         nus.append(nu)
 
-    vertices, tight = _polar(nus)
+    try:
+        rays = _polar(nus)
+    except LowerDimensional:
+        raise Unbounded("the normals lie on an affine hyperplane") from None
+    vertices, tight = _incidence(rays, len(nus))
     for i, on in enumerate(tight):
-        # a genuine facet carries n affinely independent tight vertices; fewer
-        # means the constraint is loose or touches only a lower-dimensional face
-        if len(on) < n or _affine_rank([vertices[j] for j in on]) < n - 1:
+        # distinct normals give distinct hyperplanes, so no other row holds a
+        # facet's vertices; a loose row, or one that touches only a
+        # lower-dimensional face, has its vertices inside a facet's
+        if any(on <= other for k, other in enumerate(tight) if k != i):
             raise DegenerateFacet(f"facet {i} is redundant or loose", index=i)
     return LabelledPolytope(n, tuple(nus), vertices, tight)
 
@@ -351,12 +451,13 @@ def from_vertices(points) -> LabelledPolytope:
         raise PolytopeError("dimension must be between 1 and 4")
     if any(len(p) != n for p in pts):
         raise PolytopeError("points have inconsistent dimensions")
-    if _affine_rank(pts) < n:
-        raise LowerDimensional("points do not affinely span the ambient space")
     try:
-        normals, on = _polar(pts, key=_exact.primitive)
+        rays = _polar(pts)
+    except LowerDimensional:
+        raise LowerDimensional("points do not affinely span the ambient space") from None
     except Unbounded:
         raise OriginNotInterior("origin is not strictly interior to the hull") from None
+    normals, on = _incidence(rays, len(pts), key=lambda y: _reduced(y[:-1]))
     # a point inside a face is on every facet that the vertices of the face are on
     keep = [k for k, s in enumerate(on) if sum(s <= t for t in on) == 1]
     tight = [frozenset(j for j, k in enumerate(keep) if i in on[k]) for i in range(len(normals))]

@@ -13,23 +13,21 @@ each cell is integrated with the moment kernel.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from . import _exact, invariants, quadrature
 from .polytope import (
     LabelledPolytope,
-    _affine_rank,
     _as_point,
+    _double_description,
     _incidence,
-    _integral_row,
-    _vertex_slacks,
     fan_triangulation,
 )
 from .quadrature import WeightFunction, encode_number
@@ -107,8 +105,11 @@ class PLConvexFunction:
                 pieces.append(key)
         if not pieces:
             raise ValueError("need at least one affine piece")
-        cells = _cells(self.domain, pieces)
-        shift = _pl_min(pieces, cells)
+        # piece j times L is the int row values[j]: <values[j], (x, 1)> = L f_j(x)
+        L = math.lcm(*(x.denominator for a, c in pieces for x in (*a, c)))
+        values = [tuple(x.numerator * (L // x.denominator) for x in (*a, c)) for a, c in pieces]
+        cells, rays = _cells(self.domain, values)
+        shift = _pl_min(values, cells, rays) / L
         pieces = tuple((a, c - shift) for a, c in pieces)
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "_cells", cells)
@@ -188,57 +189,47 @@ def twist(f: PLConvexFunction, xi) -> PLConvexFunction:
 # -- linearity cells and the exact PL minimum --------------------------------
 
 
-def _cells(P: LabelledPolytope, pieces) -> tuple:
-    """(j, vertices, tight sets) for every full-dimensional linearity cell.
+def _cells(P: LabelledPolytope, values) -> tuple[tuple, tuple]:
+    """The full-dimensional linearity cells of the pieces with int value rows
+    ``values``: (j, vertices, tight sets) per cell, and per cell its vertices
+    as (ray, zero mask) pairs.
 
-    The cell of piece j is P cut by <a_k - a_j, x> <= c_j - c_k for every
-    k != j (a zero slope difference with a negative right-hand side admits
-    no point, so that cell is empty).  Its vertices are P's vertices with no
-    negative integer slack on a cut, on the facets ``P._tight`` says, and
-    the feasible solutions of the n-subsets of facets and cuts that contain
-    a cut; the integer slacks give the vertices on each constraint, as in
-    ``solve_vertices``.  Cells of affine rank < n are dropped: the
+    The cell of piece j is P cut by f_j >= f_k for every k != j, the cone
+    row values[j] - values[k].  One double description run per piece starts
+    from P's vertex rays and their facet zero sets (``P._rays``) and adds
+    only those cuts; a cut with zero slope difference that f_j loses drops
+    every ray, so that cell is empty.  The zero sets give the vertices on
+    each facet and cut.  A cell is dropped when it is empty or one row holds
+    all of its vertices (it lies in that row's hyperplane): the
     full-dimensional cells already cover P.
     """
-    n = P.dim
-    if len(pieces) == 1:
-        return ((0, P.vertices, P._tight),)
-    facets = list(P._int_facets)
-    # only a slack's sign is read: 0 on a facet, 1 off it
-    on_facet = [[0 if k in T else 1 for T in P._tight] for k in range(len(P.vertices))]
-    scaled = []
-    for v in P.vertices:
-        den = math.lcm(*(x.denominator for x in v))
-        scaled.append(([int(x * den) for x in v], den))
-    cells = []
-    for j, (aj, cj) in enumerate(pieces):
-        cuts = [
-            _integral_row(tuple(x - y for x, y in zip(ak, aj)), cj - ck)
-            for k, (ak, ck) in enumerate(pieces)
-            if k != j
+    if len(values) == 1:
+        return ((0, P.vertices, P._tight),), (P._rays,)
+    facets = P._cone_rows
+    cuts = range(len(facets), len(facets) + len(values) - 1)
+    cells, rays = [], []
+    for j, vj in enumerate(values):
+        rows = facets + [
+            tuple(x - y for x, y in zip(vj, vk)) for k, vk in enumerate(values) if k != j
         ]
-        slack = {}
-        for v, (num, den), s in zip(P.vertices, scaled, on_facet):
-            cut = [b * den - sum(x * y for x, y in zip(a, num)) for a, b in cuts]
-            if min(cut) >= 0:
-                slack[v] = s + cut
-        rows = facets + cuts
-        combos = (c for c in itertools.combinations(range(len(rows)), n) if c[-1] >= len(facets))
-        slack.update(_vertex_slacks(rows, combos))
-        verts, tight = _incidence(slack, len(rows))
-        if len(verts) > n and _affine_rank(verts) == n:
-            cells.append((j, verts, tight))
-    return tuple(cells)
+        out = _double_description(rows, P._rays, cuts)
+        if out and not reduce(operator.and_, (z for _, z in out)):
+            cells.append((j, *_incidence(out, len(rows))))
+            rays.append(out)
+    return tuple(cells), tuple(rays)
 
 
-def _pl_min(pieces, cells) -> Fraction:
-    """Exact min over P of max_j (<a_j,x> + c_j).
+def _pl_min(values, cells, rays) -> Fraction:
+    """Exact min over P of max_j <values[j], (x, 1)>.
 
-    f is affine on each cell, where it equals the cell's piece, so the
-    minimum is attained at a cell vertex.
+    The function is affine on each cell, where it equals the cell's piece,
+    so the minimum is attained at a cell vertex num / den, where piece j
+    reads <values[j], (num, den)> / den.
     """
     return min(
-        _exact.dot(pieces[j][0], v) + pieces[j][1] for j, verts, _ in cells for v in verts
+        Fraction(sum(p * q for p, q in zip(values[j], y)), y[-1])
+        for (j, _, _), cell in zip(cells, rays)
+        for y, _ in cell
     )
 
 

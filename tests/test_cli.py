@@ -419,6 +419,18 @@ def test_flat_shooting_defect_solves():
     assert report["diagnostics"]["residual_history"][-1] <= report["diagnostics"]["tol"]
 
 
+def test_a_truncated_shot_is_no_solution():
+    # the root's shot falls below w = -500 two nodes before the end: a
+    # residual over its shorter profile would read 1.8e306
+    cp = run_cli(["solve-ma", *_P1, "--g", "exp_affine:700,0.5"])
+    assert cp.returncode == 1, cp.stderr.decode()
+    assert cp.stdout == b""
+    body = _error_body(cp)
+    assert body["error"] == "NewtonDiverged"
+    assert "stopped at node 1999 of 2001" in body["message"]
+    assert "residual" not in body["message"] and "history_tail" not in body
+
+
 def test_window_too_wide_for_float_range_exits_one():
     # at R = 1e10 the reference measure e^{-u0} underflows to 0 at every node
     # but x = 0, and e^{-phi} underflows there against its maximum, so the

@@ -19,6 +19,7 @@ from oracles import (
     hull_normals,
     hull_vertices,
     polygon_monomial_integral,
+    polyhedron_vertices,
     tight_sets,
     triangle_monomial_integral,
 )
@@ -81,9 +82,26 @@ def test_from_facets_repeated_normal_rejected():
         assert info.value.index == 1
 
 
+@pytest.mark.parametrize("normals, index", [
+    # x <= 1/2 cuts the square, so x <= 1 touches nothing
+    ([(1, 0), (-1, 0), (0, 1), (0, -1), (2, 0)], 0),
+    # x + y <= 2 touches the square only at its vertex (1, 1)
+    ([(1, 0), (-1, 0), (0, 1), (0, -1), ("1/2", "1/2")], 4),
+    # x + y <= 2 touches the cube only along its edge x = y = 1
+    ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), ("1/2", "1/2", 0)], 6),
+], ids=["loose", "on_a_vertex", "on_an_edge"])
+def test_from_facets_rows_off_a_facet_rejected(normals, index):
+    with pytest.raises(errors.DegenerateFacet) as info:
+        t.from_facets(normals, [1] * len(normals))
+    assert info.value.index == index
+
+
 def test_from_facets_unbounded_rejected():
-    with pytest.raises(errors.PolytopeError):
-        t.from_facets([(1, 0), (0, 1)], [1, 1])
+    # the first normals lie on a line, so no start cone; the second system
+    # keeps the ray t(-1, -1)
+    for normals in ([(1, 0), (0, 1)], [(1, 0), (0, 1), (-1, 1)]):
+        with pytest.raises(errors.Unbounded):
+            t.from_facets(normals, [1] * len(normals))
 
 
 def test_from_facets_empty_or_origin_excluded_rejected():
@@ -272,10 +290,33 @@ def test_points_that_are_no_vertices_are_dropped(vertices, extra):
     assert _same_polytope(t.from_vertices(vertices), P)
 
 
+_CROSS3 = [tuple(s if i == j else 0 for i in range(3)) for j in range(3) for s in (1, -1)]
+_PRISM = [p + (h,) for p in _CROSS3 for h in (1, -1)]
+
+
+@pytest.mark.parametrize("build", ["from_vertices", "from_facets"])
+@pytest.mark.parametrize("points", [_CROSS4, _PRISM], ids=["cross4", "prism_cross3"])
+def test_degenerate_4d_construction_matches_the_oracle(points, build):
+    # no vertex is simple: each of the cross-polytope's 8 lies on 8 of its
+    # 16 facets, each of the prism's 12 on 5 of its 10
+    normals = hull_normals(points)
+    facets = [(nu, 1) for nu in normals]
+    vertices = polyhedron_vertices(facets)
+    assert vertices == sorted(tuple(Fraction(x) for x in p) for p in points)
+    if build == "from_vertices":
+        P = t.from_vertices(points)
+    else:
+        P = t.from_facets(normals, [1] * len(normals))
+    assert list(P.normals) == normals
+    assert list(P.vertices) == vertices
+    assert P._tight == tight_sets(vertices, facets)
+    assert sum(len(on) for on in P._tight) == len(vertices) * (8 if points is _CROSS4 else 5)
+
+
 def test_one_vertex_enumeration_per_construction(monkeypatch):
-    """from_vertices and the triangulation decide tightness once, in the
-    integer solve, and take no Fraction dot product."""
-    calls = {"solve_vertices": 0, "dot": 0}
+    """from_vertices and the triangulation decide tightness once, in one
+    double description run, and take no Fraction dot product."""
+    calls = {"_double_description": 0, "dot": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -284,13 +325,17 @@ def test_one_vertex_enumeration_per_construction(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(polytope, "solve_vertices", counted("solve_vertices", polytope.solve_vertices))
+    monkeypatch.setattr(polytope, "_double_description",
+                        counted("_double_description", polytope._double_description))
     monkeypatch.setattr(_exact, "dot", counted("dot", _exact.dot))
     bipyramid = [(2, 0, 0), (0, 2, 0), (-2, 2, 0), (-2, 0, 0), (0, -2, 0), (2, -2, 0),
                  (0, 0, 2), (0, 0, -2), (1, 0, 0)]
     P = t.from_vertices(bipyramid)
     assert len(P.triangulation) == 12
-    assert calls == {"solve_vertices": 1, "dot": 0}
+    assert calls == {"_double_description": 1, "dot": 0}
+    Q = t.from_facets(P.normals, [1] * len(P.normals))
+    assert _same_polytope(Q, P)
+    assert calls == {"_double_description": 2, "dot": 0}
 
 
 @pytest.mark.parametrize(

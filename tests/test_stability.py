@@ -9,16 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricgs as t
-from toricgs import errors
+from toricgs import errors, polytope, stability
 
 from conftest import assert_close, exact_barycenter, norm_inf
-from oracles import LoopFiltration, grid_integral, pl_minimum, polyhedron_vertices, tight_sets
+from oracles import (
+    LoopFiltration,
+    affine_rank,
+    grid_integral,
+    pl_minimum,
+    polyhedron_vertices,
+    tight_sets,
+)
 from perfbench.gen import REFLEXIVE_2D
 
 
 COTH1 = 1 / math.tanh(1)
 CUBE = t.from_vertices([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
 SIMPLEX3 = t.from_vertices([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
+CUBE4 = t.from_vertices([(x, y, z, w) for x in (-1, 1) for y in (-1, 1)
+                         for z in (-1, 1) for w in (-1, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -385,17 +394,84 @@ def test_pl_normalisation_gives_exact_minimum_zero(case):
     P = {"cube": CUBE, "simplex3": SIMPLEX3}.get(name) or t.builtin(name)
     f = t.PLConvexFunction(P, tuple(pieces))
     assert pl_minimum(P, f.pieces) == 0
-    # each cell's vertex-constraint incidence, against Fraction dot products
+    _check_cells(P, f)
+
+
+def _check_cells(P, f):
+    """f's cells against the oracle: each piece whose cell is
+    full-dimensional has one, with the vertices of a brute-force scan and
+    their incidence by Fraction dot products; no other piece has one."""
     facets = [(nu, 1) for nu in P.normals]
-    for j, verts, tight in f._cells:
-        aj, cj = f.pieces[j]
+    cells = {j: (verts, tight) for j, verts, tight in f._cells}
+    assert len(cells) == len(f._cells)
+    for j, (aj, cj) in enumerate(f.pieces):
         cuts = [
             (tuple(x - y for x, y in zip(ak, aj)), cj - ck)
             for k, (ak, ck) in enumerate(f.pieces)
             if k != j
         ]
-        assert list(verts) == polyhedron_vertices(facets + cuts)
+        want = polyhedron_vertices(facets + cuts)
+        if not want or affine_rank(want) < P.dim:
+            assert j not in cells
+            continue
+        verts, tight = cells[j]
+        assert list(verts) == want
         assert tight == tight_sets(verts, facets + cuts)
+
+
+_H = Fraction(1, 2)
+_CUBE4_PIECES = [((0, 0, 0, 0), 0), ((1, -1, 0, 0), 0), ((0, 0, 1, 0), -_H), ((0, 0, 0, 1), -1)]
+
+
+@pytest.mark.parametrize("name, pieces, dropped", [
+    # the cut x = y runs through the vertex (-1, -1)
+    ("p2", [((0, 0), 0), ((1, -1), 0)], 0),
+    # the cell of 0 lies between the parallel cuts x = -1/2 and x = 1/2, and
+    # 2x - 1 cuts it on the hyperplane of x - 1/2, whose cell is the line x = 1/2
+    ("p1xp1", [((0, 0), 0), ((1, 0), -_H), ((-1, 0), -_H), ((2, 0), -1)], 1),
+    # -1 and x - 1 win nowhere: their cells are empty
+    ("p1xp1", [((1, 0), 0), ((-1, 0), 0), ((0, 0), -1), ((1, 0), -1)], 2),
+    # 0 wins only at the origin
+    ("p1", [((0,), 0), ((1,), 0), ((-1,), 0)], 1),
+    # in 4D the cut x1 = x2 holds 8 of the 16 vertices, and x4 - 1 wins only
+    # on the facet x4 = 1
+    ("cube4", _CUBE4_PIECES, 1),
+], ids=["cut_through_vertex", "parallel_cuts", "empty_cells", "point_cell", "cube4"])
+def test_degenerate_cells_match_the_oracle(name, pieces, dropped):
+    P = CUBE4 if name == "cube4" else t.builtin(name)
+    f = t.PLConvexFunction(P, tuple(pieces))
+    assert len(f._cells) == len(pieces) - dropped
+    _check_cells(P, f)
+    assert pl_minimum(P, f.pieces) == 0
+
+
+def test_one_kernel_run_per_piece_from_the_domain_rays(monkeypatch):
+    """A k-piece function runs the double description once per piece: each
+    run starts from P's vertex rays with their facet zero sets and adds only
+    that piece's k - 1 cuts, and nothing enumerates P again."""
+    P = CUBE4
+    for k, ((y, z), v) in enumerate(zip(P._rays, P.vertices)):
+        assert tuple(Fraction(x, y[-1]) for x in y[:-1]) == v
+        assert all((z >> i & 1) == (k in on) for i, on in enumerate(P._tight))
+    runs = []
+    kernel = stability._double_description
+
+    def counted(rows, rays, todo):
+        runs.append((rays, list(todo), len(rows)))
+        return kernel(rows, rays, todo)
+
+    def forbidden(*args):
+        raise AssertionError("P was enumerated again")
+
+    monkeypatch.setattr(stability, "_double_description", counted)
+    monkeypatch.setattr(polytope, "_double_description", forbidden)
+    t.PLConvexFunction(P, tuple(_CUBE4_PIECES))
+    F, k = len(P.normals), len(_CUBE4_PIECES)
+    assert len(runs) == k
+    for rays, todo, nrows in runs:
+        assert rays is P._rays
+        assert todo == list(range(F, F + k - 1))
+        assert nrows == F + k - 1
 
 
 def _unimodular(n, ops):
