@@ -172,28 +172,28 @@ class DiscretePotential:
     def slopes(self) -> tuple[float, float]:
         return _endpoint_slopes(self.P)
 
-    def half_slopes(self, slopes: np.ndarray | None = None) -> np.ndarray:
-        """One-sided slopes s_{-1/2}, ..., s_{N-1/2} with pinned ghosts.
-
-        ``slopes`` may stack several rows of edge slopes in place of the
-        potential's own; each row gets its ghosts.
-        """
-        e = self.edge_slopes if slopes is None else slopes
-        pmin, pmax = self.slopes
-        s = np.empty(e.shape[:-1] + (e.shape[-1] + 2,))
-        s[..., 1:-1] = e
-        s[..., 0] = pmin
-        s[..., -1] = pmax
-        return s
+    def half_slopes(self) -> np.ndarray:
+        """One-sided slopes s_{-1/2}, ..., s_{N-1/2} with pinned ghosts."""
+        return _ghosted(self.edge_slopes, *self.slopes)
 
     def validate(self) -> None:
-        s = self.half_slopes()
-        if np.any(np.diff(s) < -_CONVEX_TOL):
-            raise NonConvexInput(
-                f"second differences reach {float(np.min(np.diff(s))):.3e}"
-            )
+        """Raise NonConvexInput unless the half-slopes (the edge slopes
+        between the ghosts p_min and p_max) increase to within
+        ``_CONVEX_TOL`` and stay within ``_SLOPE_TOL`` of [p_min, p_max].
+
+        The ghost half-slopes are p_min and p_max themselves, so the tests
+        read the edge slopes and the two ghost differences only.
+        """
+        e = self.edge_slopes
         pmin, pmax = self.slopes
-        if np.min(s) < pmin - _SLOPE_TOL or np.max(s) > pmax + _SLOPE_TOL:
+        if (
+            e[0] - pmin < -_CONVEX_TOL
+            or pmax - e[-1] < -_CONVEX_TOL
+            or (e[1:] - e[:-1] < -_CONVEX_TOL).any()
+        ):
+            worst = float(np.min(np.diff(self.half_slopes())))
+            raise NonConvexInput(f"second differences reach {worst:.3e}")
+        if e.min() < pmin - _SLOPE_TOL or e.max() > pmax + _SLOPE_TOL:
             raise NonConvexInput("gradient leaves the closure of the polytope")
 
     def shifted(self, kappa: float) -> "DiscretePotential":
@@ -232,6 +232,15 @@ class DiscretePotential:
         return DiscretePotential(
             grid=grid, P=P, values=values, ref_values=ref.values, c=c, ref_slopes=ref.edge_slopes
         )
+
+
+def _ghosted(e: np.ndarray, pmin: float, pmax: float) -> np.ndarray:
+    """The edge slopes ``e`` between the ghost half-slopes p_min and p_max."""
+    s = np.empty(len(e) + 2)
+    s[1:-1] = e
+    s[0] = pmin
+    s[-1] = pmax
+    return s
 
 
 def _softplus_step(z: np.ndarray, d: float) -> np.ndarray:
@@ -336,7 +345,7 @@ _F_SERIES = [(-1.0) ** k / math.factorial(k + 2) for k in range(11)][::-1]
 
 
 def _weight_1d(g: WeightFunction, pmin: float, pmax: float):
-    """(G, mean, Ginv) of a 1D weight; the only reader of ``g.kind`` here.
+    """(G, mean, Ginv, shoot) of a 1D weight; the only reader of ``g.kind`` here.
 
     G' = g with G(0) = 0, so the flux masses diff(G(s)) carry no offset.  G
     and the edge mean (a, b, G(a), G(b)) -> int_0^1 G(b + r (a - b)) dr take
@@ -344,9 +353,10 @@ def _weight_1d(g: WeightFunction, pmin: float, pmax: float):
     scalar and monotone-extended past [pmin, pmax], which only the
     overshooting trial shots of the bracket reach.  The forms:
 
-    * constant, affine, and exp_affine at beta = 0 (the constant e^{a0}):
-      G = p (a0 + beta p / 2) and Ginv(y) = 2y / (a0 + sqrt(a0^2 + 2 beta y)),
-      where a0 = g(0) > 0 since the origin is interior;
+    * constant, and exp_affine at beta = 0 (the constant e^{a0}): G = a0 p
+      and Ginv(y) = y / a0, where a0 = g(0) > 0 since the origin is interior;
+    * affine: G = p (a0 + beta p / 2) and
+      Ginv(y) = 2y / (a0 + sqrt(a0^2 + 2 beta y));
     * exp_affine: G = e^{a0} expm1(beta p) / beta, taken as
       p e^{a0 + max(z, 0)} E(|z|) with z = beta p and E(d) = -expm1(-d) / d,
       so that no factor overflows and a tiny z loses nothing; the mean
@@ -354,6 +364,15 @@ def _weight_1d(g: WeightFunction, pmin: float, pmax: float):
       end ``top`` with the larger exponent; Ginv(y) = log1p(beta y e^{-a0}) / beta;
     * polynomial: Horner for G; the mean of p^j is h_j(a, b) / (j + 1) with
       h_j = a h_{j-1} + b^j, h_0 = 1; Ginv is Newton inside a sign bracket.
+
+    ``shoot(w0, h, n, y_lo, y_hi)`` is the shot loop of ``solve_ma`` for the
+    kind: from base value w0 it takes n steps y += h e^{-w}, s = Ginv(y),
+    w += h s from the running mass y_lo = G(pmin), and returns the slopes
+    and the closing defect (y + h e^{-w}) - y_hi.  A shot stops once w falls
+    below -500, where its mass is far past the target, and returns its
+    slopes so far with the defect 1e300 (its sign only).  The closed forms
+    run Ginv inline in the same float operations as ``Ginv``, and the
+    polynomial kind calls its Newton ``Ginv``.
     """
     if g.dim not in (None, 1):
         raise ValidationError("weight must be one-dimensional")
@@ -404,7 +423,20 @@ def _weight_1d(g: WeightFunction, pmin: float, pmax: float):
             last = p
             return p
 
-        return G_poly, mean_poly, inv_poly
+        def shoot_poly(w0, h, n, y_lo, y_hi):
+            slopes = []
+            append, exp = slopes.append, math.exp
+            wk, y = w0, y_lo
+            for _ in range(n):
+                if wk < -500.0:
+                    return slopes, 1e300
+                y += h * exp(-wk)
+                sk = inv_poly(y)
+                wk += h * sk
+                append(sk)
+            return slopes, (y + h * exp(-wk)) - y_hi
+
+        return G_poly, mean_poly, inv_poly, shoot_poly
     a0 = float(g.a0)
     beta = float(g.b[0]) if g.b else 0.0
     exp = g.kind == "exp_affine"
@@ -445,7 +477,21 @@ def _weight_1d(g: WeightFunction, pmin: float, pmax: float):
                 return over
             return math.log1p(t) / beta
 
-        return G_exp, mean_exp, inv_exp
+        def shoot_exp(w0, h, n, y_lo, y_hi):
+            slopes = []
+            append, exp, log1p = slopes.append, math.exp, math.log1p
+            wk, y = w0, y_lo
+            for _ in range(n):
+                if wk < -500.0:
+                    return slopes, 1e300
+                y += h * exp(-wk)
+                t = y * scale
+                sk = over if t <= -1.0 else log1p(t) / beta
+                wk += h * sk
+                append(sk)
+            return slopes, (y + h * exp(-wk)) - y_hi
+
+        return G_exp, mean_exp, inv_exp, shoot_exp
 
     def G_affine(p):
         return p * (a0 + 0.5 * beta * p)
@@ -454,13 +500,48 @@ def _weight_1d(g: WeightFunction, pmin: float, pmax: float):
         s = a + b
         return 0.5 * a0 * s + beta / 6.0 * (s * s - a * b)
 
+    if beta == 0.0:
+        # y / a0 is the affine inverse at beta = 0 bit for bit wherever a0^2
+        # is a normal float, and it squares nothing
+        def inv_constant(y: float) -> float:
+            return y / a0
+
+        def shoot_constant(w0, h, n, y_lo, y_hi):
+            slopes = []
+            append, exp = slopes.append, math.exp
+            wk, y = w0, y_lo
+            for _ in range(n):
+                if wk < -500.0:
+                    return slopes, 1e300
+                y += h * exp(-wk)
+                sk = y / a0
+                wk += h * sk
+                append(sk)
+            return slopes, (y + h * exp(-wk)) - y_hi
+
+        return G_affine, mean_affine, inv_constant, shoot_constant
+
     a2, b2 = a0 * a0, 2.0 * beta
 
     def inv_affine(y: float) -> float:
         d = a2 + b2 * y
         return (y + y) / (a0 + math.sqrt(d if d > 0.0 else 0.0))
 
-    return G_affine, mean_affine, inv_affine
+    def shoot_affine(w0, h, n, y_lo, y_hi):
+        slopes = []
+        append, exp, sqrt = slopes.append, math.exp, math.sqrt
+        wk, y = w0, y_lo
+        for _ in range(n):
+            if wk < -500.0:
+                return slopes, 1e300
+            y += h * exp(-wk)
+            d = a2 + b2 * y
+            sk = (y + y) / (a0 + sqrt(d if d > 0.0 else 0.0))
+            wk += h * sk
+            append(sk)
+        return slopes, (y + h * exp(-wk)) - y_hi
+
+    return G_affine, mean_affine, inv_affine, shoot_affine
 
 
 def _poly_coeffs(g: WeightFunction) -> tuple[list[float], list[float]]:
@@ -574,10 +655,11 @@ def solve_ma(
     solved first, after which the shift kappa that pins the center value to
     the reference determines c = e^{-kappa}.  The c = 1 system collapses to
     one unknown: given the base value w_0, each flux equation determines the
-    next half-slope from the running mass (through the G^{-1} of
-    ``_weight_1d``), and the closing defect is h * sum(e^{-w_k}) minus the
-    integral of g -- a bracketed scalar root problem, solved by Brent's
-    method (``_brentq``).  The root's shot must reach the last node (a shot
+    next half-slope from the running mass (through G^{-1}), and the closing
+    defect is h * sum(e^{-w_k}) minus the integral of g -- a bracketed
+    scalar root problem, solved by Brent's method (``_brentq``).  Each shot
+    runs the weight kind's own loop from ``_weight_1d``, with G^{-1} inline
+    for the closed forms.  The root's shot must reach the last node (a shot
     stops once w falls below -500, where its mass is far past the target),
     and the max-norm flux residual of its profile must then be at most
     ``tol``; either failure raises NewtonDiverged.  The residual reads
@@ -597,27 +679,15 @@ def solve_ma(
     ref = reference_potential(P, grid)
     h = grid.h
     mid = grid.mid_index
-    G, _, Ginv = _weight_1d(g, pmin, pmax)
+    G, _, Ginv, shoot = _weight_1d(g, pmin, pmax)
     y_lo = float(G(pmin))
     y_hi = float(G(pmax))
     N = grid.N
 
-    def _shoot(w0: float):
-        slopes = []
-        wk, y = w0, y_lo
-        for _ in range(N - 1):
-            if wk < -500.0:
-                return slopes, 1e300  # mass already far past target: sign only
-            y += h * math.exp(-wk)
-            sk = Ginv(y)
-            wk += h * sk
-            slopes.append(sk)
-        return slopes, (y + h * math.exp(-wk)) - y_hi
-
     latest = {}  # sign of the defect -> (base value, slopes) of its latest shot
 
     def _psi(w0: float) -> float:
-        slopes, defect = _shoot(w0)
+        slopes, defect = shoot(w0, h, N - 1, y_lo, y_hi)
         latest[(defect > 0) - (defect < 0)] = w0, slopes
         return defect
 
@@ -637,7 +707,7 @@ def solve_ma(
     # so the root's shot is kept unless two defects were exactly zero.  Its
     # slopes' running sum is its profile w, bit for bit
     kept = dict(latest.values())
-    slopes = kept[w0] if w0 in kept else _shoot(w0)[0]
+    slopes = kept[w0] if w0 in kept else shoot(w0, h, N - 1, y_lo, y_hi)[0]
     if len(slopes) < N - 1:
         k = len(slopes)
         raise NewtonDiverged(
@@ -687,14 +757,35 @@ def solve_ma(
 # ---------------------------------------------------------------------------
 
 
-def _energies(
-    u: DiscretePotential,
-    g: WeightFunction,
-    P: LabelledPolytope,
-    base: np.ndarray,
-    base_slopes: np.ndarray,
-) -> tuple[float, float, np.ndarray, float]:
-    """E_g and Lambda_g of u over ``base``, the flux masses of base and u, and Vg.
+class _BaseRow:
+    """The base potential of an energy path, with one weight's kernel.
+
+    It holds the base's values, its half-slopes s_b, G(s_b), its flux
+    masses diff(G(s_b)), Vg = G(p_max) - G(p_min) at the ghosts, and the
+    reference probability measure e^{-base} / sum(e^{-base}) with the log
+    of its normalizer.  None of these depends on the potential measured
+    over the base, so ``inequality_suite`` and ``ding_ray_diagnostic``
+    build one row per weight and hand it to every ``_energies`` and
+    ``_functionals`` call.  G is elementwise, so the row holds the values a
+    per-call evaluation would give.
+    """
+
+    def __init__(self, g: WeightFunction, P: LabelledPolytope, values, slopes):
+        pmin, pmax = _endpoint_slopes(P)
+        self.G, self.mean = _weight_1d(g, pmin, pmax)[:2]
+        self.values = values
+        self.s = _ghosted(slopes, pmin, pmax)
+        self.Gs = self.G(self.s)
+        self.ma = np.diff(self.Gs)
+        self.Vg = float(self.Gs[-1] - self.Gs[0])
+        w0 = np.exp(-values)
+        self.m_hat = w0 / float(np.sum(w0))
+        # log sum e^{-base}: e^{-base} underflows to 0 on wide windows
+        self.log_mass = _log_mean_exp(-values, 1.0)
+
+
+def _energies(u: DiscretePotential, row: _BaseRow) -> tuple[float, float, np.ndarray]:
+    """E_g and Lambda_g of u over the base of ``row``, and the flux masses of u.
 
     Validates u first.  With phi = u - base, the half-slopes of
     base + r phi are s_b + r (s_u - s_b), so summation by parts turns the
@@ -703,19 +794,17 @@ def _energies(
         Vg E_g = phi_{N-1} G(p_max) - phi_0 G(p_min)
                  - sum_k (phi_{k+1} - phi_k) int_0^1 G(s_b + r (s_u - s_b)) dr,
 
-    exactly, with G and the edge means from ``_weight_1d``.  The masses
-    come back as two rows, base first.
+    exactly, with G and the edge means from ``_weight_1d``.
     """
     u.validate()
-    G, mean, _ = _weight_1d(g, *_endpoint_slopes(P))
-    phi = u.values - base
-    s = u.half_slopes(np.stack((base_slopes, u.edge_slopes)))
-    Gs = G(s)
-    Vg = float(Gs[0, -1] - Gs[0, 0])  # G(p_max) - G(p_min) at the ghosts
-    means = mean(s[1, 1:-1], s[0, 1:-1], Gs[1, 1:-1], Gs[0, 1:-1])
-    E = phi[-1] * Gs[0, -1] - phi[0] * Gs[0, 0] - float(np.dot(np.diff(phi), means))
-    ma = np.diff(Gs, axis=-1)
-    return float(E) / Vg, float(np.dot(phi, ma[0])) / Vg, ma, Vg
+    phi = u.values - row.values
+    su = u.half_slopes()
+    Gu = row.G(su)
+    sb, Gb = row.s, row.Gs
+    means = row.mean(su[1:-1], sb[1:-1], Gu[1:-1], Gb[1:-1])
+    # the differences of np.diff, without its per-call overhead
+    E = phi[-1] * Gb[-1] - phi[0] * Gb[0] - float(np.dot(phi[1:] - phi[:-1], means))
+    return float(E) / row.Vg, float(np.dot(phi, row.ma)) / row.Vg, Gu[1:] - Gu[:-1]
 
 
 @dataclass
@@ -756,26 +845,28 @@ def functionals(
     one divided difference of the second antiderivative of g per edge.
     """
     P = P or u.P
-    base = u.ref_values if u0_values is None else np.asarray(u0_values, float)
-    base_slopes = u.ref_slopes if u0_values is None else np.diff(base) / u.grid.h
-    E, Lam, (ma0, ma1), Vg = _energies(u, g, P, base, base_slopes)
+    if u0_values is None:
+        return _functionals(u, _BaseRow(g, P, u.ref_values, u.ref_slopes))
+    base = np.asarray(u0_values, float)
+    return _functionals(u, _BaseRow(g, P, base, np.diff(base) / u.grid.h))
+
+
+def _functionals(u: DiscretePotential, row: _BaseRow) -> FunctionalValues:
+    """``functionals`` of u over the base of ``row``."""
+    E, Lam, ma1 = _energies(u, row)
+    base, ma0, Vg = row.values, row.ma, row.Vg
     phi = u.values - base
     Ival = float(np.dot(phi, ma0 - ma1)) / Vg
     J = Lam - E
 
-    # reference probability measure on the window: e^{-u0} h / normalizer
-    w0 = np.exp(-base)
-    mass0 = float(np.sum(w0))
-    m_hat = w0 / mass0
     # L = -log integral e^{-phi} d(mu0-hat), computed in log space
-    L = -float(_log_mean_exp(-phi, m_hat))
+    L = -float(_log_mean_exp(-phi, row.m_hat))
     D = -E + L
 
     nu = ma1 / Vg
     underflow = int(np.sum((nu > 0) & (nu < 1e-300)))
     pos = nu > 0
-    # log m_hat in log space: e^{-u0} underflows to 0 on wide windows
-    log_m_hat = -base[pos] - _log_mean_exp(-base, 1.0)
+    log_m_hat = -base[pos] - row.log_mass
     H = float(np.sum(nu[pos] * (np.log(np.maximum(nu[pos], 1e-300)) - log_m_hat)))
     M = H + J - Ival
     return FunctionalValues(
@@ -882,6 +973,9 @@ def inequality_suite(
     rho, Rg = g.range_on(P)
     V1 = weight_mass(P, g1)
     Vg = weight_mass(P, g)
+    # every sample and every segment potential has the reference as its base
+    ref = reference_potential(P, grid)
+    row_g, row_1 = (_BaseRow(w, P, ref.values, ref.edge_slopes) for w in (g, g1))
     Cexp = Rg / rho * 2.0  # (n+1) with n = 1
     t_grid = [0.1 * k for k in range(1, 11)]
     slack = 1e-10
@@ -900,8 +994,8 @@ def inequality_suite(
 
     for i in range(samples):
         u = random_potential(P, grid, seed=[seed, i])
-        Fg = functionals(u, g, P)
-        F1 = functionals(u, g1, P)
+        Fg = _functionals(u, row_g)
+        F1 = _functionals(u, row_1)
         IJg = Fg.I_g - Fg.J_g
         IJ1 = F1.I_g - F1.J_g
         lo = rho * V1 / Vg * IJ1
@@ -919,7 +1013,7 @@ def inequality_suite(
         ok_c = c_m >= -slack
         ok_d = True
         for t in t_grid:
-            E_t, Lam_t, _, _ = _energies(u.along(t), g, P, u.ref_values, u.ref_slopes)
+            E_t, Lam_t, _ = _energies(u.along(t), row_g)
             Jt = Lam_t - E_t
             d_m = t * Fg.J_g - Jt
             worst["d_margin"] = min(worst["d_margin"], d_m)
@@ -991,7 +1085,8 @@ def ding_ray_diagnostic(
     b = float(weighted_barycenter(P, g)[0])
     a = 1.0 if b > 0 else -1.0
     ref = reference_potential(P, grid)
-    Ds = [functionals(_ray_potential(ref, a, s), g, P).D for s in s_values]
+    row = _BaseRow(g, P, ref.values, ref.edge_slopes)
+    Ds = [_functionals(_ray_potential(ref, a, s), row).D for s in s_values]
     slope = (Ds[-1] - Ds[0]) / (s_values[-1] - s_values[0]) if len(Ds) > 1 else 0.0
     na = ding_na_valuation(P, g, (a,))
     return {

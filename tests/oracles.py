@@ -687,3 +687,51 @@ def loop_functionals(u, g, u0_values=None) -> dict:
     H = float(np.sum(nu[pos] * (np.log(nu[pos]) - np.log(m_hat[pos]))))
     return {"E_g": E, "Lambda_g": Lam, "I_g": Ival, "J_g": J, "L": L,
             "D": L - E, "H_g": H, "M": H + J - Ival}
+
+
+# ---------------------------------------------------------------------------
+# 1D Monge-Ampère: the generic shot loop and the half-slope validate
+# ---------------------------------------------------------------------------
+
+
+def shoot_reference(Ginv, w0, h, n, y_lo, y_hi):
+    """One shot of the c = 1 flux system as a generic loop over a scalar G^{-1}.
+
+    From base value w0, n steps y += h e^{-w}, s = G^{-1}(y), w += h s from
+    the running mass y_lo; returns the slopes and the closing defect
+    (y + h e^{-w}) - y_hi, or the slopes so far and 1e300 once w < -500.
+    """
+    slopes = []
+    wk, y = w0, y_lo
+    for _ in range(n):
+        if wk < -500.0:
+            return slopes, 1e300
+        y += h * math.exp(-wk)
+        sk = Ginv(y)
+        wk += h * sk
+        slopes.append(sk)
+    return slopes, (y + h * math.exp(-wk)) - y_hi
+
+
+def affine_inverse(a0: float, beta: float):
+    """G^{-1}(y) = 2y / (a0 + sqrt(a0^2 + 2 beta y)) of G = p (a0 + beta p / 2)."""
+    a2, b2 = a0 * a0, 2.0 * beta
+
+    def inv(y):
+        d = a2 + b2 * y
+        return (y + y) / (a0 + math.sqrt(d if d > 0.0 else 0.0))
+
+    return inv
+
+
+def half_slope_verdict(u, convex_tol: float, slope_tol: float) -> str | None:
+    """The convexity and gradient checks of a potential on its full row of
+    half-slopes, ghosts included: None if it passes, or the message of the
+    failed check."""
+    pmin, pmax = u.slopes
+    s = np.concatenate(([pmin], u.edge_slopes, [pmax]))
+    if np.any(np.diff(s) < -convex_tol):
+        return f"second differences reach {float(np.min(np.diff(s))):.3e}"
+    if np.min(s) < pmin - slope_tol or np.max(s) > pmax + slope_tol:
+        return "gradient leaves the closure of the polytope"
+    return None

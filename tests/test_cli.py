@@ -409,6 +409,20 @@ def test_small_slope_weight_solves():
     assert cp.returncode == 0, cp.stderr.decode()
 
 
+def test_tiny_constant_weight_solves_like_the_unit_weight():
+    # a0^2 = 1e-400 underflows to 0, so an inverse 2y / (a0 + sqrt(a0^2))
+    # would double every slope; y / a0 squares nothing
+    rc, out, err = run_main(["solve-ma", *_P1, "--g", "constant:1e-200"])
+    assert rc == 0, err
+    rc1, out1, err1 = run_main(["solve-ma", *_P1, "--g", "constant:1"])
+    assert rc1 == 0, err1
+    tiny, unit = json.loads(out)["results"], json.loads(out1)["results"]
+    assert abs(tiny["c"] / (1e-200 * unit["c"]) - 1.0) < 1e-8
+    values, unit_values = tiny["potential"]["values"], unit["potential"]["values"]
+    assert len(values) == len(unit_values)
+    assert max(abs(a - b) for a, b in zip(values, unit_values)) < 1e-8
+
+
 def test_flat_shooting_defect_solves():
     # the shooting defect is about 1e-113 over the whole bracket, so the
     # denominator of Brent's extrapolation underflows to zero: bisect there

@@ -30,7 +30,13 @@ from toricgs.mafunc import (
 )
 
 from conftest import assert_close
-from oracles import dense_conjugate, loop_functionals
+from oracles import (
+    affine_inverse,
+    dense_conjugate,
+    half_slope_verdict,
+    loop_functionals,
+    shoot_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -211,21 +217,19 @@ def test_solver_exponential_weight(p1):
     t.WeightFunction.polynomial([((0,), 1), ((2,), Fraction(1, 2))]),
 ], ids=["constant", "polynomial"])
 def test_solver_shoots_no_base_value_twice(p1, g, monkeypatch):
-    # along a shot the running mass y only grows, so each drop of the G^{-1}
-    # argument starts a shot; the last run is the two boundary-layer lookups
-    runs = []
+    # every shot runs through the shot loop of _weight_1d, so counting its
+    # calls counts the shots
+    shots = []  # the base value of each shot
     real_weight_1d, real_brentq = mafunc._weight_1d, mafunc._brentq
 
     def weight_1d(*args):
-        G, mean, Ginv = real_weight_1d(*args)
+        G, mean, Ginv, shoot = real_weight_1d(*args)
 
-        def counted(y):
-            if not runs or y < runs[-1]:
-                runs.append(y)
-            runs[-1] = y
-            return Ginv(y)
+        def counted(w0, *rest):
+            shots.append(w0)
+            return shoot(w0, *rest)
 
-        return G, mean, counted
+        return G, mean, Ginv, counted
 
     evaluated = []  # the base values Brent asks for
 
@@ -238,7 +242,7 @@ def test_solver_shoots_no_base_value_twice(p1, g, monkeypatch):
     # p1 brackets the root at the first span: two shots, then one per
     # Brent iterate, none repeated and none for the root's profile
     assert len(set(evaluated)) == len(evaluated) > 2
-    assert len(runs) - 1 == 2 + len(evaluated)
+    assert len(set(shots)) == len(shots) == 2 + len(evaluated)
 
 
 def test_boundary_layer_is_intrinsic_for_skew_weight(p1):
@@ -403,7 +407,7 @@ def test_polynomial_antiderivative_inverse_round_trips_and_is_monotone(weight, r
     # closed-form affine and exp inverses may round a few ulps past an end
     g, pmin, pmax = weight
     slack = 0.0 if g.kind == "polynomial" else 4 * sys.float_info.epsilon * max(-pmin, pmax)
-    G, _, Ginv = _weight_1d(g, pmin, pmax)
+    G, _, Ginv, _ = _weight_1d(g, pmin, pmax)
     ylo, yhi = float(G(pmin)), float(G(pmax))
     scale = max(abs(ylo), abs(yhi))
     inside = list(np.linspace(ylo, yhi, 41))
@@ -434,6 +438,165 @@ def test_polynomial_antiderivative_matches_the_exact_antiderivative(coeffs, seed
         bound = sum(abs(Fraction(c)) * abs(q) ** (k + 1) / (k + 1) for (k,), c in coeffs)
         assert abs(Fraction(float(got)) - exact) <= 2 * (deg + 2) * sys.float_info.epsilon * bound
         assert float(G(float(p))) == got  # scalar and array inputs agree
+
+
+# weights past e^500 balance their mass only below w = -500
+_decades = st.one_of(st.floats(-300.0, 300.0), st.floats(220.0, 300.0))
+
+
+@st.composite
+def _weight_at_any_scale(draw):
+    """(g, pmin, pmax): every weight kind, exp_affine at beta = 0 included,
+    on a random rational interval, from tiny to huge scales, so that shots
+    near the balancing base value may fall below w = -500."""
+    pmin, pmax = float(-draw(_end)), float(draw(_end))
+    kind = draw(st.sampled_from(["constant", "affine", "exp_affine", "exp_flat", "polynomial"]))
+    if kind == "polynomial":
+        return t.WeightFunction.polynomial(draw(_positive_poly())), pmin, pmax
+    if kind == "constant":
+        return t.WeightFunction.constant(10.0 ** draw(_decades)), pmin, pmax
+    if kind == "affine":
+        a0 = 10.0 ** draw(st.floats(-150, 150))
+        beta = draw(st.sampled_from([-0.9, 0.9])) * draw(_tiny_or_moderate) * a0 / max(-pmin, pmax)
+        return t.WeightFunction.affine(a0, (beta,)), pmin, pmax
+    a0 = draw(st.one_of(st.floats(-600.0, 600.0), st.floats(500.0, 600.0)))
+    beta = 0.0 if kind == "exp_flat" else draw(st.sampled_from([-1.0, 1.0])) * draw(
+        st.one_of(_tiny_or_moderate, st.floats(1.0, 30.0))
+    )
+    return t.WeightFunction.exp_affine(a0, (beta,)), pmin, pmax
+
+
+def _bits(slopes, defect):
+    return [float(x).hex() for x in slopes], float(defect).hex()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    _weight_at_any_scale(),
+    st.integers(8, 300),
+    st.floats(1.0, 20.0),
+    st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=3),
+    st.floats(-505.0, -480.0),
+    st.floats(-700.0, 700.0),
+)
+def test_shot_loops_match_the_generic_loop_bit_for_bit(weight, n, R, offsets, low, anywhere):
+    # the per-kind loops of _weight_1d against one generic loop over G^{-1};
+    # base values near the balance of mass, in the band where shots of large
+    # weights stop below w = -500, and anywhere
+    g, pmin, pmax = weight
+    G = _weight_1d(g, pmin, pmax)[0]
+    y_lo, y_hi = float(G(pmin)), float(G(pmax))
+    h = 2.0 * R / n
+    mass = y_hi - y_lo
+    balance = -math.log(mass / (2.0 * R)) if 0.0 < mass < math.inf else 0.0
+    a0 = float(g.a0) if g.kind != "exp_affine" else math.exp(float(g.a0))
+    for w0 in [balance + d for d in offsets] + [low, anywhere]:
+        # fresh kernels for both sides: the polynomial Newton inverse keeps
+        # its last root as the next warm start
+        shoot = _weight_1d(g, pmin, pmax)[3]
+        want = shoot_reference(_weight_1d(g, pmin, pmax)[2], w0, h, n, y_lo, y_hi)
+        got = shoot(w0, h, n, y_lo, y_hi)
+        assert _bits(*got) == _bits(*want), (g, w0)
+        flat = g.kind == "constant" or (g.kind == "exp_affine" and float(g.b[0]) == 0.0)
+        if flat and sys.float_info.min <= a0 * a0 < math.inf:
+            # y / a0 is the closed-form affine inverse at beta = 0
+            old = shoot_reference(affine_inverse(a0, 0.0), w0, h, n, y_lo, y_hi)
+            assert _bits(*got) == _bits(*old), (g, w0)
+
+
+@pytest.mark.parametrize("g", [
+    t.WeightFunction.constant(1e250),
+    t.WeightFunction.exp_affine(600, (0.5,)),
+    t.WeightFunction.exp_affine(600, (0,)),
+], ids=["constant", "exp_affine", "exp_flat"])
+def test_shots_that_stop_below_w_minus_500_match_the_generic_loop(g):
+    # masses near e^500 balance only below w = -500: the affine kind cannot
+    # get there, since a0^2 overflows first
+    G, _, Ginv, shoot = _weight_1d(g, -1.0, 1.0)
+    y_lo, y_hi = float(G(-1.0)), float(G(1.0))
+    h, n = 0.012, 2000
+    stopped = 0
+    for w0 in (-560.0, -520.0, -501.0, -499.0, -480.0, -450.0):
+        got = shoot(w0, h, n, y_lo, y_hi)
+        assert _bits(*got) == _bits(*shoot_reference(Ginv, w0, h, n, y_lo, y_hi))
+        stopped += 0 < len(got[0]) < n
+    assert stopped  # at least one shot stops part-way
+
+
+def _nudged(x: float, ulps: int) -> float:
+    """x moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+    return x
+
+
+def _slopes_near_a_threshold(pmin, pmax, case, ulps, m):
+    """Edge slopes that pass or fail one check of ``validate`` by an ulp or two.
+
+    "interior": a dip of _CONVEX_TOL between two zero slopes; "ghost": a
+    first slope _CONVEX_TOL below p_min; "range": a ramp from p_min down to
+    _SLOPE_TOL below it in steps under _CONVEX_TOL, which only the gradient
+    check can reject.  The right-hand cases are mirror images.
+    """
+    rise = list(np.linspace(pmin / 2, pmax / 2, m))
+    if case == "interior":
+        return list(np.linspace(pmin / 2, 0.0, m)) + [_nudged(-mafunc._CONVEX_TOL, ulps)] + list(
+            np.linspace(0.0, pmax / 2, m)
+        )
+    if case == "ghost":
+        return [_nudged(pmin - mafunc._CONVEX_TOL, ulps)] + rise
+    steps = 1100  # each under _CONVEX_TOL
+    ramp = [pmin - mafunc._SLOPE_TOL * k / steps for k in range(steps)]
+    return ramp + [_nudged(pmin - mafunc._SLOPE_TOL, ulps)] + rise
+
+
+def _with_edge_slopes(P, e):
+    N = len(e) + 1
+    return DiscretePotential(
+        grid=t.Grid1D(R=4.0, N=N), P=P, values=np.zeros(N), ref_values=np.zeros(N),
+        edge_slopes=e, ref_slopes=e,
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    _end,
+    _end,
+    st.sampled_from(["interior", "ghost", "range"]),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(8, 16),
+)
+def test_validate_matches_the_half_slope_checks(lo, hi, case, mirror, ulps, m):
+    # accept/reject and the message agree with the checks on the full row of
+    # half-slopes, within a few ulps of _CONVEX_TOL and of _SLOPE_TOL
+    P = t.from_vertices([(-lo,), (hi,)])
+    pmin, pmax = mafunc._endpoint_slopes(P)
+    if mirror:
+        e = -np.array(_slopes_near_a_threshold(-pmax, -pmin, case, ulps, m)[::-1])
+    else:
+        e = np.array(_slopes_near_a_threshold(pmin, pmax, case, ulps, m))
+    u = _with_edge_slopes(P, e)
+    want = half_slope_verdict(u, mafunc._CONVEX_TOL, mafunc._SLOPE_TOL)
+    try:
+        u.validate()
+        got = None
+    except NonConvexInput as exc:
+        got = str(exc)
+    assert got == want
+
+
+def test_validate_threshold_cases_reach_both_verdicts():
+    # the cases of the property above do straddle each threshold
+    P = t.builtin("p1")
+    for case in ("interior", "ghost", "range"):
+        verdicts = set()
+        for ulps in (-3, 3):
+            e = np.array(_slopes_near_a_threshold(-1.0, 1.0, case, ulps, 8))
+            u = _with_edge_slopes(P, e)
+            verdicts.add(half_slope_verdict(u, mafunc._CONVEX_TOL, mafunc._SLOPE_TOL))
+        assert None in verdicts and len(verdicts) == 2, (case, verdicts)
+    assert "gradient leaves the closure of the polytope" in verdicts
 
 
 def test_pushforward_moments_match_weight_moments(p1, ma_solution_p1):
@@ -670,7 +833,7 @@ def test_exp_edge_mean_matches_mpmath(a0, beta, beta_sign, b, z, z_sign):
     beta *= beta_sign
     a = b + z_sign * z / beta
     g = t.WeightFunction.exp_affine(a0, (beta,))
-    G, mean, _ = _weight_1d(g, -1.0, 1.0)
+    G, mean, _, _ = _weight_1d(g, -1.0, 1.0)
     A, B = np.array([a]), np.array([b])
     got = float(mean(A, B, G(A), G(B))[0])
     want = _mp_mean_of_exp_antiderivative(a0, beta, a, b)
