@@ -221,6 +221,53 @@ def exp_simplex_moments(simplex, a0, b, alphas, basis) -> list[float]:
     return values
 
 
+def poly_simplex_moments(simplex, poly, alphas) -> list:
+    """Integrals of x^alpha * sum_beta c_beta x^beta over a rational simplex,
+    for the monomial dict ``poly`` = {beta: c_beta}: the reference for the
+    polynomial branch of ``quadrature.simplex_moments``, bit for bit.
+
+    Every call expands x = s0 + sum_i t_i e_i and each x^(alpha + beta) in
+    Fractions, integrates each t^kappa over the standard simplex as
+    kappa! / (n + |kappa|)!, and recombines in the kernel's order: per
+    alpha, 0 + c_beta I_(alpha + beta) summed over ``poly`` in its order,
+    times |det E| from ``_det_exact``.  A float c_beta makes the sum a
+    float sum, as in the kernel.
+    """
+    n = len(simplex) - 1
+    s0 = [Fraction(x) for x in simplex[0]]
+    edges = [[Fraction(x) - y for x, y in zip(p, s0)] for p in simplex[1:]]
+
+    def power(gamma):
+        out = {(0,) * n: Fraction(1)}
+        for j, k in enumerate(gamma):
+            for _ in range(k):
+                nxt: dict = {}
+                for kappa, c in out.items():
+                    nxt[kappa] = nxt.get(kappa, 0) + c * s0[j]
+                    for i in range(n):
+                        key = tuple(x + (i == m) for m, x in enumerate(kappa))
+                        nxt[key] = nxt.get(key, 0) + c * edges[i][j]
+                out = nxt
+        return out
+
+    def integral(gamma):
+        return sum(
+            (c * Fraction(math.prod(math.factorial(k) for k in kappa),
+                          math.factorial(n + sum(kappa)))
+             for kappa, c in power(gamma).items()),
+            Fraction(0),
+        )
+
+    det = abs(_det_exact(edges))
+    values = []
+    for alpha in alphas:
+        total = 0
+        for beta, c in poly.items():
+            total = total + c * integral(tuple(x + y for x, y in zip(alpha, beta)))
+        values.append(det * total)
+    return values
+
+
 def _int_if_integral(x):
     return int(x) if isinstance(x, Fraction) and x.denominator == 1 else x
 

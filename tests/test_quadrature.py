@@ -21,6 +21,7 @@ from oracles import (
     exp_simplex_moments,
     grid_integral,
     interval_monomial_integral,
+    poly_simplex_moments,
     polygon_monomial_integral,
     unit_triangle_exp_moment,
 )
@@ -540,6 +541,35 @@ def test_exp_simplex_moments_match_the_fraction_dot_kernel(case):
         got = quadrature.simplex_moments(S, g, alphas)
         want = exp_simplex_moments(simplex, a0, bb, alphas, quadrature.exp_dd_basis)
         assert list(map(float.hex, got)) == list(map(float.hex, want)), (simplex, bb)
+
+
+def _poly_weights(n):
+    """Polynomial weights of up to three terms of degree <= 2, with rational,
+    float or mixed coefficients."""
+    powers = st.tuples(*[st.integers(0, 2)] * n).filter(lambda p: sum(p) <= 2)
+    coeff = st.fractions(-3, 3, max_denominator=5) | st.floats(-2.5, 2.5)
+    return st.lists(st.tuples(powers, coeff), min_size=1, max_size=3).map(
+        quadrature.WeightFunction.polynomial
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    _simplex_cases(n), _poly_weights(n), _poly_weights(n)
+)))
+def test_poly_simplex_moments_match_the_fraction_reference(case):
+    simplex, *weights = case
+    n = len(simplex[0])
+    alphas = [a for d in range(3) for a in quadrature._compositions(d, n)]
+    S = quadrature._Simplex(simplex)
+    # one _Simplex serves two weights: its kept integrals are weight-free
+    for g in weights:
+        got = quadrature.simplex_moments(S, g, alphas)
+        want = poly_simplex_moments(simplex, g.as_poly(n), alphas)
+        assert [type(x) for x in got] == [type(x) for x in want], (simplex, g)
+        assert [x.hex() if isinstance(x, float) else x for x in got] == [
+            x.hex() if isinstance(x, float) else x for x in want
+        ], (simplex, g)
 
 
 def test_kr_solve_takes_no_fraction_dot(monkeypatch):
