@@ -1,20 +1,21 @@
-"""Number coercion, and exact rational linear algebra on Fraction matrices.
+"""Number coercion, and exact linear algebra on integer matrices.
 
 ``num`` decides once, by type, whether a number stays exact: ints,
 Fractions and numeric strings become Fractions, any other real a float.
 Every later step keeps that type, so exact data gives exact results.
 
-Small dense routines (n <= 4 throughout the package), all on one
-fraction-free integer elimination, ``_bareiss``: the integer solve of the
-Mabuchi moment system, the inverse of the starting cone of a vertex
-enumeration, determinants for volumes, and ranks.  Matrices are lists of
-lists of Fractions or ints; vectors are lists of Fractions.
+Rationals become ints in one place, ``_scaled``: a matrix times the least
+common denominator D of its entries.  Small dense routines (n <= 4
+throughout the package) then run on one fraction-free integer elimination,
+``_bareiss``: the integer solve of the Mabuchi moment system, the inverse
+of the starting cone of a vertex enumeration, the determinants of scaled
+simplices (their volumes), and ranks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -63,10 +64,11 @@ def dot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 
 
-def _int_rows(rows) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators: (int rows, the scales)."""
-    scales = [lcm(*(x.denominator for x in r)) for r in rows]
-    return [[int(x * m) for x in r] for r, m in zip(rows, scales)], scales
+def _scaled(rows) -> tuple[int, list[tuple[int, ...]]]:
+    """(D, the rows times D) for rows of ints and Fractions, with D the least
+    common denominator of all their entries, so each x * D is an int."""
+    D = lcm(*(x.denominator for r in rows for x in r))
+    return D, [tuple(x.numerator * (D // x.denominator) for x in r) for r in rows]
 
 
 def _bareiss(a: list[list[int]], ncols: int) -> tuple[int, int, int]:
@@ -101,16 +103,10 @@ def _bareiss(a: list[list[int]], ncols: int) -> tuple[int, int, int]:
 
 
 def rank(rows: list[list[Fraction]]) -> int:
-    """Exact rank of a rational matrix: its rows scaled to ints, then ``_bareiss``."""
+    """Exact rank of a rational matrix: ``_bareiss`` of its ``_scaled`` rows."""
     if not rows:
         return 0
-    return _bareiss(_int_rows(rows)[0], len(rows[0]))[0]
-
-
-def det(rows) -> Fraction:
-    """Exact determinant: each row scaled to ints, then ``int_det``."""
-    a, scales = _int_rows(rows)
-    return Fraction(int_det(a), prod(scales))
+    return _bareiss(_scaled(rows)[1], len(rows[0]))[0]
 
 
 def int_det(rows) -> int:

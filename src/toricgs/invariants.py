@@ -51,19 +51,18 @@ def dh_marginal(P: LabelledPolytope, a, t: float) -> float:
     [support_min, support_max] of the direction, integrating to vol(P).
     For a unit direction this is the (n-1)-volume of the slice
     P intersect {<a,x> = t}.  Computed as a sum of normalized B-splines,
-    one per triangulation simplex, with knots <a, v> at its vertices.
+    one per triangulation simplex, with knots <a, v> at its vertices and
+    the volume |det E| / n! that the moment kernel keeps for it.
     """
     a = _exact.direction(a, P.dim)
     n = P.dim
     t = float(t)
     total = 0.0
-    for simplex in P.triangulation:
-        knots = sorted(float(_exact.dot(a, v)) for v in simplex)
-        edges = [tuple(x - y for x, y in zip(p, simplex[0])) for p in simplex[1:]]
-        vol = abs(_exact.det([list(e) for e in edges])) / Fraction(math.factorial(n))
-        if vol == 0:
+    for simplex, S in zip(P.triangulation, quadrature._simplices(P)):
+        if not S.det:
             continue
-        total += float(vol) * _mspline(knots, t, n)
+        knots = sorted(float(_exact.dot(a, v)) for v in simplex)
+        total += float(S.det / math.factorial(n)) * _mspline(knots, t, n)
     return total
 
 

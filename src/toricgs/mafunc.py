@@ -301,14 +301,17 @@ def random_potential(
     convexity (monotone slopes) and the gradient constraint hold by
     construction.
     """
-    grid = grid or Grid1D()
-    pmin, pmax = _endpoint_slopes(P)
-    ref = reference_potential(P, grid)
+    return _random_potential(reference_potential(P, grid), seed)
+
+
+def _random_potential(ref: DiscretePotential, seed) -> DiscretePotential:
+    """``random_potential`` over the reference potential ``ref``, its grid and polytope."""
+    pmin, pmax = ref.slopes
     rng = np.random.default_rng(seed)
     tau = 0.3
     base = (1.0 - tau) * float(ref.values[0])
     slopes = (1.0 - tau) * ref.edge_slopes
-    x, h = grid.nodes[:-1], grid.h
+    x, h = ref.grid.nodes[:-1], ref.grid.h
     nb = int(rng.integers(1, 6))
     raw = rng.uniform(0.2, 1.0, size=nb)
     signs = rng.choice([-1.0, 1.0], size=nb)
@@ -993,7 +996,7 @@ def inequality_suite(
     sharper_holds = True
 
     for i in range(samples):
-        u = random_potential(P, grid, seed=[seed, i])
+        u = _random_potential(ref, [seed, i])
         Fg = _functionals(u, row_g)
         F1 = _functionals(u, row_1)
         IJg = Fg.I_g - Fg.J_g

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, gcd, lcm, prod
+from math import ceil, factorial, floor, gcd, prod
 
 import numpy as np
 
@@ -186,9 +186,17 @@ def _incidence(rays, nrows: int, key=None) -> tuple[tuple[Point, ...], tuple[fro
 
 def _integral_row(a, b) -> tuple[tuple[int, ...], int]:
     """The constraint <a, x> <= b scaled by a positive integer to int entries."""
-    scale = lcm(*(x.denominator for x in (*a, b)))
-    ints = tuple(x.numerator * (scale // x.denominator) for x in (*a, b))
+    ints = _exact._scaled([(*a, b)])[1][0]
     return ints[:-1], ints[-1]
+
+
+def _int_simplex(simplex) -> tuple[int, tuple[int, ...], list[tuple[int, ...]], int]:
+    """(D, D s0, the edges D (p - s0), |det| of those edges) of a rational
+    simplex, D the common denominator of its points: its volume is
+    |det| / (D^n n!)."""
+    D, (s0, *rest) = _exact._scaled(simplex)
+    edges = [tuple(x - y for x, y in zip(p, s0)) for p in rest]
+    return D, s0, edges, abs(_exact.int_det(edges))
 
 
 def fan_triangulation(vertices, tight, apex=None) -> list[tuple[Point, ...]]:
@@ -282,15 +290,11 @@ class LabelledPolytope:
 
     @cached_property
     def volume(self) -> Fraction:
-        """Euclidean volume of P (exact)."""
+        """Euclidean volume of P (exact), from each ``_int_simplex``."""
         total = Fraction(0)
-        fact = 1
-        for k in range(2, self.dim + 1):
-            fact *= k
-        for s in self.triangulation:
-            rows = [[x - b for x, b in zip(p, s[0])] for p in s[1:]]
-            total += abs(_exact.det(rows)) / fact
-        return total
+        for D, _, _, det in map(_int_simplex, self.triangulation):
+            total += Fraction(det, D**self.dim)
+        return total / factorial(self.dim)
 
     @cached_property
     def _int_facets(self) -> tuple[tuple[tuple[int, ...], int], ...]:

@@ -14,7 +14,7 @@ value is a closed form.
 
 Repeated work is kept on the domain object, in its ``_moment_cache``, and
 freed with it: per polytope the weight-independent data of each
-triangulation simplex (``_Simplex``: |det E|, the barycentric lines, each
+triangulation simplex (``_Simplex``, in ints: |det E|, the lines, each
 power x^gamma as a t-polynomial with its Dirichlet integral, and for exp
 weights float copies of |det E|, s0 and the edges and each x^alpha's
 recombination terms as floats), and per (polytope or PL function,
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _exact
 from .errors import OverflowGuard, PositivityViolated, SchemaViolation
-from .polytope import LabelledPolytope
+from .polytope import LabelledPolytope, _int_simplex
 
 # ---------------------------------------------------------------------------
 # number <-> JSON helpers shared by the serialization layer
@@ -338,23 +338,15 @@ def _units(n: int) -> list[tuple[int, ...]]:
 
 
 def _barycentric_lines(s0, edges, n: int) -> list[dict]:
-    """x_j = s0_j + sum_i t_i e_ij as t-polynomials, one per coordinate.
-
-    Integral coefficients are stored as ints, which multiply much faster
-    than Fractions.
-    """
+    """x_j = s0_j + sum_i t_i e_ij as t-polynomials, one per coordinate."""
     lines = []
     for j in range(n):
-        line = {(0,) * n: _int_if_integral(s0[j])}
+        line = {(0,) * n: s0[j]}
         for i, key in enumerate(_units(n)):
             if edges[i][j] != 0:
-                line[key] = _int_if_integral(edges[i][j])
+                line[key] = edges[i][j]
         lines.append(line)
     return lines
-
-
-def _int_if_integral(x):
-    return int(x) if isinstance(x, Fraction) and x.denominator == 1 else x
 
 
 def _x_power(beta, lines, cache: dict) -> dict:
@@ -555,41 +547,44 @@ def _exp_dd_table(z) -> float:
 class _Simplex:
     """The weight-independent data of the moment kernel on one simplex.
 
-    |det E| of the edge matrix, the lines x_j = s0_j + sum_i t_i e_ij, and
-    what grows as moments are asked for: x^gamma as a t-polynomial, its
-    integral over the standard simplex (polynomial kinds), and for exp
-    weights float copies of |det E|, s0 and the edges and each x^alpha as
-    its (kappa, coefficient * kappa!) terms in floats.
+    It is kept in ints (``polytope._int_simplex``): s0 and the edges e_i
+    times the common denominator D of its points (D = 1 for lattice
+    points), so the lines D x_j = s0_j + sum_i t_i e_ij and each D^|gamma|
+    x^gamma as a t-polynomial have int coefficients.  A value divides by
+    its power of D once, as it leaves: |det E| / D^n and each Dirichlet
+    integral as Fractions, a float copy by int true division, which rounds
+    once, as float(Fraction) does.  Kept as moments are asked for: the
+    t-polynomials, their integrals (polynomial kinds), and for exp weights
+    float copies of |det E|, s0 and the edges and each x^alpha as its
+    (kappa, coefficient * kappa!) terms.
     """
 
     def __init__(self, simplex):
         n = len(simplex) - 1
-        self.s0 = simplex[0]
-        if all(x.denominator == 1 for p in simplex for x in p):
-            # integral points: the edges, |det E| and the lines in ints
-            s0, *rest = [[x.numerator for x in p] for p in simplex]
-            self.edges = [tuple(x - y for x, y in zip(p, s0)) for p in rest]
-            self.det = abs(_exact.int_det([list(e) for e in self.edges]))
-        else:
-            s0 = self.s0
-            self.edges = [tuple(x - y for x, y in zip(p, s0)) for p in simplex[1:]]
-            self.det = abs(_exact.det([list(e) for e in self.edges]))
-        self.lines = _barycentric_lines(s0, self.edges, n)
+        self.scale, self.s0, self.edges, self.scaled_det = _int_simplex(simplex)
+        self.lines = _barycentric_lines(self.s0, self.edges, n)
         self.powers: dict = {(0,) * n: {(0,) * n: 1}}
         self.integrals: dict = {}
         self._exp_terms: dict = {}
 
     @cached_property
+    def det(self) -> Fraction:
+        """|det E| = |det| of the scaled edges / D^n."""
+        return Fraction(self.scaled_det, self.scale ** len(self.edges))
+
+    @cached_property
     def floats(self) -> tuple[float, tuple, list]:
         """|det E|, s0 and the edges as floats."""
-        return (float(self.det), tuple(map(float, self.s0)),
-                [tuple(map(float, e)) for e in self.edges])
+        D = self.scale
+        return (self.scaled_det / D ** len(self.edges), tuple(x / D for x in self.s0),
+                [tuple(x / D for x in e) for e in self.edges])
 
     def exp_terms(self, alpha) -> list:
         """The (kappa, float(coeff) * kappa!) of each term coeff * t^kappa of x^alpha."""
         if alpha not in self._exp_terms:
             tpoly = _x_power(alpha, self.lines, self.powers)
-            self._exp_terms[alpha] = [(k, float(c) * _kappa_factorial(k)) for k, c in tpoly.items()]
+            scale = self.scale ** sum(alpha)
+            self._exp_terms[alpha] = [(k, c / scale * _kappa_factorial(k)) for k, c in tpoly.items()]
         return self._exp_terms[alpha]
 
 
@@ -597,7 +592,7 @@ def simplex_moments(simplex, g: WeightFunction, alphas):
     """Integrals of x^alpha * g(x) over a rational simplex, one per alpha.
 
     ``simplex`` is its n + 1 points, or a ``_Simplex`` that keeps the
-    weight-independent work (the determinant, the substitution
+    weight-independent work in ints (the determinant, the substitution
     x = s0 + sum_i t_i e_i, each power x^gamma as a t-polynomial and its
     integral or float terms) for the next call.  The monomials t^kappa
     of a t-polynomial are integrated once each (the basis integrals) and
@@ -614,7 +609,8 @@ def simplex_moments(simplex, g: WeightFunction, alphas):
     ``exp_divided_difference`` per kappa, stable for any node geometry).
     A float b meets the float copies of the geometry in the operations
     ``_exact.dot`` would take (a float product makes every later sum a
-    float sum); a b with a rational entry takes ``_exact.dot``.
+    float sum); a b with a rational entry takes ``_exact.dot`` with the
+    Fractions s0 / D and e_i / D.
     """
     S = simplex if isinstance(simplex, _Simplex) else _Simplex(simplex)
     n = len(S.lines)
@@ -628,7 +624,7 @@ def simplex_moments(simplex, g: WeightFunction, alphas):
                 gamma = tuple(x + y for x, y in zip(alpha, beta))
                 if gamma not in integrals:
                     tpoly = _x_power(gamma, S.lines, S.powers)
-                    integrals[gamma] = _dirichlet_integral(tpoly, n, sum(gamma))
+                    integrals[gamma] = _dirichlet_integral(tpoly, n, sum(gamma), S.scale)
                 total = total + coeff * integrals[gamma]
             values.append(S.det * total)
         return values
@@ -638,8 +634,8 @@ def simplex_moments(simplex, g: WeightFunction, alphas):
         c = [_float_dot(g.b, e) for e in edges]
         shift = _float_dot(g.b, s0)
     else:
-        c = [float(_exact.dot(g.b, e)) for e in S.edges]
-        shift = float(_exact.dot(g.b, S.s0))
+        D = S.scale
+        shift, *c = [float(_exact.dot(g.b, [Fraction(x, D) for x in v])) for v in (S.s0, *S.edges)]
     pref = det * math.exp(float(g.a0) + shift)
     terms = [S.exp_terms(tuple(alpha)) for alpha in alphas]
     # t^kappa -> its divided difference of exp, for every kappa at once
@@ -664,18 +660,19 @@ def _float_dot(a, b) -> float:
     return acc
 
 
-def _dirichlet_integral(tpoly: dict, n: int, degree: int) -> Fraction:
-    """Integral of a t-polynomial of the given degree over the standard simplex.
+def _dirichlet_integral(tpoly: dict, n: int, degree: int, scale: int) -> Fraction:
+    """Integral of a t-polynomial of the given degree over the standard
+    simplex, over scale^degree.
 
-    Each t^kappa contributes kappa! / (n + |kappa|)!; the sum is taken over
-    the common denominator (n + degree)!, in ints when the coefficients are.
+    Each t^kappa contributes kappa! / (n + |kappa|)!; the int sum is taken
+    over the common denominator (n + degree)! scale^degree.
     """
     top = math.factorial(n + degree)
     acc = sum(
         coeff * (_kappa_factorial(kappa) * (top // math.factorial(n + sum(kappa))))
         for kappa, coeff in tpoly.items()
     )
-    return Fraction(acc) / top
+    return Fraction(acc, top * scale**degree)
 
 
 def _compositions(total: int, parts: int):

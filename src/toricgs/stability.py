@@ -106,8 +106,7 @@ class PLConvexFunction:
         if not pieces:
             raise ValueError("need at least one affine piece")
         # piece j times L is the int row values[j]: <values[j], (x, 1)> = L f_j(x)
-        L = math.lcm(*(x.denominator for a, c in pieces for x in (*a, c)))
-        values = [tuple(x.numerator * (L // x.denominator) for x in (*a, c)) for a, c in pieces]
+        L, values = _exact._scaled([(*a, c) for a, c in pieces])
         cells, rays = _cells(self.domain, values)
         shift = _pl_min(values, cells, rays) / L
         pieces = tuple((a, c - shift) for a, c in pieces)
@@ -329,9 +328,9 @@ def dh_g_filtration(
         raise ValueError("m must be >= 1")
     U = P.lattice_points(m)
     weights = g.value(U.astype(float) / m)
-    L = math.lcm(*(x.denominator for a, c in f.pieces for x in (*a, c)))
-    A = [[x.numerator * (L // x.denominator) for x in a] for a, _ in f.pieces]
-    C = [c.numerator * (L // c.denominator) * m for _, c in f.pieces]
+    L, rows = _exact._scaled([(*a, c) for a, c in f.pieces])
+    A = [r[:-1] for r in rows]
+    C = [r[-1] * m for r in rows]
     umax = np.abs(U).max(axis=0).tolist()
     bound = max(abs(c) + sum(abs(x) * b for x, b in zip(a, umax)) for a, c in zip(A, C))
     dtype = np.int64 if max(bound, L * m) <= _EXACT_INT else object

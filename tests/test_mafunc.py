@@ -100,8 +100,10 @@ def test_validate_rejects_concave_and_out_of_range(p1):
         DiscretePotential(
             grid=grid, P=p1, values=bumped, ref_values=ref.values
         ).validate()
-    steep = 1.5 * np.abs(grid.nodes)  # convex but slopes leave [-1, 1]
-    with pytest.raises(NonConvexInput):
+    # convex inside, but its first slope -1.5 falls below the ghost slope
+    # p_min = -1: the ghost difference -1.5 - (-1) < 0 is a concave kink
+    steep = 1.5 * np.abs(grid.nodes)
+    with pytest.raises(NonConvexInput, match="second differences"):
         DiscretePotential(
             grid=grid, P=p1, values=steep, ref_values=ref.values
         ).validate()

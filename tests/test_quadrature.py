@@ -572,6 +572,23 @@ def test_poly_simplex_moments_match_the_fraction_reference(case):
         ], (simplex, g)
 
 
+def test_rational_simplex_is_kept_in_ints_and_volumes_are_exact():
+    simplex = ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 3)), (Fraction(-1), Fraction(-1)))
+    S = quadrature._Simplex(simplex)
+    quadrature.simplex_moments(S, t.WeightFunction.polynomial([((2, 0), 1), ((0, 1), 1)]), [(0, 1)])
+    quadrature.simplex_moments(S, t.WeightFunction.exp_affine(0, (0.5, -0.25)), [(1, 1)])
+    # edges (-1/2, 1/3) and (-3/2, -1): D = 6, |det E| = |1/2 + 1/2|
+    assert S.scale == 6 and S.det == 1
+    kept = [x for e in S.edges for x in e]
+    kept += [c for line in S.lines for c in line.values()]
+    kept += [c for tpoly in S.powers.values() for c in tpoly.values()]
+    assert len(S.powers) > 4 and {type(x) for x in kept} == {int}
+    # a polytope with rational vertices: labels 2 and 3 scale two of the normals
+    P = t.from_facets([(2, 1), (-1, 3), (-1, -2)], [2, 3, 1])
+    assert any(x.denominator > 1 for v in P.vertices for x in v)
+    assert P.volume == polygon_monomial_integral(P.vertices, 0, 0)
+
+
 def test_kr_solve_takes_no_fraction_dot(monkeypatch):
     P = t.builtin("bl1p2")
     dots = _count_calls(monkeypatch, t._exact, "dot")
