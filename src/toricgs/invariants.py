@@ -55,15 +55,32 @@ def dh_marginal(P: LabelledPolytope, a, t: float) -> float:
     the volume |det E| / n! that the moment kernel keeps for it.
     """
     a = _exact.direction(a, P.dim)
-    n = P.dim
     t = float(t)
     total = 0.0
-    for simplex, S in zip(P.triangulation, quadrature._simplices(P)):
-        if not S.det:
-            continue
-        knots = sorted(float(_exact.dot(a, v)) for v in simplex)
-        total += float(S.det / math.factorial(n)) * _mspline(knots, t, n)
+    for volume, knots in _marginal_splines(P, a):
+        total += volume * _mspline(knots, t, P.dim)
     return total
+
+
+def _marginal_splines(P: LabelledPolytope, a) -> list:
+    """(|det E| / n!, sorted knots <a, v>) of each simplex of P.triangulation
+    with |det E| > 0, for the direction ``a``.
+
+    They depend on P and a alone, so P keeps those of the latest direction,
+    one entry, which a scan over t reads.  The key holds the entry types: a
+    float and a Fraction direction with equal values have different knots.
+    """
+    key = tuple((type(x), x) for x in a)
+    kept = P._moment_cache.get("marginal")
+    if kept is None or kept[0] != key:
+        n = P.dim
+        splines = [
+            (float(S.det / math.factorial(n)), sorted(float(_exact.dot(a, v)) for v in simplex))
+            for simplex, S in zip(P.triangulation, quadrature._simplices(P))
+            if S.det
+        ]
+        P._moment_cache["marginal"] = kept = (key, splines)
+    return kept[1]
 
 
 def _mspline(z, t: float, n: int) -> float:

@@ -270,7 +270,8 @@ class LabelledPolytope:
 
     @cached_property
     def _moment_cache(self) -> dict:
-        """What ``quadrature`` keeps on P; it is freed with P."""
+        """What ``quadrature`` and ``invariants.dh_marginal`` keep on P; it is
+        freed with P."""
         return {}
 
     @cached_property
@@ -339,15 +340,15 @@ class LabelledPolytope:
 
     # -- lattice enumeration ------------------------------------------------
 
-    def lattice_points(self, m: int) -> np.ndarray:
-        """All integer points of m*P, lexicographically sorted, as an array.
+    def _columns(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The non-empty columns of mP: (heads, lo, hi) as int64 arrays.
 
-        Column by column: each integer head (u_1..u_{n-1}) of the bounding
-        box gets the interval of u_n that the facet inequalities
-        <A_i, u> <= m*d_i leave, by exact floor division.  Raises
-        :class:`OverflowGuard` when the bounding box holds more than
-        ``LATTICE_CAP`` candidates or the facet arithmetic could overflow
-        int64.
+        Row i of ``heads`` is an integer head (u_1..u_{n-1}) of the bounding
+        box, in lexicographic order, and u_n runs over [lo[i], hi[i]], the
+        interval that the facet inequalities <A_i, u> <= m*d_i leave, by
+        exact floor division.  Raises :class:`OverflowGuard` when the
+        bounding box holds more than ``LATTICE_CAP`` candidates or the facet
+        arithmetic could overflow int64.
         """
         if m < 1:
             raise PolytopeError("lattice scale m must be >= 1")
@@ -371,10 +372,20 @@ class LabelledPolytope:
         zlo = (-(r[:, neg] // -c[neg])).max(axis=1)
         # the bounds of an empty column can lie far outside the box, where
         # zhi - zlo could wrap; those of a kept column lie inside it
-        empty = (zhi < zlo) | (r[:, c == 0] < 0).any(axis=1)
-        counts = np.where(empty, 0, zhi - zlo + 1)
+        keep = (zhi >= zlo) & (r[:, c == 0] >= 0).all(axis=1)
+        return heads[keep], zlo[keep], zhi[keep]
+
+    def lattice_points(self, m: int) -> np.ndarray:
+        """All integer points of m*P, lexicographically sorted, as an array.
+
+        The columns of ``_columns`` expanded point by point; its errors and
+        its cap apply.  ``stability.s_g_lattice`` sums over the columns
+        themselves, at a cost in columns, not points.
+        """
+        heads, lo, hi = self._columns(m)
+        counts = hi - lo + 1
         starts = np.cumsum(counts) - counts
-        last = np.arange(counts.sum(), dtype=np.int64) + np.repeat(zlo - starts, counts)
+        last = np.arange(counts.sum(), dtype=np.int64) + np.repeat(lo - starts, counts)
         return np.column_stack([np.repeat(heads, counts, axis=0), last])
 
     # -- serialization ------------------------------------------------------

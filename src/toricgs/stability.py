@@ -62,17 +62,139 @@ def s_g_lattice(P: LabelledPolytope, g: WeightFunction, a, m: int) -> float:
     """Finite-m value of S_g from the lattice points of mP.
 
     Sum of g(u/m) (<a,u>/m - min_P <a,.>) over u in mP, normalized by the
-    total weight; converges to s_g at rate O(1/m).
+    total weight; converges to s_g at rate O(1/m).  The sums run over the
+    columns of mP (``LabelledPolytope._columns``), not its points: along a
+    column only u_n moves, over an integer interval, so each column sum is
+    a closed form in the interval's ends, vectorised over the columns.  For
+    polynomial kinds it is a combination of power sums of u_n
+    (``_power_sums``), for exp weights of geometric sums
+    (``_geometric_sums``).  The cost grows with the number of columns.
     """
     av = _exact.direction(a, P.dim)
     if m < 1:
         raise ValueError("m must be >= 1")
-    U = P.lattice_points(m)
-    X = U.astype(float) / m
-    w = g.value(X)
-    af = np.array([float(x) for x in av])
-    vals = X @ af - float(P.support_min(av))
-    return float(np.sum(w * vals) / np.sum(w))
+    quadrature._check_dim(P, g)
+    heads, lo, hi = P._columns(m)
+    af = [float(v) for v in av]
+    x = heads / m
+    # <a, u/m> - min_P <a,.> is base + slope u_n / m on a column
+    base = x @ af[:-1] - float(P.support_min(av))
+    slope = af[-1]
+    if g.kind == "exp_affine":
+        mass, first = _exp_columns([float(v) for v in g.b], x, lo, hi, m, base, slope)
+    else:
+        mass, first = _poly_columns(g.as_poly(P.dim), x, lo, hi, m, base, slope)
+    return float(np.sum(first) / np.sum(mass))
+
+
+def _exp_columns(b: list, x, lo, hi, m: int, base, slope):
+    """Per column, the sums of g(u/m) and of g(u/m) (base + slope u_n / m)
+    for g = exp(a0 + <b, x>), up to one factor common to all columns.
+
+    On a column the exponent moves by c = b_n / m per step of u_n, so from
+    the end with the larger exponent the weights fall geometrically, by
+    e^-|c| <= 1 a step (``_geometric_sums``).  The weight at that end is
+    taken relative to the largest over all columns; a0 and that maximum
+    cancel in S, and no column overflows.
+    """
+    c = b[-1] / m
+    end, step = (hi, -1) if c > 0 else (lo, 1)  # u_n = end + step j
+    top = x @ b[:-1] + c * end
+    w = np.exp(top - top.max())
+    G0, G1 = _geometric_sums(abs(c), hi - lo + 1)
+    at_end = base + slope * end / m
+    return w * G0, w * (at_end * G0 + step * slope / m * G1)
+
+
+#: below this s n, ``_geometric_sums`` takes the first moment from series
+_SERIES_CUT = 0.25
+#: terms of those series: the first one left out is below 1e-20 of the sum
+_SERIES_LEN = 14
+
+
+def _geometric_sums(s: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(G0, G1) = (sum of r^j, sum of j r^j) over 0 <= j < n, r = e^-s, s >= 0.
+
+    With u = s n and phi1(z) = (e^z - 1)/z (1 at z = 0, from ``expm1``):
+    G0 = n phi1(-u) / phi1(-s), and G1 = (r G0 - n r^n) / (1 - r), whose
+    difference cancels as u -> 0.  Below ``_SERIES_CUT`` G1 is
+    n (n chi(u) - e^-u phi2(s)) / (phi1(s) phi1(-s)) instead, with
+    phi2(z) = (e^z - 1 - z)/z^2 and chi(u) = e^-u phi2(u) from their power
+    series; since u >= s, the subtracted term is at most 1/n of the first.
+    """
+    n = n.astype(float)
+    u = s * n
+    phi1_neg, phi1_pos = (math.expm1(-s) / -s, math.expm1(s) / s) if s else (1.0, 1.0)
+    G0 = n * np.divide(np.expm1(-u), -u, out=np.ones_like(u), where=u > 0) / phi1_neg
+    G1 = np.empty_like(u)
+    near = u < _SERIES_CUT
+    far = ~near
+    if far.any():
+        G1[far] = (math.exp(-s) * G0[far] - n[far] * np.exp(-u[far])) / -math.expm1(-s)
+    if near.any():
+        un, nn = u[near], n[near]
+        chi = 0.0
+        phi2 = 0.0
+        for i in reversed(range(_SERIES_LEN)):
+            chi = (i + 1) / math.factorial(i + 2) - un * chi
+            phi2 = 1 / math.factorial(i + 2) + s * phi2
+        G1[near] = nn * (nn * chi - np.exp(-un) * phi2) / (phi1_pos * phi1_neg)
+    return G0, G1
+
+
+def _poly_columns(poly: dict, x, lo, hi, m: int, base, slope):
+    """Per column, the sums of g(u/m) and of g(u/m) (base + slope u_n / m)
+    for the polynomial g = sum of c x^gamma: with A_p the coefficient of
+    x_n^p on the column (a polynomial in its head x), these are
+    sum_p A_p X_p and sum_p A_p (base X_p + slope X_{p+1}), for X_p the
+    column sum of (u_n / m)^p."""
+    top = max(powers[-1] for powers in poly)
+    coef = [0.0] * (top + 1)
+    for powers, c in poly.items():
+        term = float(c)
+        for j, p in enumerate(powers[:-1]):
+            if p:
+                term = term * x[:, j] ** p
+        coef[powers[-1]] = coef[powers[-1]] + term
+    X = _power_sums(lo, hi, m, top + 1)
+    mass = sum(c * X[p] for p, c in enumerate(coef))
+    first = sum(c * (base * X[p] + slope * X[p + 1]) for p, c in enumerate(coef))
+    return mass, first
+
+
+def _power_sums(lo, hi, m: int, top: int) -> list:
+    """[sum of (k/m)^p over the integers lo <= k <= hi, for p = 0..top].
+
+    Each interval is split at zero into k = s + j, j < N, with s >= 0, and
+    its mirror image k = -(s + j), s >= 1.  On each part
+    sum_j ((s + j)/m)^p = sum_i C(p, i) (s/m)^(p-i) Y_i(N), and
+    Y_i(N) = sum_{j<N} (j/m)^i = sum_l S(i, l) l! C(N, l+1) / m^i, with
+    S the Stirling numbers of the second kind (Graham, Knuth and Patashnik,
+    Concrete Mathematics, 6.1): every term is nonnegative, so nothing
+    cancels but the odd powers across zero, as in the sum itself.  The
+    falling factorials are taken over powers of m, so no term overflows
+    where the sum is finite.
+    """
+    s = np.concatenate([np.maximum(lo, 0), np.maximum(-hi, 1)])
+    n = np.maximum(np.concatenate([hi + 1, 1 - lo]) - s, 0).astype(float)
+    # l! C(N, l+1) / m^l = N E_l / (l+1), E_l = (N-1)...(N-l) / m^l
+    E = [1.0]
+    for l in range(1, top + 1):
+        E.append(E[-1] * (n - l) / m)
+    stirling = [1]  # S(i, l) for l = 0..i
+    Y = []
+    for i in range(top + 1):
+        if i:
+            stirling = [l * a + b for l, (a, b) in enumerate(zip(stirling + [0], [0] + stirling))]
+        Y.append(n * sum(k / (l + 1) * E[l] * float(m) ** (l - i)
+                         for l, k in enumerate(stirling) if k))
+    t = s / m
+    half = len(lo)
+    sums = []
+    for p in range(top + 1):
+        U = sum(math.comb(p, i) * t ** (p - i) * Y[i] for i in range(p + 1))
+        sums.append(U[:half] + (-1) ** p * U[half:])
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +250,8 @@ class PLConvexFunction:
 
     @cached_property
     def _moment_cache(self) -> dict:
-        """What ``quadrature`` keeps on f (``e_g_na``); it is freed with f."""
+        """What ``quadrature`` and ``e_g_na`` keep on f: the cell simplices
+        and the per-weight results; it is freed with f."""
         return {}
 
     # -- constructors -------------------------------------------------------
@@ -360,7 +483,7 @@ def e_g_na(P: LabelledPolytope, g: WeightFunction, f: PLConvexFunction) -> float
     n = P.dim
     alphas = [(0,) * n] + quadrature._units(n)
     num = mass = 0
-    for j, simplices in f.cell_simplices:
+    for j, simplices in _cell_moment_simplices(f):
         a, c = f.pieces[j]
         for simplex in simplices:
             m0, *m1 = quadrature.simplex_moments(simplex, g, alphas)
@@ -368,6 +491,22 @@ def e_g_na(P: LabelledPolytope, g: WeightFunction, f: PLConvexFunction) -> float
             mass += m0
     memo["e_g_na"] = value = float(num / mass)
     return value
+
+
+def _cell_moment_simplices(f: PLConvexFunction) -> tuple:
+    """(piece index j, the ``quadrature._Simplex`` of each simplex) per cell
+    of f, built once per f, so a second weight builds none; a one-piece f
+    shares its domain's (``quadrature._simplices``)."""
+    cache = f._moment_cache
+    if "cells" not in cache:
+        if len(f.pieces) == 1:
+            cache["cells"] = ((0, quadrature._simplices(f.domain)),)
+        else:
+            cache["cells"] = tuple(
+                (j, tuple(map(quadrature._Simplex, simplices)))
+                for j, simplices in f.cell_simplices
+            )
+    return cache["cells"]
 
 
 def lambda_na(f: PLConvexFunction) -> float:

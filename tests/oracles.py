@@ -474,6 +474,41 @@ class LoopFiltration:
 
 
 # ---------------------------------------------------------------------------
+# the finite-m expected vanishing order, point by point
+# ---------------------------------------------------------------------------
+
+
+def s_g_lattice_points(P, g, a, m: int) -> float:
+    """S_m(a) summed point by point over ``P.lattice_points(m)``:
+    sum of g(u/m) (<a,u>/m - min_P <a,.>) over the sum of g(u/m), in floats.
+
+    The reference for ``stability.s_g_lattice``, which sums the same terms
+    column by column in closed form.
+    """
+    av = [Fraction(x) if isinstance(x, (int, Fraction)) else float(x) for x in a]
+    X = P.lattice_points(m).astype(float) / m
+    w = g.value(X)
+    low = min(sum(x * y for x, y in zip(av, v)) for v in P.vertices)
+    vals = X @ np.array([float(x) for x in av]) - float(low)
+    return float(np.sum(w * vals) / np.sum(w))
+
+
+def s_g_lattice_exact(P, g, a, m: int) -> Fraction:
+    """S_m(a) in Fractions over ``brute_lattice_points`` for rational
+    polynomial-kind g and a rational direction a."""
+    av = [Fraction(x) for x in a]
+    poly = g.as_poly(P.dim)
+    low = min(sum(x * y for x, y in zip(av, v)) for v in P.vertices)
+    num = den = Fraction(0)
+    for u in brute_lattice_points(P, m):
+        x = [Fraction(v, m) for v in u]
+        w = sum(c * math.prod(xi**p for xi, p in zip(x, powers)) for powers, c in poly.items())
+        num += w * (sum(ai * xi for ai, xi in zip(av, x)) - low)
+        den += w
+    return num / den
+
+
+# ---------------------------------------------------------------------------
 # brute-force membership grids
 # ---------------------------------------------------------------------------
 

@@ -175,6 +175,22 @@ def test_marginal_integrates_to_volume():
             assert area == pytest.approx(float(P.volume), rel=1e-5), (name, a)
 
 
+def test_marginal_keeps_the_knots_of_each_typed_direction():
+    # the Fraction direction (1, 3) and the float (1.0, 3.0) are equal keys
+    # by value but not by type, and differ in a knot: <a, (7/3, -1/3)> is
+    # float(4/3) exactly, and 1.0 * float(7/3) + 3.0 * float(-1/3) in floats
+    pts = [(Fraction(7, 3), Fraction(-1, 3)), (-1, 2), (-1, -1), (1, 1)]
+    P = t.from_vertices(pts)
+    directions = [(1, 3), (1.0, 3.0), (Fraction(1, 10), 0.3), (1, 3)]
+    knots = [invariants._marginal_splines(P, t._exact.direction(a, 2)) for a in directions]
+    assert knots[0] != knots[1]
+    for a, kept in zip(directions, knots):
+        fresh = t.from_vertices(pts)
+        assert kept == invariants._marginal_splines(fresh, t._exact.direction(a, 2))
+        for tt in np.linspace(-3.5, 7.5, 23):
+            assert t.dh_marginal(P, a, tt) == t.dh_marginal(fresh, a, tt)
+
+
 def test_marginal_knots_that_nearly_tie():
     # a float direction is used as given, so knots <a, v> can tie up to
     # rounding: <(0.1, 0.3), (3, -1)> is 5.6e-17, not 0.  A divided

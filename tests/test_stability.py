@@ -1,15 +1,18 @@
 """Log discrepancy, expected vanishing orders, filtrations, delta invariant."""
 
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toricgs as t
-from toricgs import errors, polytope, stability
+from toricgs import errors, polytope, quadrature, stability
 
 from conftest import assert_close, exact_barycenter, norm_inf
 from oracles import (
@@ -18,9 +21,13 @@ from oracles import (
     grid_integral,
     pl_minimum,
     polyhedron_vertices,
+    s_g_lattice_exact,
+    s_g_lattice_points,
     tight_sets,
 )
+from perfbench import gen
 from perfbench.gen import REFLEXIVE_2D
+from perfbench.jobs import build_weight
 
 
 COTH1 = 1 / math.tanh(1)
@@ -114,6 +121,120 @@ def test_s_g_lattice_converges(p1, p2, g_one, g_exp_x):
 def test_s_g_lattice_spot_values(p1, g_one, g_exp_x):
     assert abs(t.s_g_lattice(p1, g_one, (1,), 100) - 1.0) <= 0.02
     assert abs(t.s_g_lattice(p1, g_exp_x, (1,), 200) - COTH1) <= 0.02
+
+
+@st.composite
+def _lattice_cases(draw, dims=(1, 2, 3), scales=(1, Fraction(1, 3), 0.37)):
+    """(points, weight description, direction, m): a ``perfbench.gen``
+    polytope (an interval in 1D), a generated weight of a drawn kind, a
+    generated direction times one of ``scales`` and a lattice scale."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from(dims))
+    pts = gen.interval(rng) if dim == 1 else gen.polytope_points(rng, dim)
+    spec = gen.weight(rng, draw(st.sampled_from(gen.WEIGHT_KINDS)), pts)
+    a = gen.direction(rng, dim) if dim > 1 else (rng.choice((-3, -2, -1, 1, 2, 3)),)
+    scale = draw(st.sampled_from(scales))
+    a = tuple(scale * x for x in a)
+    m = rng.randint(1, {1: 2000, 2: 60, 3: 14}[dim])
+    return pts, spec, a, m
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_lattice_cases())
+def test_s_g_lattice_matches_the_point_sum(case):
+    pts, spec, a, m = case
+    P = t.from_vertices(pts)
+    g = build_weight(t, spec)
+    want = s_g_lattice_points(P, g, a, m)
+    assert t.s_g_lattice(P, g, a, m) == pytest.approx(want, rel=1e-13, abs=0)
+
+
+@st.composite
+def _rational_poly_cases(draw):
+    """A small generated polytope, a rational polynomial weight of degree up
+    to 4 made positive on P, a rational direction and a lattice scale."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from((1, 2, 3)))
+    pts = gen.interval(rng) if dim == 1 else gen.polytope_points(rng, dim)
+    reach = max(abs(x) for v in pts for x in v)
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        powers = tuple(draw(st.integers(0, 4 // dim)) for _ in range(dim))
+        terms.append((powers, Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+    floor = 1 + sum(abs(c) * reach ** sum(p) for p, c in terms)
+    g = t.WeightFunction.polynomial([((0,) * dim, floor)] + terms)
+    a = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim))
+    if not any(a):
+        a = (1,) + a[1:]
+    m = rng.randint(1, {1: 60, 2: 8, 3: 4}[dim])
+    return t.from_vertices(pts), g, a, m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_rational_poly_cases())
+def test_s_g_lattice_matches_the_exact_fraction_sum(case):
+    P, g, a, m = case
+    want = s_g_lattice_exact(P, g, a, m)
+    assert abs(t.s_g_lattice(P, g, a, m) - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10**4])
+@pytest.mark.parametrize("c", [0.0, 1e-300, -1e-300, 1e-12, -1e-12, 1e-3, -1e-3, 1.0, -1.0, 50.0, -50.0])
+def test_exp_column_sums_match_mpmath(c, n):
+    # one column u_n = lo..hi at m = 4, where the exponent moves by c a step;
+    # its weights relative to the largest, and the values base + slope u_n/m,
+    # rising and falling, summed term by term in mpmath
+    m, lo = 4, -5
+    hi = lo + n - 1
+    top = hi if c > 0 else lo
+    with mpmath.workdps(40):
+        w = [mpmath.exp(mpmath.mpf(c) * (k - top)) for k in range(lo, hi + 1)]
+        mass = mpmath.fsum(w)
+        for slope, base in ((1.0, 0.5 - lo / m), (-1.0, 0.5 + hi / m)):
+            got_mass, got_first = stability._exp_columns(
+                [c * m], np.zeros((1, 0)), np.array([lo]), np.array([hi]), m, np.array([base]), slope
+            )
+            first = mpmath.fsum(
+                wk * (mpmath.mpf(base) + mpmath.mpf(slope) * k / m) for wk, k in zip(w, range(lo, hi + 1))
+            )
+            assert abs(got_mass[0] - mass) <= 1e-13 * mass, (slope, float(mass))
+            assert abs(got_first[0] - first) <= 1e-13 * first, (slope, float(first))
+
+
+def test_s_g_lattice_sums_columns_without_lattice_points(monkeypatch):
+    def refuse(self, m):
+        raise AssertionError("s_g_lattice expanded the lattice points")
+
+    monkeypatch.setattr(polytope.LabelledPolytope, "lattice_points", refuse)
+    for g in (t.WeightFunction.constant(1), t.WeightFunction.affine(1, (Fraction(1, 9),) * 3),
+              t.WeightFunction.exp_affine(0, (0.25, -0.5, 0.125)),
+              t.WeightFunction.polynomial([((0, 0, 0), 2), ((1, 1, 0), Fraction(1, 8))])):
+        assert t.s_g_lattice(SIMPLEX3, g, (1, 2, -1), 5) > 0
+
+
+def test_s_g_lattice_rejects_a_weight_of_another_dimension(p2, g_exp_x):
+    cube = t.WeightFunction.polynomial([((0, 0, 0), 1), ((1, 0, 0), Fraction(1, 9))])
+    for g in (g_exp_x, cube):
+        with pytest.raises(errors.SchemaViolation, match="does not match"):
+            t.s_g_lattice(p2, g, (1, 0), 3)
+
+
+def test_s_g_lattice_memory_grows_with_columns_not_points():
+    # the hexagonal bipyramid with box [-2, 2]^3 and 12 facets, the largest
+    # 3D polytope the generator draws: at m = 12 mP holds about 41000
+    # points in 2401 columns; point arrays of them peaked above 2 MB
+    P = t.from_vertices([(2, 0, 0), (0, 2, 0), (-2, 2, 0), (-2, 0, 0), (0, -2, 0),
+                         (2, -2, 0), (0, 0, 2), (0, 0, -2)])
+    assert len(P.normals) == 12
+    g = t.WeightFunction.polynomial([((0, 0, 0), 2), ((2, 0, 0), Fraction(1, 8)), ((1, 1, 1), Fraction(1, 16))])
+    t.s_g_lattice(P, g, (1, 2, -1), 12)
+    tracemalloc.start()
+    try:
+        t.s_g_lattice(P, g, (1, 2, -1), 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_ding_na_valuation_signs(p1, g_exp_x):
@@ -215,13 +336,26 @@ def test_filtration_mass_converges_to_weighted_volume(g_one):
             assert rel < 3 / m, (name, m)
 
 
-def test_filtration_mean_equals_lattice_vanishing_order(p1, p2, g_exp_x, g_one):
-    # definitional identity: mean of nu_m = s_g_lattice for valuation data
-    for P, g, a in ((p1, g_exp_x, (1,)), (p2, g_one, (1, 1))):
-        f = t.PLConvexFunction.valuation_type(P, a)
-        for m in (3, 7):
-            fs = t.dh_g_filtration(P, g, f, m)
-            assert fs.mean == pytest.approx(t.s_g_lattice(P, g, a, m), abs=1e-13)
+_P1_EXP = ([(-1,), (1,)], ("exp_affine", 0, (1,)), (1,))
+_P2_ONE = ([(-1, -1), (2, -1), (-1, 2)], ("constant", 1, ()), (1, 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_lattice_cases(dims=(2, 3), scales=(1, Fraction(1, 3))))
+@example((*_P1_EXP, 3))
+@example((*_P1_EXP, 7))
+@example((*_P2_ONE, 3))
+@example((*_P2_ONE, 7))
+def test_filtration_mean_equals_lattice_vanishing_order(case):
+    # definitional identity: the mean of nu_m for valuation data, from the
+    # points of mP, is s_g_lattice, summed over its columns
+    pts, spec, a, m = case
+    P = t.from_vertices(pts)
+    g = build_weight(t, spec)
+    fs = t.dh_g_filtration(P, g, t.PLConvexFunction.valuation_type(P, a), m)
+    s = t.s_g_lattice(P, g, a, m)
+    # within 1e-13, relative and absolute
+    assert abs(fs.mean - s) <= 1e-13 * min(1.0, abs(s))
 
 
 def test_filtration_f_m_is_complementary_cumulative(p1, g_one, abs_x):
@@ -319,6 +453,32 @@ def test_e_g_na_valuation_type_equals_s_g(p1, p2, bl1p2, g_exp_x, g_one):
             assert t.e_g_na(P, g, f) == t.s_g(P, g, a)
         else:
             assert t.e_g_na(P, g, f) == pytest.approx(t.s_g(P, g, a), abs=1e-10)
+
+
+def test_e_g_na_builds_each_cell_simplex_once(monkeypatch):
+    built = []
+    init = quadrature._Simplex.__init__
+
+    def counted(self, simplex):
+        built.append(simplex)
+        init(self, simplex)
+
+    monkeypatch.setattr(quadrature._Simplex, "__init__", counted)
+    verts = [(-1, 0), (0, -1), (1, -1), (1, 0), (0, 1), (-1, 1)]
+    P = t.from_vertices(verts)
+    pieces = (((1, 0), 0), ((0, 1), 0), ((-1, -1), Fraction(1, 2)), ((Fraction(1, 2), -1), 0))
+    weights = [t.WeightFunction.exp_affine(0, (0.3, -0.2)), t.WeightFunction.constant(1),
+               t.WeightFunction.affine(1, (Fraction(1, 5), Fraction(-1, 7)))]
+    for f in (t.PLConvexFunction(P, pieces), t.PLConvexFunction.valuation_type(P, (1, 2))):
+        before = len(built)
+        values = [(t.e_g_na(P, g, f), t.j_g_na(P, g, f)) for g in weights]
+        # the first weight builds one per cell simplex, or for a one-piece f
+        # those of P's triangulation; the others build none
+        assert len(built) - before == sum(len(s) for _, s in f.cell_simplices)
+        # the same bits as a fresh function with each weight alone
+        for g, value in zip(weights, values):
+            fresh = t.PLConvexFunction(t.from_vertices(verts), f.pieces)
+            assert value == (t.e_g_na(fresh.domain, g, fresh), t.j_g_na(fresh.domain, g, fresh))
 
 
 def test_e_g_na_two_dimensional_corner_function(p1xp1, g_one):
