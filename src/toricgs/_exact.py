@@ -10,19 +10,40 @@ throughout the package) then run on one fraction-free integer elimination,
 ``_bareiss``: the integer solve of the Mabuchi moment system, the inverse
 of the starting cone of a vertex enumeration, the determinants of scaled
 simplices (their volumes), and ranks.
+
+``np`` is numpy, bound lazily: every module of the package imports it from
+here, and numpy loads on the first attribute access, so a command that
+touches no array never pays its import.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import numbers
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ValidationError, ZeroVector
 
 Vec = Sequence[Fraction]
+
+
+def _lazy_numpy():
+    """numpy as loaded, else a module that loads it on first attribute access
+    (``importlib.util.LazyLoader``)."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 
 def num(x) -> Fraction | float:
@@ -37,7 +58,7 @@ def vector(a, dim: int) -> tuple:
 
     Raises ValidationError unless it has ``dim`` entries.
     """
-    v = (num(a),) if np.isscalar(a) else tuple(num(x) for x in a)
+    v = (num(a),) if isinstance(a, (numbers.Number, str)) else tuple(num(x) for x in a)
     if len(v) != dim:
         raise ValidationError(
             f"direction of length {len(v)} for a polytope of dimension {dim}"

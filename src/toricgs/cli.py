@@ -16,11 +16,11 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__, invariants, mafunc, polytope, stability
+from ._exact import np
 from .errors import (
     NumericalFailure,
     PolytopeError,
@@ -178,6 +178,9 @@ def _encode_vec(v) -> list:
 def _json_default(o):
     if isinstance(o, Fraction):
         return encode_number(o)
+    # a numpy object means numpy is loaded: only then is ``np`` touched
+    if not type(o).__module__.startswith("numpy"):
+        raise TypeError(f"not JSON serializable: {type(o).__name__}")
     if isinstance(o, np.integer):
         return int(o)
     if isinstance(o, np.floating):
@@ -278,7 +281,7 @@ def _run_check_futaki(inputs: dict):
     g = _decode_weight(inputs, P)
     tol = _tol(inputs, 1e-10)
     b, vanishes, rule = invariants._zero_barycenter(P, g, tol)
-    norm = float(np.linalg.norm(b))
+    norm = invariants._norm(b)
     basis = []
     for i in range(P.dim):
         xi = [0.0] * P.dim
@@ -308,7 +311,7 @@ def _run_solve_soliton(inputs: dict):
         sol = invariants.solve_mabuchi_soliton(P)
     else:
         raise SchemaViolation(f"unknown soliton kind {kind!r}", "/kind")
-    b = invariants.weighted_barycenter(P, sol.weight)
+    b = invariants._zero_barycenter(P, sol.weight, 0.0)[0]
     results = sol.to_dict()
     results["barycenter"] = [float(x) for x in b]
     results["V_g"] = invariants.weighted_volume(P, sol.weight)
@@ -485,7 +488,8 @@ def run_command(command: str, inputs: dict) -> dict:
         raise UnknownCommand(f"unknown command {command!r}")
     # numpy's float warnings would break the one-JSON-object stderr of a
     # failure; a non-finite result still fails in render_report
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
         results, diagnostics = _RUNNERS[command](inputs)
     report = {
         "command": command,

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import _exact, quadrature
+from ._exact import np
 from .errors import MaxIterations, SingularMomentMatrix
 from .polytope import LabelledPolytope, _integral_row
 from .quadrature import WeightFunction, encode_number
@@ -117,20 +116,30 @@ def _first_moments(P: LabelledPolytope, g: WeightFunction):
 
 def weighted_barycenter(P: LabelledPolytope, g: WeightFunction) -> np.ndarray:
     """b_g with components integral(x_i g) / integral(g) over P."""
-    return _zero_barycenter(P, g, 0.0)[0]
+    return np.array(_zero_barycenter(P, g, 0.0)[0])
 
 
 def _zero_barycenter(P: LabelledPolytope, g: WeightFunction, tol: float):
-    """(b_g as floats, whether b_g = 0, the rule that decided it).
+    """(b_g as a tuple of floats, whether b_g = 0, the rule that decided it).
 
     The rule is "exact" where the moments are, else "tol": |b_g| < tol.
     """
     g.check_positive(P)
     mass, first = _first_moments(P, g)
-    b = np.array([float(x) / float(mass) for x in first])
+    b = tuple(float(x) / float(mass) for x in first)
     if isinstance(mass, Fraction):
         return b, not any(first), "exact"
-    return b, bool(np.linalg.norm(b) < tol), "tol"
+    return b, _norm(b) < tol, "tol"
+
+
+def _dot(x, y) -> float:
+    """<x, y> of two float sequences, summed left to right."""
+    return sum(a * b for a, b in zip(x, y, strict=True))
+
+
+def _norm(x) -> float:
+    """Euclidean norm of a float sequence."""
+    return math.sqrt(_dot(x, x))
 
 
 def futaki(P: LabelledPolytope, g: WeightFunction, xi) -> float:
@@ -155,17 +164,18 @@ def futaki(P: LabelledPolytope, g: WeightFunction, xi) -> float:
 class SolitonSolution:
     """Result of a soliton solve.
 
-    ``xi`` is the vector field parameter (Kähler–Ricci case), ``b`` the
-    affine slope (Mabuchi case); ``weight`` is the induced weight function,
-    ``residual`` the sup-norm of its weighted barycenter, and ``feasible``
-    records positivity of the weight on the polytope (exact at vertices).
+    ``xi`` is the vector field parameter (Kähler–Ricci case, a tuple of
+    floats), ``b`` the affine slope (Mabuchi case, a tuple of Fractions);
+    ``weight`` is the induced weight function, ``residual`` the sup-norm of
+    its weighted barycenter, and ``feasible`` records positivity of the
+    weight on the polytope (exact at vertices).
     """
 
     kind: str
     weight: WeightFunction
     residual: float
     feasible: bool
-    xi: np.ndarray | None = None
+    xi: tuple | None = None
     b: tuple | None = None
     iterations: int = 0
     history: list = field(default_factory=list)
@@ -197,7 +207,36 @@ def _exp_moments(P: LabelledPolytope, g: WeightFunction):
     """W, grad W, Hess W at xi, for W(xi) = integral_P g and g = e^{<xi,x>}."""
     M = quadrature.moments(P, g, 2)
     grad, hess = _first_and_second(M, P.dim)
-    return M[(0,) * P.dim], np.array(grad), np.array(hess)
+    return M[(0,) * P.dim], grad, hess
+
+
+def _solve(a: list[list[float]], rhs: list[float]) -> list[float]:
+    """x with a x = rhs, by Gaussian elimination with partial pivoting.
+
+    Raises SingularMomentMatrix on a zero pivot.
+    """
+    n = len(rhs)
+    rows = [list(r) + [y] for r, y in zip(a, rhs)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        if rows[p][k] == 0:
+            raise SingularMomentMatrix("exponential moment Hessian is singular")
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        for r in rows[k + 1 :]:
+            f = r[k] / pivot[k]
+            for j in range(k + 1, n + 1):
+                r[j] -= f * pivot[j]
+    x = [0.0] * n
+    for k in reversed(range(n)):
+        r = rows[k]
+        x[k] = (r[n] - sum(r[j] * x[j] for j in range(k + 1, n))) / r[k]
+    return x
+
+
+def _moved(xi: tuple, t: float, step: list) -> tuple:
+    """xi + t * step, entrywise."""
+    return tuple(x + t * s for x, s in zip(xi, step))
 
 
 def solve_kr_soliton(P: LabelledPolytope) -> SolitonSolution:
@@ -208,21 +247,18 @@ def solve_kr_soliton(P: LabelledPolytope) -> SolitonSolution:
     e^{<xi,x>} vanishes.  Convergence criterion: |grad W| / W < _KR_TOL.
     """
     n = P.dim
-    xi = np.zeros(n)
-    weight = WeightFunction.exp_affine(0.0, tuple(xi))
+    xi = (0.0,) * n
+    weight = WeightFunction.exp_affine(0.0, xi)
     W, grad, hess = _exp_moments(P, weight)
-    history = [float(np.linalg.norm(grad) / W)]
+    history = [_norm(grad) / W]
     for _ in range(_KR_MAX_ITER):
         if history[-1] < _KR_TOL:
             break
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            raise SingularMomentMatrix("exponential moment Hessian is singular")
-        slope = float(grad @ step)
+        step = _solve(hess, [-x for x in grad])
+        slope = _dot(grad, step)
         t = 1.0
         for _ in range(60):
-            weight = WeightFunction.exp_affine(0.0, tuple(xi + t * step))
+            weight = WeightFunction.exp_affine(0.0, _moved(xi, t, step))
             W_new = quadrature.moments(P, weight, 0)[(0,) * n]
             # W is known only to rounding, so near the minimum a decrease
             # below that level is accepted instead of being halved away
@@ -231,17 +267,17 @@ def solve_kr_soliton(P: LabelledPolytope) -> SolitonSolution:
             t *= 0.5
         else:
             # t was halved after the last trial
-            weight = WeightFunction.exp_affine(0.0, tuple(xi + t * step))
-        xi = xi + t * step
+            weight = WeightFunction.exp_affine(0.0, _moved(xi, t, step))
+        xi = _moved(xi, t, step)
         # an accepted trial weight serves its kept degree-0 moment here
         W, grad, hess = _exp_moments(P, weight)
-        history.append(float(np.linalg.norm(grad) / W))
+        history.append(_norm(grad) / W)
     else:
         raise MaxIterations(
             f"Newton did not reach |grad W|/W < {_KR_TOL} in {_KR_MAX_ITER} iterations"
         )
     # the weight of the last Newton step, whose kept moments give b_g
-    residual = float(np.max(np.abs(weighted_barycenter(P, weight))))
+    residual = max(map(abs, _zero_barycenter(P, weight, 0.0)[0]))
     return SolitonSolution(
         kind="kr",
         weight=weight,

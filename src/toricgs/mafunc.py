@@ -36,9 +36,8 @@ import sys
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from . import quadrature
+from ._exact import np
 from .errors import (
     NewtonDiverged,
     NonConvexInput,

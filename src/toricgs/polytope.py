@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, factorial, floor, gcd, prod
-
-import numpy as np
+from math import factorial, gcd, prod
 
 from . import _exact
+from ._exact import np
 from .errors import (
     DegenerateFacet,
     LowerDimensional,
@@ -352,8 +351,10 @@ class LabelledPolytope:
         """
         if m < 1:
             raise PolytopeError("lattice scale m must be >= 1")
-        lo = [ceil(min(v[j] for v in self.vertices) * m) for j in range(self.dim)]
-        hi = [floor(max(v[j] for v in self.vertices) * m) for j in range(self.dim)]
+        # the box of mP by int floor and ceiling division of m num / den
+        coords = [[(x.numerator * m, x.denominator) for x in c] for c in zip(*self.vertices)]
+        lo = [min(-(-a // d) for a, d in c) for c in coords]
+        hi = [max(a // d for a, d in c) for c in coords]
         count = prod(b - a + 1 for a, b in zip(lo, hi))
         if count > LATTICE_CAP:
             raise OverflowGuard(

@@ -34,9 +34,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 
-import numpy as np
-
 from . import _exact
+from ._exact import np
 from .errors import OverflowGuard, PositivityViolated, SchemaViolation
 from .polytope import LabelledPolytope, _int_simplex
 

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 
-import numpy as np
-
 from . import _exact, invariants, quadrature
+from ._exact import np
 from .polytope import (
     LabelledPolytope,
     _as_point,
@@ -545,21 +544,21 @@ def delta_toric(P: LabelledPolytope, g: WeightFunction, with_direction: bool = F
     as that dual polytope is minus the polar of P.  The normals positively
     span, so delta < 1 iff b_g is nonzero; delta = 1 means g-Ding
     semistability on toric valuations.  Exact when b_g is: the pairings
-    run in b_g's own dtype, Fractions (object) or floats.
+    run in b_g's own type, Fractions or floats.
     """
     g.check_positive(P)
     mass, first = invariants._first_moments(P, g)
-    b = np.array([x / mass for x in first])
-    duals = np.array(_dual_vertices(P), dtype=b.dtype)
-    # one dot per row: a matrix-vector product can round float pairings
-    # differently, and the delta reports are pinned byte for byte
-    pairings = [np.dot(w, b) for w in duals]
-    i = int(np.argmax(pairings))
+    b = [x / mass for x in first]
+    duals = _dual_vertices(P)
+    pairings = [_exact.dot(w, b) for w in duals]
+    # the first largest pairing
+    i = max(range(len(duals)), key=pairings.__getitem__)
     # directions with <a, b_g> <= 0 have ratio >= 1, so delta caps at 1
     delta = float(1 / (1 + pairings[i])) if pairings[i] > 0 else 1.0
     if with_direction:
-        best_w = duals[i].astype(float)
-        return delta, best_w / np.linalg.norm(best_w)
+        best_w = [float(x) for x in duals[i]]
+        norm = invariants._norm(best_w)
+        return delta, tuple(x / norm for x in best_w)
     return delta
 
 
@@ -568,6 +567,6 @@ def g_uniform_check(P: LabelledPolytope, g: WeightFunction, tol: float = 1e-8) -
     b, stable, rule = invariants._zero_barycenter(P, g, tol)
     return {
         "stable_modulo_torus": stable,
-        "barycenter_norm": float(np.linalg.norm(b)),
+        "barycenter_norm": invariants._norm(b),
         "decided_by": rule,
     }

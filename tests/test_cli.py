@@ -492,6 +492,63 @@ def test_cli_import_loads_no_scipy():
     assert cp.stdout.strip() == "[]"
 
 
+# runs the CLI and reports on stderr whether numpy was loaded; the lazy
+# binding leaves a stub in sys.modules["numpy"], so look for numpy._core
+_NUMPY_PROBE = """
+import sys
+{preload}
+from toricgs import cli
+rc = cli.main(sys.argv[1:])
+sys.stderr.write("numpy loaded: %s" % ("numpy._core" in sys.modules))
+sys.exit(rc)
+"""
+
+_EXACT_COMMANDS = {
+    "futaki_constant": ["check-futaki", "--polytope", "builtin:bl1p2", "--g", "constant:1"],
+    "futaki_exp": ["check-futaki", "--polytope", "builtin:bl1p2", "--g", "exp_affine:0,1,1"],
+    "kr": ["solve-soliton", "--kind", "kr", "--polytope", "builtin:bl1p2"],
+    "mabuchi": ["solve-soliton", "--kind", "mabuchi", "--polytope", "builtin:bl1p2"],
+    "sg": ["sg", "--polytope", "builtin:p2", "--g", "affine:1,1/4,-1/5", "--a=0.3,-0.7"],
+    "delta": ["delta", "--polytope", "builtin:bl3p2", "--g", "exp_affine:0,0.3,-0.2"],
+    "ding_na": ["ding-na", "--polytope", "builtin:p2", "--g", "constant:1", "--a", "1,0"],
+    "report_rerun": ["report", "--input", "{saved}", "--rerun"],
+}
+
+_ARRAY_COMMANDS = {
+    "dh": ["dh", "--polytope", "builtin:p1xp1", "--g", "exp_affine:0,0.5,0.25", "--a", "1,0", "--m", "20"],
+    "solve_ma": ["solve-ma", "--polytope", "builtin:p1", "--grid-n", "501"],
+    "sg_lattice": ["sg", "--polytope", "builtin:p1", "--g", "exp_affine:0,1", "--a", "1", "--m", "40"],
+}
+
+
+def _probe_numpy(argv, preload=False):
+    code = _NUMPY_PROBE.format(preload="import numpy" if preload else "")
+    cp = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    body, _, flag = cp.stderr.rpartition("numpy loaded: ")
+    assert cp.returncode == 0, body
+    return cp.stdout, flag == "True"
+
+
+def test_import_loads_no_numpy():
+    probe = "import sys, toricgs; print('numpy._core' in sys.modules)"
+    cp = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "name, loads", [(k, False) for k in _EXACT_COMMANDS] + [(k, True) for k in _ARRAY_COMMANDS]
+)
+def test_numpy_loads_only_for_array_commands(tmp_path, name, loads):
+    saved = tmp_path / "futaki.json"
+    saved.write_text(_probe_numpy(_EXACT_COMMANDS["futaki_constant"])[0])
+    argv = [str(saved) if a == "{saved}" else a for a in {**_EXACT_COMMANDS, **_ARRAY_COMMANDS}[name]]
+    out, loaded = _probe_numpy(argv)
+    assert loaded == loads
+    # numpy imported before the package, as the package once did itself
+    assert _probe_numpy(argv, preload=True) == (out, True)
+
+
 @pytest.mark.parametrize("argv", [
     ["sg", "--g", "affine:1,-2", "--a", "1", "--m", "5"],
     ["ding-na", "--g", "affine:1,-2", "--a", "1"],
