@@ -11,9 +11,13 @@ throughout the package) then run on one fraction-free integer elimination,
 of the starting cone of a vertex enumeration, the determinants of scaled
 simplices (their volumes), and ranks.
 
-``np`` is numpy, bound lazily: every module of the package imports it from
-here, and numpy loads on the first attribute access, so a command that
-touches no array never pays its import.
+``lazy(name)`` binds a module that loads on its first attribute access.
+numpy is bound so, as ``np``, which every module of the package imports
+from here; so are the package's own modules in the package namespace, in
+the CLI (``invariants``, ``stability``, ``mafunc``) and in ``mafunc`` (the
+two that only its ding ray diagnostic calls).  A command that touches no
+array never pays the numpy import, and a subcommand loads only the
+modules it runs.
 """
 
 from __future__ import annotations
@@ -30,20 +34,23 @@ from .errors import ValidationError, ZeroVector
 Vec = Sequence[Fraction]
 
 
-def _lazy_numpy():
-    """numpy as loaded, else a module that loads it on first attribute access
-    (``importlib.util.LazyLoader``)."""
-    if "numpy" in sys.modules:
-        return sys.modules["numpy"]
-    spec = importlib.util.find_spec("numpy")
+def lazy(name: str):
+    """The module ``name`` as loaded, else one that loads on its first
+    attribute access (``importlib.util.LazyLoader``), set on its package."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
+    sys.modules[name] = module
     spec.loader.exec_module(module)
+    package, _, attr = name.rpartition(".")
+    if package:
+        setattr(sys.modules[package], attr, module)
     return module
 
 
-np = _lazy_numpy()
+np = lazy("numpy")
 
 
 def num(x) -> Fraction | float:

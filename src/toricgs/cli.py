@@ -19,8 +19,8 @@ import sys
 import warnings
 from fractions import Fraction
 
-from . import __version__, invariants, mafunc, polytope, stability
-from ._exact import np
+from . import __version__, polytope
+from ._exact import lazy, np
 from .errors import (
     NumericalFailure,
     PolytopeError,
@@ -29,10 +29,13 @@ from .errors import (
     UnknownCommand,
     ValidationError,
 )
-from .mafunc import DiscretePotential, Grid1D
 from .polytope import LabelledPolytope
 from .quadrature import WeightFunction, decode_number, encode_number
-from .stability import PLConvexFunction
+
+# loaded by the first subcommand that runs them
+invariants = lazy(f"{__package__}.invariants")
+stability = lazy(f"{__package__}.stability")
+mafunc = lazy(f"{__package__}.mafunc")
 
 _COMMANDS = (
     "check-futaki",
@@ -364,7 +367,7 @@ def _run_ding_na(inputs: dict):
     return {"A": A, "S_g": S, "ding": A - S}, {}
 
 
-def _decode_pl(inputs: dict, P: LabelledPolytope) -> PLConvexFunction:
+def _decode_pl(inputs: dict, P: LabelledPolytope) -> stability.PLConvexFunction:
     if "pl" in inputs:
         d = inputs["pl"]
         if not isinstance(d, dict) or not _list(d.get("pieces"), "/pl/pieces"):
@@ -376,12 +379,12 @@ def _decode_pl(inputs: dict, P: LabelledPolytope) -> PLConvexFunction:
             a = _slope(p["a"], P, f"/pl/pieces/{i}/a")
             c = decode_number(p.get("c", 0), f"/pl/pieces/{i}/c")
             pieces.append((a, c))
-        return PLConvexFunction(P, tuple(pieces))
+        return stability.PLConvexFunction(P, tuple(pieces))
     if "a" in inputs:
         a = _decode_direction(inputs, P)
         if not all(isinstance(x, Fraction) for x in a):
             raise SchemaViolation("dh needs a rational direction", "/a")
-        return PLConvexFunction.valuation_type(P, a)
+        return stability.PLConvexFunction.valuation_type(P, a)
     raise SchemaViolation("dh needs --pl-file or --a", "/pl")
 
 
@@ -418,8 +421,10 @@ def _run_dh(inputs: dict):
     return results, diagnostics
 
 
-def _grid_from_inputs(inputs: dict) -> Grid1D:
-    return Grid1D.from_dict(inputs["grid"], "/grid") if "grid" in inputs else Grid1D()
+def _grid_from_inputs(inputs: dict) -> mafunc.Grid1D:
+    if "grid" in inputs:
+        return mafunc.Grid1D.from_dict(inputs["grid"], "/grid")
+    return mafunc.Grid1D()
 
 
 def _run_solve_ma(inputs: dict):
@@ -453,7 +458,7 @@ def _run_functionals(inputs: dict):
     g = _decode_weight(inputs, P)
     if "potential" not in inputs:
         raise SchemaViolation("functionals needs --u with a potential file", "/potential")
-    u = DiscretePotential.from_dict(inputs["potential"], P)
+    u = mafunc.DiscretePotential.from_dict(inputs["potential"], P)
     vals = mafunc.functionals(u, g, P)
     return vals.to_dict(), {"grid": u.grid.to_dict()}
 

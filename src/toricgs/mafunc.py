@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 from . import quadrature
-from ._exact import np
+from ._exact import lazy, np
 from .errors import (
     NewtonDiverged,
     NonConvexInput,
@@ -46,10 +46,12 @@ from .errors import (
     ValidationError,
     WindowTooSmall,
 )
-from .invariants import weighted_barycenter
 from .polytope import LabelledPolytope
 from .quadrature import WeightFunction, decode_number
-from .stability import ding_na_valuation
+
+# only ``ding_ray_diagnostic`` calls them
+invariants = lazy(f"{__package__}.invariants")
+stability = lazy(f"{__package__}.stability")
 
 #: ``DiscretePotential.validate`` tolerances: how far the half-slopes may
 #: decrease (second differences) and leave [p_min, p_max]
@@ -1084,13 +1086,13 @@ def ding_ray_diagnostic(
     barycenter).
     """
     grid = grid or Grid1D()
-    b = float(weighted_barycenter(P, g)[0])
+    b = float(invariants.weighted_barycenter(P, g)[0])
     a = 1.0 if b > 0 else -1.0
     ref = reference_potential(P, grid)
     row = _BaseRow(g, P, ref.values, ref.edge_slopes)
     Ds = [_functionals(_ray_potential(ref, a, s), row).D for s in s_values]
     slope = (Ds[-1] - Ds[0]) / (s_values[-1] - s_values[0]) if len(Ds) > 1 else 0.0
-    na = ding_na_valuation(P, g, (a,))
+    na = stability.ding_na_valuation(P, g, (a,))
     return {
         "direction": a,
         "s_values": list(s_values),

@@ -251,8 +251,12 @@ class LabelledPolytope:
     # -- basic queries ------------------------------------------------------
 
     def support_min(self, a):
-        """min_P <a, x>, attained at a vertex; exact for a Fraction ``a``."""
-        return min(_exact.dot(a, v) for v in self.vertices)
+        """min_P <a, x>, attained at a vertex; exact for a rational ``a``,
+        taken in ints on ``a`` and the vertices scaled by one D."""
+        if not all(isinstance(x, (int, Fraction)) for x in a):
+            return min(_exact.dot(a, v) for v in self.vertices)
+        D, (ra, *rows) = _exact._scaled([a, *self.vertices])
+        return Fraction(min(sum(x * y for x, y in zip(ra, r, strict=True)) for r in rows), D * D)
 
     def support_max(self, a):
         """max_P <a, x>, attained at a vertex; exact for rational ``a``."""

@@ -426,14 +426,19 @@ class FiltrationSample:
         return _quotient(atoms, self.denominator), masses
 
     @cached_property
+    def _weight_sum(self) -> float:
+        # fsum reads a list faster than an array, to the same rounded sum
+        return math.fsum(self.weights.tolist())
+
+    @cached_property
     def total_mass(self) -> float:
-        return self._scale * math.fsum(self.weights)
+        return self._scale * self._weight_sum
 
     @cached_property
     def mean(self) -> float:
         """Barycenter of nu_m normalized to a probability measure."""
         positions = _quotient(self.numerators, self.denominator)
-        return math.fsum(positions * self.weights) / math.fsum(self.weights)
+        return math.fsum((positions * self.weights).tolist()) / self._weight_sum
 
 
 def dh_g_filtration(

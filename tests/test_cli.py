@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -492,14 +493,17 @@ def test_cli_import_loads_no_scipy():
     assert cp.stdout.strip() == "[]"
 
 
-# runs the CLI and reports on stderr whether numpy was loaded; the lazy
-# binding leaves a stub in sys.modules["numpy"], so look for numpy._core
-_NUMPY_PROBE = """
-import sys
+# runs the CLI and reports on stderr what it loaded.  A lazy binding leaves
+# a stub in sys.modules until its first attribute access, so numpy counts as
+# loaded when numpy._core is there, and a package module when it is no stub
+_LOAD_PROBE = """
+import json, sys, types
 {preload}
 from toricgs import cli
 rc = cli.main(sys.argv[1:])
-sys.stderr.write("numpy loaded: %s" % ("numpy._core" in sys.modules))
+modules = [m for m, v in sys.modules.items() if m.startswith("toricgs.") and type(v) is types.ModuleType]
+loaded = {{"numpy": "numpy._core" in sys.modules, "modules": sorted(m[8:] for m in modules)}}
+sys.stderr.write("loaded: " + json.dumps(loaded))
 sys.exit(rc)
 """
 
@@ -520,13 +524,34 @@ _ARRAY_COMMANDS = {
     "sg_lattice": ["sg", "--polytope", "builtin:p1", "--g", "exp_affine:0,1", "--a", "1", "--m", "40"],
 }
 
+_COMMANDS = {
+    **_EXACT_COMMANDS,
+    **_ARRAY_COMMANDS,
+    "ding_ray": ["solve-ma", "--polytope", "builtin:p1", "--grid-n", "501", "--ding-ray"],
+    "functionals": ["functionals", "--polytope", "builtin:p1", "--u", "{potential}"],
+    "inequalities": ["inequalities", "--polytope", "builtin:p1", "--samples", "3", "--grid-n", "201"],
+}
 
-def _probe_numpy(argv, preload=False):
-    code = _NUMPY_PROBE.format(preload="import numpy" if preload else "")
+_PKG_MODULES = sorted(p.stem for p in pathlib.Path(t.__file__).parent.glob("*.py") if p.stem != "__init__")
+
+
+def _probe(argv, preload=""):
+    code = _LOAD_PROBE.format(preload=preload)
     cp = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
-    body, _, flag = cp.stderr.rpartition("numpy loaded: ")
+    body, _, loaded = cp.stderr.rpartition("loaded: ")
     assert cp.returncode == 0, body
-    return cp.stdout, flag == "True"
+    return cp.stdout, json.loads(loaded)
+
+
+def _argv(name, tmp_path):
+    """The argv of ``_COMMANDS[name]`` with its input files written."""
+    files = {"{saved}": tmp_path / "futaki.json", "{potential}": tmp_path / "u.json"}
+    argv = _COMMANDS[name]
+    if "{saved}" in argv:
+        files["{saved}"].write_text(_probe(_COMMANDS["futaki_constant"])[0])
+    if "{potential}" in argv:
+        files["{potential}"].write_text(_probe(_COMMANDS["solve_ma"])[0])
+    return [str(files[a]) if a in files else a for a in argv]
 
 
 def test_import_loads_no_numpy():
@@ -540,13 +565,43 @@ def test_import_loads_no_numpy():
     "name, loads", [(k, False) for k in _EXACT_COMMANDS] + [(k, True) for k in _ARRAY_COMMANDS]
 )
 def test_numpy_loads_only_for_array_commands(tmp_path, name, loads):
-    saved = tmp_path / "futaki.json"
-    saved.write_text(_probe_numpy(_EXACT_COMMANDS["futaki_constant"])[0])
-    argv = [str(saved) if a == "{saved}" else a for a in {**_EXACT_COMMANDS, **_ARRAY_COMMANDS}[name]]
-    out, loaded = _probe_numpy(argv)
-    assert loaded == loads
+    argv = _argv(name, tmp_path)
+    out, loaded = _probe(argv)
+    assert loaded["numpy"] == loads
     # numpy imported before the package, as the package once did itself
-    assert _probe_numpy(argv, preload=True) == (out, True)
+    out_pre, loaded_pre = _probe(argv, preload="import numpy")
+    assert (out_pre, loaded_pre["numpy"]) == (out, True)
+
+
+# every call loads the parse layer; past it, only the modules its subcommand runs
+_PARSE_LAYER = ["_exact", "cli", "errors", "polytope", "quadrature"]
+_STABILITY = ["invariants", "stability"]  # stability imports invariants
+
+
+@pytest.mark.parametrize("name, modules", [
+    ("futaki_constant", ["invariants"]),
+    ("kr", ["invariants"]),
+    ("mabuchi", ["invariants"]),
+    ("sg", _STABILITY),
+    ("sg_lattice", _STABILITY),
+    ("delta", _STABILITY),
+    ("ding_na", _STABILITY),
+    ("dh", _STABILITY),
+    ("report_rerun", ["invariants"]),
+    ("solve_ma", ["mafunc"]),
+    ("functionals", ["mafunc"]),
+    ("inequalities", ["mafunc"]),
+    ("ding_ray", ["invariants", "mafunc", "stability"]),
+])
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, name, modules):
+    argv = _argv(name, tmp_path)
+    out, loaded = _probe(argv)
+    assert loaded["modules"] == sorted(_PARSE_LAYER + modules)
+    # the same bytes as a run with every module of the package loaded first
+    preload = "import " + ", ".join(f"toricgs.{m}" for m in _PKG_MODULES)
+    out_pre, loaded_pre = _probe(argv, preload=preload)
+    assert loaded_pre["modules"] == _PKG_MODULES
+    assert out_pre == out
 
 
 @pytest.mark.parametrize("argv", [
