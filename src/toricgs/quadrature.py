@@ -10,7 +10,10 @@ divided-difference representation of the simplex exponential integral,
 every divided difference of one simplex from one series table centred at
 its distinct nodes (``exp_dd_basis``; past the series spread, one
 ``exp_divided_difference`` each).  There is no quadrature rule: every
-value is a closed form.
+value is a closed form.  Nor is there a sample: a polynomial weight is
+proved positive by simplicial Bernstein certificates in ints
+(``_certify_polynomial``), and its range on an interval is taken at the
+exact critical points (``_poly_range_1d``).
 
 Repeated work is kept on the domain object, in its ``_moment_cache``, and
 freed with it: per polytope the weight-independent data of each
@@ -36,7 +39,7 @@ from itertools import accumulate
 
 from . import _exact
 from ._exact import np
-from .errors import OverflowGuard, PositivityViolated, SchemaViolation
+from .errors import PositivityViolated, SchemaViolation, ValidationError
 from .polytope import LabelledPolytope, _int_simplex
 
 # ---------------------------------------------------------------------------
@@ -204,7 +207,14 @@ class WeightFunction:
     # -- bounds and positivity ---------------------------------------------
 
     def range_on(self, P: LabelledPolytope) -> tuple[float, float]:
-        """(min_P g, max_P g); exact at vertices for the affine-based kinds."""
+        """(min_P g, max_P g) as floats of the exact extrema.
+
+        The affine-based kinds take them at the vertices.  A polynomial
+        weight on an interval takes them at the endpoints and at the real
+        roots of g' (``_poly_range_1d``); for a polynomial weight in
+        dimension > 1 there is no exact range, and it raises
+        ValidationError.
+        """
         if self.kind == "constant":
             c = float(self.a0)
             return c, c
@@ -214,18 +224,26 @@ class WeightFunction:
             if self.kind == "exp_affine":
                 return math.exp(float(lo)), math.exp(float(hi))
             return float(lo), float(hi)
-        samples = _positivity_samples(P)
-        vals = self.value(samples)
-        return float(np.min(vals)), float(np.max(vals))
+        _check_dim(P, self)
+        if P.dim != 1:
+            raise ValidationError(
+                f"the range of a polynomial weight is exact in 1D only, not in dimension {P.dim}"
+            )
+        return _poly_range_1d(P, self)
 
     def check_positive(self, P: LabelledPolytope) -> None:
-        """Certify g > 0 on P; exact for affine-based kinds.
+        """Certify g > 0 on P exactly, or raise PositivityViolated.
 
-        Polynomial weights get a dense-sample certificate: the sampled
-        minimum must clear a small relative margin, otherwise the weight is
-        rejected rather than silently trusted.  A certificate is made once
-        per (P, g) and kept while both live (see the module docstring); a
-        rejection is not kept, so it raises again on every call.
+        Constant and affine weights are checked at the vertices, and an
+        exp-affine weight is positive.  A polynomial weight gets a
+        simplicial Bernstein certificate on each simplex of
+        P.triangulation (``_certify_polynomial``): it is accepted only
+        when it is proved positive, rejected at a point of P where it is
+        <= 0, and rejected as "undecided" when the subdivision reaches its
+        cap first (as for a weight >= 0 whose zeros are irrational).  A
+        certificate is made once per (P, g) and kept while both live (see
+        the module docstring); a rejection is not kept, so it raises again
+        on every call.
         """
         memo = _memo(P, self)
         if "positive" not in memo:
@@ -245,15 +263,8 @@ class WeightFunction:
                     "affine weight is non-positive at a vertex (exact check)"
                 )
             return
-        samples = _positivity_samples(P)
-        vals = self.value(samples)
-        lo = float(np.min(vals))
-        hi = float(np.max(vals))
-        if lo <= 1e-9 * max(1.0, abs(hi)):
-            raise PositivityViolated(
-                f"polynomial weight fails the dense positivity certificate "
-                f"(sampled min {lo:.3e})"
-            )
+        _check_dim(P, self)
+        _certify_polynomial(P, self)
 
     # -- serialization ------------------------------------------------------
 
@@ -306,17 +317,6 @@ class WeightFunction:
         return WeightFunction.polynomial(coeffs)
 
 
-def _positivity_samples(P: LabelledPolytope) -> np.ndarray:
-    """Vertices plus a dense interior grid used by sampling certificates."""
-    pieces = [P.vertices_f]
-    m = 24
-    try:
-        pieces.append(P.lattice_points(m).astype(float) / m)
-    except OverflowGuard:
-        pass
-    return np.concatenate(pieces, axis=0)
-
-
 # ---------------------------------------------------------------------------
 # sparse polynomial helpers (multi-index dicts)
 # ---------------------------------------------------------------------------
@@ -359,6 +359,213 @@ def _x_power(beta, lines, cache: dict) -> dict:
 
 def _kappa_factorial(kappa) -> int:
     return math.prod(math.factorial(k) for k in kappa)
+
+
+# ---------------------------------------------------------------------------
+# exact positivity and range of polynomial weights
+# ---------------------------------------------------------------------------
+
+# a certificate halves at most _MAX_DEPTH edges along one path, and makes at
+# most _MAX_PIECES pieces in all, before it calls a weight undecided
+_MAX_DEPTH = 64
+_MAX_PIECES = 4096
+
+
+def _certify_polynomial(P: LabelledPolytope, g: WeightFunction) -> None:
+    """Prove g > 0 on P in ints, one simplex of P.triangulation at a time.
+
+    Let L be the common denominator of g's coefficients and d its degree.
+    A simplex of ``_simplices(P)`` has int vertices w_0 = s0 and
+    w_i = s0 + e_i (times D), and its kept t-polynomials D^|beta| x^beta
+    (shared with the moment kernel) give L D^d g(x) as an int polynomial in
+    t.  With lam_i = t_i and lam_0 = 1 - sum t, each t^iota of degree
+    < d is made homogeneous by (lam_0 + ... + lam_n)^(d - |iota|), so
+    L D^d g(x) = G(lam) with G homogeneous of degree d.  Its coefficients
+    are the Bernstein coefficients times the positive d! / kappa!, and that
+    of lam_k^d is L D^d g(w_k / D).  On each piece:
+
+    * a coefficient of some lam_k^d that is <= 0 is a point of P where
+      g <= 0, and g is rejected;
+    * when every coefficient is >= 0, G >= sum_k G(e_k) lam_k^d > 0, and
+      the piece is proved;
+    * otherwise its longest edge is halved (``_halve``) and both halves
+      are tested; the midpoint is a vertex of each.
+
+    A path that reaches ``_MAX_DEPTH`` halvings, or a certificate that
+    reaches ``_MAX_PIECES`` pieces, leaves g "undecided" and rejects it.
+    (Leroy, "Certificates of positivity in the simplicial Bernstein
+    basis", 2008; Farouki, CAGD 29, 2012.)
+    """
+    n = P.dim
+    exact = [(a, Fraction(c)) for a, c in g.as_poly(n).items() if c]
+    if not exact:
+        raise PositivityViolated("polynomial weight is identically zero")
+    L = math.lcm(*(c.denominator for _, c in exact))
+    terms = [(a, c.numerator * (L // c.denominator)) for a, c in exact]
+    d = max(sum(a) for a, _ in terms)
+    # (lam_0 + ... + lam_n)^m for m = 0..d, by the multinomial theorem
+    sums = [{k: math.factorial(m) // _kappa_factorial(k) for k in _compositions(m, n + 1)}
+            for m in range(d + 1)]
+    corners = [tuple(d * int(i == k) for i in range(n + 1)) for k in range(n + 1)]
+    pieces = 0
+    for S in _simplices(P):
+        tpoly: dict = {}
+        for beta, c in terms:
+            c *= S.scale ** (d - sum(beta))
+            for iota, v in _x_power(beta, S.lines, S.powers).items():
+                tpoly[iota] = tpoly.get(iota, 0) + c * v
+        G: dict = {}
+        for iota, c in tpoly.items():
+            for kappa, v in sums[d - sum(iota)].items():
+                key = (kappa[0], *(x + y for x, y in zip(kappa[1:], iota)))
+                G[key] = G.get(key, 0) + c * v
+        verts = [S.s0] + [tuple(x + y for x, y in zip(S.s0, e)) for e in S.edges]
+        stack = [(G, verts, S.scale, 0)]
+        while stack:
+            G, verts, scale, depth = stack.pop()
+            for k, corner in enumerate(corners):
+                if G.get(corner, 0) <= 0:
+                    x = ", ".join(str(Fraction(y, scale)) for y in verts[k])
+                    value = Fraction(G.get(corner, 0), L * scale**d)
+                    raise PositivityViolated(
+                        f"polynomial weight is not positive on the polytope: g({x}) = {value}"
+                    )
+            if min(G.values()) >= 0:
+                continue
+            if depth == _MAX_DEPTH or pieces >= _MAX_PIECES:
+                raise PositivityViolated(
+                    f"polynomial weight positivity undecided: no Bernstein certificate "
+                    f"within {depth} halvings and {pieces} pieces"
+                )
+            i, j = max(
+                ((i, j) for i in range(n + 1) for j in range(i + 1, n + 1)),
+                key=lambda e: sum((x - y) ** 2 for x, y in zip(verts[e[0]], verts[e[1]])),
+            )
+            mid = tuple(x + y for x, y in zip(verts[i], verts[j]))
+            for moved, kept in ((i, j), (j, i)):
+                half = [tuple(2 * x for x in w) for w in verts]
+                half[moved] = mid
+                stack.append((_halve(G, moved, kept, d), half, 2 * scale, depth + 1))
+            pieces += 2
+
+
+def _halve(G: dict, i: int, j: int, d: int) -> dict:
+    """2^d G on the half of the simplex whose vertex i moves to the midpoint
+    of the edge (i, j), in that half's barycentric coordinates mu.
+
+    There lam_i = mu_i / 2, lam_j = mu_j + mu_i / 2 and lam_k = mu_k
+    otherwise, so 2^d G(lam) = G(2 lam) with 2 lam_i = mu_i,
+    2 lam_j = 2 mu_j + mu_i and 2 lam_k = 2 mu_k: int coefficients again.
+    """
+    out: dict = {}
+    for kappa, c in G.items():
+        ki, kj = kappa[i], kappa[j]
+        c <<= d - ki - kj
+        key = list(kappa)
+        for r in range(kj + 1):
+            key[i], key[j] = ki + kj - r, r
+            k = tuple(key)
+            out[k] = out.get(k, 0) + (c * math.comb(kj, r) << r)
+    return out
+
+
+# a root of g' is isolated to an interval this many halvings below that of P
+_ROOT_BITS = 64
+
+
+def _poly_range_1d(P: LabelledPolytope, g: WeightFunction) -> tuple[float, float]:
+    """(min, max) of a polynomial weight on an interval.
+
+    The extrema lie at the endpoints or at real roots of g' between them
+    (``_real_roots``).  g is evaluated there in Fractions and rounded
+    once.  A root that is not exact is within w = (hi - lo) / 2^64 of the
+    point used; since g' vanishes at it, g there is off by at most
+    w max|g'| over that interval, far below a float's rounding for any g
+    whose extremum is not within about w of zero relative to its size.
+    """
+    lo, hi = sorted(v[0] for v in P.vertices)
+    poly = g.as_poly(1)
+    p = [Fraction(poly.get((k,), 0)) for k in range(1 + max(k for (k,) in poly))]
+    points = [lo, hi, *_real_roots(_derivative(p), lo, hi)]
+    values = [_horner(p, x) for x in points]
+    return float(min(values)), float(max(values))
+
+
+def _real_roots(p: list, lo: Fraction, hi: Fraction) -> list:
+    """The distinct real roots of p (Fraction coefficients, lowest first)
+    in the open interval (lo, hi).
+
+    A Sturm sequence of the square-free part q of p counts the roots of q
+    in any (a, b]; bisection isolates each to width (hi - lo) / 2^64 and
+    takes the interval's right end when q vanishes there, else its
+    midpoint.  A q of degree 1 gives its root exactly.
+    """
+    p = _trim(p)
+    if len(p) < 2:
+        return []
+    q = _poly_divmod(p, _poly_gcd(p, _derivative(p)))[0]
+    if len(q) == 2:
+        r = -q[0] / q[1]
+        return [r] if lo < r < hi else []
+    seq = [q, _derivative(q)]
+    while len(seq[-1]) > 1:
+        seq.append([-c for c in _poly_divmod(seq[-2], seq[-1])[1]])
+
+    def changes(x) -> int:
+        signs = [v > 0 for v in (_horner(s, x) for s in seq) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    width = (hi - lo) / 2**_ROOT_BITS
+    roots = []
+    stack = [(lo, hi, changes(lo), changes(hi))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        if va == vb:
+            continue
+        if va - vb == 1 and b - a <= width:
+            roots.append(b if _horner(q, b) == 0 else (a + b) / 2)
+            continue
+        m = (a + b) / 2
+        vm = changes(m)
+        stack += [(a, m, va, vm), (m, b, vm, vb)]
+    return [r for r in roots if lo < r < hi]
+
+
+def _trim(p: list) -> list:
+    """p without its zero leading coefficients."""
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _derivative(p: list) -> list:
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _horner(p: list, x):
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _poly_divmod(a: list, b: list) -> tuple[list, list]:
+    """(quotient, remainder) of Fraction polynomials, b nonzero."""
+    a = list(a)
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        f = a[k + len(b) - 1] / b[-1]
+        quot[k] = f
+        for i, c in enumerate(b):
+            a[k + i] -= f * c
+    return _trim(quot), _trim(a[: len(b) - 1])
+
+
+def _poly_gcd(a: list, b: list) -> list:
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -516,7 +516,15 @@ _EXACT_COMMANDS = {
     "delta": ["delta", "--polytope", "builtin:bl3p2", "--g", "exp_affine:0,0.3,-0.2"],
     "ding_na": ["ding-na", "--polytope", "builtin:p2", "--g", "constant:1", "--a", "1,0"],
     "report_rerun": ["report", "--input", "{saved}", "--rerun"],
+    "futaki_poly": ["check-futaki", "--polytope", "builtin:bl1p2", "--g", "{poly}"],
+    "delta_poly": ["delta", "--polytope", "builtin:bl3p2", "--g", "{poly}"],
+    "ding_na_poly": ["ding-na", "--polytope", "builtin:p2", "--g", "{poly}", "--a", "1,0"],
+    "sg_poly": ["sg", "--polytope", "builtin:p2", "--g", "{poly}", "--a=0.3,-0.7"],
 }
+
+# 1 + x^2/4 - xy/8 on a polygon
+_POLY_2D = {"kind": "polynomial", "coeffs": [
+    {"powers": [0, 0], "c": 1}, {"powers": [2, 0], "c": "1/4"}, {"powers": [1, 1], "c": "-1/8"}]}
 
 _ARRAY_COMMANDS = {
     "dh": ["dh", "--polytope", "builtin:p1xp1", "--g", "exp_affine:0,0.5,0.25", "--a", "1,0", "--m", "20"],
@@ -547,6 +555,10 @@ def _argv(name, tmp_path):
     """The argv of ``_COMMANDS[name]`` with its input files written."""
     files = {"{saved}": tmp_path / "futaki.json", "{potential}": tmp_path / "u.json"}
     argv = _COMMANDS[name]
+    if "{poly}" in argv:
+        weight = tmp_path / "g.json"
+        weight.write_text(json.dumps(_POLY_2D))
+        files["{poly}"] = f"polynomial:@{weight}"
     if "{saved}" in argv:
         files["{saved}"].write_text(_probe(_COMMANDS["futaki_constant"])[0])
     if "{potential}" in argv:
@@ -613,6 +625,19 @@ def test_weight_not_positive_exits_two_in_every_command(argv):
     cp = run_cli([argv[0], "--polytope", "builtin:p1", *argv[1:]])
     assert cp.returncode == 2, cp.stderr.decode()
     assert _error_body(cp)["error"] == "PositivityViolated"
+
+
+def test_weight_negative_inside_a_large_cube_exits_two(tmp_path):
+    # x^2 + y^2 + z^2 - 1/100 is -1/100 at the origin of the cube (+-9)^3
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps({"vertices": [[x, y, z] for x in (-9, 9) for y in (-9, 9) for z in (-9, 9)]}))
+    weight = tmp_path / "g.json"
+    weight.write_text(json.dumps({"kind": "polynomial", "coeffs": [
+        {"powers": [2, 0, 0], "c": 1}, {"powers": [0, 2, 0], "c": 1},
+        {"powers": [0, 0, 2], "c": 1}, {"powers": [0, 0, 0], "c": "-1/100"}]}))
+    rc, out, err = run_main(["check-futaki", "--polytope", str(cube), "--g", f"polynomial:@{weight}"])
+    assert (rc, out) == (2, ""), err
+    assert json.loads(err)["error"] == "PositivityViolated"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,11 @@
 """Weight functions, exact moments, exp integrals, divided differences."""
 
 import gc
+import itertools
 import json
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +17,7 @@ import toricgs as t
 from toricgs import errors, quadrature
 
 from conftest import run_main
+from perfbench import gen
 from oracles import (
     brute_gm,
     dd_exp_series,
@@ -67,8 +71,57 @@ def test_weight_range_on(p1):
     lo, hi = t.WeightFunction.exp_affine(0, [1]).range_on(p1)
     assert math.isclose(lo, math.exp(-1)) and math.isclose(hi, math.e)
     assert t.WeightFunction.affine(1, [Fraction(1, 2)]).range_on(p1) == (0.5, 1.5)
-    lo, hi = t.WeightFunction.polynomial([((0,), 1), ((2,), 1)]).range_on(p1)
-    assert math.isclose(lo, 1.0, abs_tol=1e-6) and math.isclose(hi, 2.0, abs_tol=1e-6)
+    assert t.WeightFunction.polynomial([((0,), 1), ((2,), 1)]).range_on(p1) == (1.0, 2.0)
+    # 1/3 - x^2 + 2x^3 on [-1/8, 1]: the minimum 8/27 at the root 1/3 of g',
+    # which no bisection point meets
+    g = t.WeightFunction.polynomial([((0,), Fraction(1, 3)), ((2,), -1), ((3,), 2)])
+    assert g.range_on(t.from_vertices([(Fraction(-1, 8),), (1,)])) == (8 / 27, 4 / 3)
+    with pytest.raises(errors.ValidationError):
+        t.WeightFunction.polynomial([((0, 0), 1), ((2, 0), 1)]).range_on(t.builtin("p2"))
+
+
+def _poly_1d(coeffs):
+    """The 1D polynomial weight sum_k coeffs[k] x^k."""
+    return t.WeightFunction.polynomial([((k,), c) for k, c in enumerate(coeffs) if c])
+
+
+@st.composite
+def _range_cases(draw):
+    """Rational coefficients (lowest first) of a polynomial of degree up to
+    8, and an interval [lo, hi] with the origin inside.  A third of the
+    polynomials are multiplied by (x - r)^2, so that g' vanishes at a
+    rational r where g may touch its minimum 0."""
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    coeffs = draw(st.lists(small, min_size=2, max_size=7))
+    if draw(st.integers(0, 2)) == 0:
+        r = draw(small)
+        sq = [r * r, -2 * r, Fraction(1)]
+        coeffs = [sum(coeffs[i] * sq[k - i] for i in range(len(coeffs)) if 0 <= k - i < 3)
+                  for k in range(len(coeffs) + 2)]
+    lo = -draw(st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=4))
+    hi = draw(st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=4))
+    return coeffs, lo, hi
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_range_cases())
+@example(([Fraction(1, 3), 0, -1, 2], Fraction(-1), Fraction(1)))
+@example(([Fraction(-1, 2), 0, 0, 0, 1], Fraction(-1), Fraction(1)))  # g' has a root of order 3
+def test_polynomial_range_on_matches_sympy(case):
+    import sympy
+
+    coeffs, lo, hi = case
+    if not any(coeffs[1:]):
+        coeffs = [coeffs[0], 1]
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator) for c in map(Fraction, coeffs)])), x)
+    lo_s, hi_s = sympy.Rational(lo.numerator, lo.denominator), sympy.Rational(hi.numerator, hi.denominator)
+    points = [lo_s, hi_s] + [r for r in sympy.real_roots(poly.diff(x)) if lo_s < r < hi_s]
+    values = [sympy.N(poly.as_expr().subs(x, r), 60) for r in points]
+    want = (float(min(values)), float(max(values)))
+    got = _poly_1d(coeffs).range_on(t.from_vertices([(lo,), (hi,)]))
+    for a, b in zip(got, want):
+        assert a == pytest.approx(b, rel=2**-52, abs=1e-30)
 
 
 def test_weight_positivity_certificates(p1):
@@ -81,6 +134,84 @@ def test_weight_positivity_certificates(p1):
         t.WeightFunction.polynomial([((2,), 1)]).check_positive(p1)
     # exp of anything is positive
     t.WeightFunction.exp_affine(-50, [30]).check_positive(p1)
+
+
+def _shifted_square(r, c):
+    """(x - r)^2 + c on a line."""
+    return _poly_1d([r * r + c, -2 * r, 1])
+
+
+def test_polynomial_negative_between_lattice_points_is_rejected(p1):
+    # -1e-4 at x = 1/48, which no point of the (1/24)-lattice of p1 sees
+    with pytest.raises(errors.PositivityViolated, match="not positive"):
+        _shifted_square(Fraction(1, 48), Fraction(-1, 10**4)).check_positive(p1)
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 10**4), Fraction(1, 10**12), Fraction(1, 10**30), 1e-12])
+def test_polynomial_with_a_tiny_positive_minimum_is_certified(p1, c):
+    _shifted_square(Fraction(1, 48), c).check_positive(p1)
+    _shifted_square(Fraction(1, 3), c).check_positive(p1)
+
+
+def test_polynomial_with_an_irrational_zero_is_undecided(p1):
+    # (x^2 - 1/2)^2 >= 0 vanishes at +-1/sqrt(2): no subdivision point meets
+    # the zeros, and no piece around them is ever proved positive
+    g = _poly_1d([Fraction(1, 4), 0, -1, 0, 1])
+    with pytest.raises(errors.PositivityViolated, match="undecided"):
+        g.check_positive(p1)
+
+
+def test_polynomial_certificate_on_the_4d_cube_stays_small():
+    P = t.from_vertices(list(itertools.product((-1, 1), repeat=4)))
+    P.triangulation
+    g = t.WeightFunction.polynomial(
+        gen.poly_coeffs(Fraction(1, 4), (Fraction(1, 8), Fraction(-1, 8), Fraction(1, 8), Fraction(1, 2))))
+    tracemalloc.start()
+    try:
+        g.check_positive(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@st.composite
+def _generated_polynomial_cases(draw):
+    """A ``perfbench.gen`` polytope in 2D or 3D, its (1/12)-lattice as the
+    int points u = 12 x, and the weight 1 + (a0 + <b, x>)^2 of
+    ``gen.poly_coeffs`` with generated a0 and b."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pts = gen.polytope_points(rng, draw(st.sampled_from((2, 3))))
+    _, a0, b = gen.weight(rng, "polynomial", pts)
+    P = t.from_vertices(pts)
+    return P, P.lattice_points(12).tolist(), gen.poly_coeffs(a0, b), rng
+
+
+def _scaled_values(coeffs, lattice):
+    """L 12^d g(u / 12) at each lattice point u, in ints, so its sign is g's."""
+    d = max(sum(p) for p, _ in coeffs)
+    L = math.lcm(*(Fraction(c).denominator for _, c in coeffs))
+    ints = [(p, int(Fraction(c) * L) * 12 ** (d - sum(p))) for p, c in coeffs]
+    return [sum(c * math.prod(x**k for x, k in zip(u, p)) for p, c in ints) for u in lattice]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_generated_polynomial_cases())
+def test_certified_polynomials_are_positive_on_a_dense_grid(case):
+    P, lattice, coeffs, rng = case
+    t.WeightFunction.polynomial(coeffs).check_positive(P)
+    # g - c for c = g(x0) at a lattice point x0 of P vanishes in P: rejected
+    u0 = rng.choice(lattice)
+    c0 = sum(Fraction(c) * math.prod(Fraction(x, 12) ** k for x, k in zip(u0, p)) for p, c in coeffs)
+    for scale in (1, Fraction(rng.randint(1, 7), 8)):
+        shifted = [(p, c - c0 * scale if not any(p) else c) for p, c in coeffs]
+        g = t.WeightFunction.polynomial(shifted)
+        try:
+            g.check_positive(P)
+        except errors.PositivityViolated:
+            continue
+        assert scale != 1, "a weight that vanishes at a point of P was certified"
+        assert min(_scaled_values(shifted, lattice)) > 0
 
 
 def test_weight_serialization_roundtrip():
@@ -618,7 +749,7 @@ def test_each_moment_and_certificate_once_per_run(tmp_path, monkeypatch, command
     weight.write_text(json.dumps({"kind": "polynomial", "coeffs": [
         {"powers": [2, 0], "c": "1/4"}, {"powers": [0, 0], "c": 1}]}))
     kernel = _count_calls(monkeypatch, quadrature, "simplex_moments")
-    certificates = _count_calls(monkeypatch, quadrature, "_positivity_samples")
+    certificates = _count_calls(monkeypatch, quadrature, "_certify_polynomial")
     rc, _, err = run_main([command, "--polytope", "builtin:p1xp1", "--g", f"polynomial:@{weight}"])
     assert rc == 0, err
     assert len(kernel) == 4
