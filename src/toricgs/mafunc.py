@@ -354,8 +354,8 @@ def _weight_1d(g: WeightFunction, pmin: float, pmax: float):
     G' = g with G(0) = 0, so the flux masses diff(G(s)) carry no offset.  G
     and the edge mean (a, b, G(a), G(b)) -> int_0^1 G(b + r (a - b)) dr take
     arrays and cancel nothing as a -> b or as the slope beta -> 0.  Ginv is
-    scalar and monotone-extended past [pmin, pmax], which only the
-    overshooting trial shots of the bracket reach.  The forms:
+    scalar and monotone-extended past [pmin, pmax], which only trial shots
+    whose running mass overshoots the target reach.  The forms:
 
     * constant, and exp_affine at beta = 0 (the constant e^{a0}): G = a0 p
       and Ginv(y) = y / a0, where a0 = g(0) > 0 since the origin is interior;
@@ -568,66 +568,48 @@ def _horner(cs, p):
 _RTOL = 4.0 * sys.float_info.epsilon
 
 
-def _brentq(f, xa: float, fa: float, xb: float, fb: float, xtol: float) -> float:
-    """A root of f in [xa, xb] by Brent's zeroin (Brent 1973, ch. 4), given
-    fa = f(xa) and fb = f(xb), which the caller has already evaluated.
+def _checked(x: float, v: float) -> float:
+    if math.isnan(v):
+        raise NewtonDiverged(f"root finder met NaN at x={x!r}")
+    return v
 
-    A statement-for-statement port of the widely used C ``brentq``, with
-    ``rtol = 4 eps`` and ``maxiter = 100``: the same interpolate,
-    extrapolate and bisect tests in the same float operations, so the
-    iterates are those of that routine.  Raises NewtonDiverged on a NaN
-    value, an unbracketed interval or a missed tolerance.
+
+def _secant_root(f, xa: float, fa: float, xb: float, fb: float, xtol: float, ftol: float = 0.0):
+    """(x, slope): a root x of f in [xa, xb], given fa = f(xa) and fb = f(xb),
+    by the Anderson-Bjorck secant (BIT 13, 1973), bisecting where the bracket
+    has not halved in two steps.  It stops where |f| <= ftol, or <= xtol
+    |slope| / 2 near zero, or once the bracket is below xtol + 4 eps |x|, at
+    its end of smaller |f|: x is always a point f was called at.  slope is
+    the secant of the latest two points whose values differ by more than
+    1024 ftol, well above rounding.
     """
-
-    def checked(x: float, v: float) -> float:
-        if math.isnan(v):
-            raise NewtonDiverged(f"root finder met NaN at x={x!r}")
-        return v
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = checked(xa, fa), checked(xb, fb)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
+    _checked(xa, fa), _checked(xb, fb)
+    slope = (fb - fa) / (xb - xa)
+    if abs(fa) <= ftol or abs(fb) <= ftol:
+        return (xa if abs(fa) <= ftol else xb), slope
+    if (fa < 0.0) == (fb < 0.0):
         raise NewtonDiverged(f"root finder needs a sign change on [{xa!r}, {xb!r}]")
-    for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                # C gets inf or NaN here, which fails the step test: bisect
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis  # bisect
+    a, sa, b = xa, fa, xb  # b is the latest point, sa the scaled value at a
+    widths, near = [math.inf] * 2, 1024.0 * ftol
+    for _ in range(200):
+        width, delta = abs(b - a), (xtol + _RTOL * abs(b)) / 2
+        if width <= 2 * delta:
+            return (a if abs(fa) < abs(fb) else b), slope
+        x, s = 0.5 * (a + b), b - fb * (b - a) / (fb - sa)
+        if width <= widths[-2] / 2 and s == s:  # s is NaN where a value is infinite
+            x = min(max(s, min(a, b) + delta), max(a, b) - delta)
+        fx = _checked(x, f(x))
+        if abs(fx - fb) > near:
+            slope = (fx - fb) / (x - b)
+        if abs(fx) <= ftol or abs(fx) <= min(near, 0.5 * xtol * abs(slope)):
+            return x, slope
+        widths.append(width)
+        if (fx < 0.0) != (fb < 0.0):
+            a, fa, sa = b, fb, fb
         else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = checked(xcur, f(xcur))
-    raise NewtonDiverged(f"root finder did not converge after 100 iterations, x={xcur!r}")
+            sa *= m if (m := 1.0 - fx / fb) > 0.0 else 0.5
+        b, fb = x, fx
+    raise NewtonDiverged(f"root finder did not converge after 200 steps, x={b!r}")
 
 
 def weight_mass(P: LabelledPolytope, g: WeightFunction) -> float:
@@ -640,6 +622,24 @@ def weight_mass(P: LabelledPolytope, g: WeightFunction) -> float:
 # ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------
+
+
+def _level_root(psi, w0: float, slope: float, ftol: float):
+    """(root, closing slope) of a grid's decreasing defect psi from the coarser
+    grid's: shots at w0 + d, 2d, 4d, ... (|d| <= 512, first |psi(w0)/slope| or
+    8, signed as the defect) until its sign changes, then ``_secant_root``."""
+    x1, f1 = w0, _checked(w0, psi(w0))
+    d = abs(f1 / slope) if slope < 0.0 else 0.0
+    d = math.copysign(d if 0.0 < d < math.inf else 8.0, f1)
+    while abs(f1) > ftol:
+        if abs(d) > 512.0:
+            raise NewtonDiverged("shooting bracket failed for the base value")
+        x0, f0, x1 = x1, f1, w0 + d
+        f1 = _checked(x1, psi(x1))
+        if (f1 > 0.0) != (f0 > 0.0):
+            return _secant_root(psi, x0, f0, x1, f1, 1e-13, ftol)
+        d *= 2.0
+    return x1, slope
 
 
 # Largest gap between the boundary slopes and the polytope ends, beyond the
@@ -660,16 +660,18 @@ def solve_ma(
     the reference determines c = e^{-kappa}.  The c = 1 system collapses to
     one unknown: given the base value w_0, each flux equation determines the
     next half-slope from the running mass (through G^{-1}), and the closing
-    defect is h * sum(e^{-w_k}) minus the integral of g -- a bracketed
-    scalar root problem, solved by Brent's method (``_brentq``).  Each shot
-    runs the weight kind's own loop from ``_weight_1d``, with G^{-1} inline
-    for the closed forms.  The root's shot must reach the last node (a shot
-    stops once w falls below -500, where its mass is far past the target),
-    and the max-norm flux residual of its profile must then be at most
-    ``tol``; either failure raises NewtonDiverged.  The residual reads
-    the shot's own slopes G^{-1}(y_k), which the potential keeps, so it
-    measures the rounding of G(G^{-1}(y)) and of the running sums, not of
-    slopes rebuilt from node values; it stays near 1e-12 as N grows.
+    defect is h * sum(e^{-w_k}) minus the integral of g, decreasing in w_0.
+    Its root is found on grids of the same window with (n - 1)//8 + 1 nodes
+    below n, down to 17 or more: the coarsest starts at the reference's
+    base value, each finer one at the coarser root (or, if that grid failed,
+    at the base value).  A defect within eps * mass is zero; its slope in
+    w_0 is about e^{-R}, so w_0 is fixed only to about rounding / e^{-R}.
+    The finest root's shot is the solution, as shot.  It must reach the last
+    node (a shot stops once w falls below -500, past the target mass), and
+    its max-norm flux residual must then be at most ``tol``; either failure
+    raises NewtonDiverged.  The residual reads the shot's own slopes
+    G^{-1}(y_k), so it measures the rounding of G(G^{-1}(y)) and of the
+    running sums; it stays near 1e-12 as N grows.
     Summing the flux-form equations shows c * sum(e^{-u_k}) h equals the
     integral of g over P automatically, so c carries the mass normalization.
     Raises WindowTooSmall if the boundary slopes end up farther than
@@ -684,34 +686,29 @@ def solve_ma(
     h = grid.h
     mid = grid.mid_index
     G, _, Ginv, shoot = _weight_1d(g, pmin, pmax)
-    y_lo = float(G(pmin))
-    y_hi = float(G(pmax))
+    y_lo, y_hi = float(G(pmin)), float(G(pmax))
     N = grid.N
 
-    latest = {}  # sign of the defect -> (base value, slopes) of its latest shot
+    levels = [N]
+    while (levels[-1] - 1) // 8 + 1 >= 17:
+        levels.append((levels[-1] - 1) // 8 + 1)
+    ftol = sys.float_info.epsilon * (y_hi - y_lo)
+    base = float(ref.values[0])
+    w0, slope = base, math.nan
 
-    def _psi(w0: float) -> float:
-        slopes, defect = shoot(w0, h, N - 1, y_lo, y_hi)
-        latest[(defect > 0) - (defect < 0)] = w0, slopes
+    def psi(w0: float) -> float:  # a shot on the current grid, kept by base value
+        shots[w0], defect = shoot(w0, hn, n - 1, y_lo, y_hi)
         return defect
 
-    base = float(ref.values[0])
-    span = 8.0
-    lo, hi = base - span, base + span
-    flo, fhi = _psi(lo), _psi(hi)
-    while flo * fhi > 0.0 and span < 300.0:
-        span *= 2.0
-        lo, hi = base - span, base + span
-        flo, fhi = _psi(lo), _psi(hi)
-    if flo * fhi > 0.0:
-        raise NewtonDiverged("shooting bracket failed for the base value")
-    w0 = _brentq(_psi, lo, flo, hi, fhi, 1e-13)
-    # Brent returns an end of its bracket, and each end is the latest shot
-    # of its defect's sign (a new point replaces the end of its own sign),
-    # so the root's shot is kept unless two defects were exactly zero.  Its
-    # slopes' running sum is its profile w, bit for bit
-    kept = dict(latest.values())
-    slopes = kept[w0] if w0 in kept else shoot(w0, h, N - 1, y_lo, y_hi)[0]
+    for n in reversed(levels):
+        hn, shots = Grid1D(grid.R, n).h, {}
+        try:
+            w0, slope = _level_root(psi, w0, slope, ftol)
+        except NewtonDiverged:
+            if n == N:
+                raise
+            w0, slope = base, math.nan
+    slopes = shots[w0]
     if len(slopes) < N - 1:
         k = len(slopes)
         raise NewtonDiverged(

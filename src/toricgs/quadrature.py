@@ -122,6 +122,9 @@ class WeightFunction:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise SchemaViolation(f"unknown weight kind {self.kind!r}")
+        for x in (self.a0, *self.b, *(c for _, c in self.coeffs)):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ValidationError(f"weight coefficients must be finite, got {x!r}")
 
     # -- structure ----------------------------------------------------------
 

@@ -23,7 +23,7 @@ from toricgs.errors import (
 )
 from toricgs.mafunc import (
     DiscretePotential,
-    _brentq,
+    _secant_root,
     _weight_1d,
     ding_ray_diagnostic,
     weight_mass,
@@ -214,37 +214,59 @@ def test_solver_exponential_weight(p1):
     assert abs(mass - weight_mass(p1, g)) < 1e-10
 
 
+def _counting_shots(monkeypatch):
+    """A list that records (base value, node count) of every shot of
+    ``solve_ma``: every shot runs through the shot loop of ``_weight_1d``."""
+    shots = []
+    real_weight_1d = mafunc._weight_1d
+
+    def weight_1d(*args):
+        G, mean, Ginv, shoot = real_weight_1d(*args)
+
+        def counted(w0, h, n, *rest):
+            shots.append((w0, n + 1))
+            return shoot(w0, h, n, *rest)
+
+        return G, mean, Ginv, counted
+
+    monkeypatch.setattr(mafunc, "_weight_1d", weight_1d)
+    return shots
+
+
 @pytest.mark.parametrize("g", [
     t.WeightFunction.constant(1),
     t.WeightFunction.polynomial([((0,), 1), ((2,), Fraction(1, 2))]),
 ], ids=["constant", "polynomial"])
 def test_solver_shoots_no_base_value_twice(p1, g, monkeypatch):
-    # every shot runs through the shot loop of _weight_1d, so counting its
-    # calls counts the shots
-    shots = []  # the base value of each shot
-    real_weight_1d, real_brentq = mafunc._weight_1d, mafunc._brentq
+    shots = _counting_shots(monkeypatch)
+    out = t.solve_ma(p1, g)
+    assert out.residual < 1e-8
+    finest = [w0 for w0, n in shots if n == out.grid.N]
+    # the coarser grids shoot first, and the finest grid's shots come last:
+    # at least a start and a step, none repeated, and the root is one of
+    # them, so its profile is not shot again
+    assert shots[-len(finest):] == [(w0, out.grid.N) for w0 in finest]
+    assert len(set(finest)) == len(finest) >= 2
+    kappa = -math.log(out.c)
+    assert min(abs(w0 - (float(out.values[0]) + kappa)) for w0 in finest) < 1e-12
+    assert len({n for _, n in shots}) == 3  # 32, 251 and 2001 nodes
 
-    def weight_1d(*args):
-        G, mean, Ginv, shoot = real_weight_1d(*args)
 
-        def counted(w0, *rest):
-            shots.append(w0)
-            return shoot(w0, *rest)
-
-        return G, mean, Ginv, counted
-
-    evaluated = []  # the base values Brent asks for
-
-    def brentq(f, *args):
-        return real_brentq(lambda x: evaluated.append(x) or f(x), *args)
-
-    monkeypatch.setattr(mafunc, "_weight_1d", weight_1d)
-    monkeypatch.setattr(mafunc, "_brentq", brentq)
-    assert t.solve_ma(p1, g).residual < 1e-8
-    # p1 brackets the root at the first span: two shots, then one per
-    # Brent iterate, none repeated and none for the root's profile
-    assert len(set(evaluated)) == len(evaluated) > 2
-    assert len(set(shots)) == len(shots) == 2 + len(evaluated)
+@pytest.mark.parametrize("g", [
+    t.WeightFunction.constant(1),
+    t.WeightFunction.affine(1, (Fraction(1, 3),)),
+    t.WeightFunction.exp_affine(0, (Fraction(3, 10),)),
+    t.WeightFunction.polynomial([((0,), 1), ((2,), Fraction(1, 2))]),
+], ids=["constant", "affine", "exp_affine", "polynomial"])
+def test_solver_shot_steps_stay_within_budget(p1, g, monkeypatch):
+    # the finest grid starts next to its root, from the coarser grids' root,
+    # so all shots together take at most 9 full-grid shots of steps (a +-8
+    # bracket and Brent's method on the full grid alone took 18 to 21)
+    shots = _counting_shots(monkeypatch)
+    out = t.solve_ma(p1, g)
+    assert out.residual < 1e-10
+    steps = sum(n - 1 for _, n in shots)
+    assert steps <= 9 * (out.grid.N - 1), steps / (out.grid.N - 1)
 
 
 def test_boundary_layer_is_intrinsic_for_skew_weight(p1):
@@ -353,8 +375,11 @@ def test_polynomial_path_matches_closed_form_affine_inverse():
 )
 @pytest.mark.parametrize("xtol", [1e-13, 1e-8])
 def test_brentq_finds_roots_within_its_tolerance(f, lo, hi, root, xtol):
-    x = _brentq(f, lo, f(lo), hi, f(hi), xtol)
+    # this test and the next keep the name of the Brent root finder that
+    # _secant_root replaced, with its functions, tolerances and error cases
+    x, slope = _secant_root(f, lo, f(lo), hi, f(hi), xtol)
     assert abs(x - root) <= xtol + 4 * sys.float_info.epsilon * abs(x)
+    assert (slope > 0.0) == (f(hi) > f(lo))  # the closing slope has the bracket's sign
 
 
 def test_brentq_raises_newton_diverged_without_a_root():
@@ -363,7 +388,7 @@ def test_brentq_raises_newton_diverged_without_a_root():
         (lambda x: math.nan if x > 0.5 else x - 1.0, "NaN"),
     ]:
         with pytest.raises(NewtonDiverged, match=match):
-            _brentq(f, -1.0, f(-1.0), 2.0, f(2.0), 1e-13)
+            _secant_root(f, -1.0, f(-1.0), 2.0, f(2.0), 1e-13)
 
 
 _coeff = st.fractions(-2, 2, max_denominator=6)

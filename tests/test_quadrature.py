@@ -47,6 +47,21 @@ def test_weight_constructors_and_values(p1):
     assert np.allclose(poly.value(x), 1 + 0.5 * x[:, 0] ** 2)
 
 
+@pytest.mark.parametrize("make", [
+    lambda x: t.WeightFunction.constant(x),
+    lambda x: t.WeightFunction.affine(x, [0]),
+    lambda x: t.WeightFunction.affine(1, [x]),
+    lambda x: t.WeightFunction.exp_affine(x, [0]),
+    lambda x: t.WeightFunction.exp_affine(0, [x]),
+    lambda x: t.WeightFunction.polynomial([((0,), 1), ((1,), x)]),
+], ids=["constant", "affine_a0", "affine_b", "exp_affine_a0", "exp_affine_b", "polynomial"])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_weight_constructors_reject_non_finite_coefficients(make, x):
+    # NaN <= 0 is false, so a NaN weight would pass the positivity check
+    with pytest.raises(errors.ValidationError, match="finite"):
+        make(x)
+
+
 def test_weight_grad_matches_finite_differences():
     rng = np.random.default_rng(7)
     pts = rng.uniform(-0.8, 0.8, size=(5, 2))
